@@ -14,6 +14,6 @@ from .corrsync import (CorrDetectorConfig, DetectionResult, autocorr,
                        timing_metric, window_power)
 from .cnn import (CnnDetectorConfig, CnnModel, block_to_channels, build_model,
                   detect, evaluate, load_model, save_model)
-from .dataset import DatasetSpec, Kind, LabeledBlock, generate, split
+from .dataset import DatasetSpec, Kind, generate, record_dtype, split
 from .flops import (FlopsReport, LayerCost, conv1d_cost, conventional_flops,
                     fc_cost, model_flops)

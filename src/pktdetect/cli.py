@@ -13,11 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, cnn, dataset, flops, nn, streams
 from .cnn import BLOCK_LENGTHS, CnnDetectorConfig
@@ -138,12 +135,9 @@ def cmd_eval(args) -> int:
         outcomes = streams.evaluate_conventional(
             trial_cfg, args.packets, seed=args.seed, snr_range_db=snr_range)
         summary = streams.summarize(outcomes)
-        per_snr = []
-        for lo, hi in zip(cnn.SNR_BIN_EDGES[:-1], cnn.SNR_BIN_EDGES[1:]):
-            errs = [abs(o.fine_start - o.true_start) for o in outcomes
-                    if o.has_packet and o.detected
-                    and lo <= o.snr_db <= (hi if hi == cnn.SNR_BIN_EDGES[-1] else np.nextafter(hi, lo))]
-            per_snr.append((lo, hi, float(np.mean(errs)) if errs else None, len(errs)))
+        tp = [o for o in outcomes if o.has_packet and o.detected]
+        per_snr = cnn.mae_by_snr([o.snr_db for o in tp],
+                                 [abs(o.fine_start - o.true_start) for o in tp])
         _write_eval_outputs(out, per_snr, summary["miss_rate"],
                             summary["false_alarm_rate"])
         print(f"conventional: miss {summary['miss_rate']:.4f}, "
@@ -153,33 +147,18 @@ def cmd_eval(args) -> int:
         if not args.model:
             raise UsageError("eval needs --model or --conventional")
         (_, _, test_blocks), manifest = _load_split(Path(args.data), args.block_len)
-        if args.stub_perfect:
-            metrics = _perfect_stub_metrics(test_blocks)
-        else:
-            model = cnn.load_model(args.model)
-            if model.cfg.block_len != manifest["block_len"]:
-                raise UsageError(
-                    f"model block_len {model.cfg.block_len} does not match "
-                    f"dataset block_len {manifest['block_len']}")
-            metrics = cnn.evaluate(model, test_blocks)
+        model = cnn.load_model(args.model)
+        if model.cfg.block_len != manifest["block_len"]:
+            raise UsageError(
+                f"model block_len {model.cfg.block_len} does not match "
+                f"dataset block_len {manifest['block_len']}")
+        metrics = cnn.evaluate(model, test_blocks)
         _write_eval_outputs(out, metrics.per_snr, metrics.miss_rate,
                             metrics.false_alarm_rate)
         print(f"cnn: miss {metrics.miss_rate:.4f}, "
               f"false alarm {metrics.false_alarm_rate:.4f}, mae {metrics.mae}")
     _write_manifest(out.parent, "eval", vars(args))
     return 0
-
-
-def _perfect_stub_metrics(blocks) -> cnn.EvalMetrics:
-    # test hook: an oracle that predicts every label exactly
-    rows = []
-    snrs = np.array([b.snr_db for b in blocks])
-    labels = np.array([b.label for b in blocks])
-    for lo, hi in zip(cnn.SNR_BIN_EDGES[:-1], cnn.SNR_BIN_EDGES[1:]):
-        upper = (snrs <= hi) if hi == cnn.SNR_BIN_EDGES[-1] else (snrs < hi)
-        n = int(((labels >= 0) & (snrs >= lo) & upper).sum())
-        rows.append((lo, hi, 0.0 if n else None, n))
-    return cnn.EvalMetrics(0.0, 0.0, 0.0, tuple(rows))
 
 
 def cmd_flops(args) -> int:
@@ -271,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a detector")
     p.add_argument("--model", help="model checkpoint path")
     p.add_argument("--conventional", action="store_true")
-    p.add_argument("--stub-perfect", action="store_true",
-                   help="test hook: oracle that predicts labels exactly")
     p.add_argument("--data", help="dataset directory (model mode)")
     p.add_argument("--block-len", type=int, help="dataset block length")
     p.add_argument("--packets", type=int, default=2000)
@@ -306,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("WORKBENCH_THREADS"):
-        # cap BLAS-level parallelism; all other processing is single-threaded
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["WORKBENCH_THREADS"])
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -73,12 +73,6 @@ def block_to_channels(block: np.ndarray, in_channels: int) -> np.ndarray:
     return np.swapaxes(block.reshape(shape), -1, -2)
 
 
-def channels_to_block(channels: np.ndarray) -> np.ndarray:
-    """Inverse of block_to_channels."""
-    swapped = np.swapaxes(channels, -1, -2)
-    return swapped.reshape(swapped.shape[:-2] + (-1,))
-
-
 def build_model(cfg: CnnDetectorConfig, seed: int = 0) -> CnnModel:
     """The fixed detection network with seeded initialization.
 
@@ -141,6 +135,25 @@ def detect(model: CnnModel, block: np.ndarray,
 SNR_BIN_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
 
 
+def mae_by_snr(snrs: np.ndarray, errors: np.ndarray) -> tuple:
+    """Mean |error| per SNR_BIN_EDGES bin: rows of (bin_lo, bin_hi, mae_or_None, n).
+
+    Bins are half-open [lo, hi) except the last, which is closed; tags
+    outside [SNR_BIN_EDGES[0], SNR_BIN_EDGES[-1]] fall in no bin.
+    """
+    snrs = np.asarray(snrs, dtype=np.float64)
+    errors = np.asarray(errors, dtype=np.float64)
+    n_bins = len(SNR_BIN_EDGES) - 1
+    bin_of = np.searchsorted(SNR_BIN_EDGES, snrs, side="right") - 1
+    bin_of[snrs == SNR_BIN_EDGES[-1]] = n_bins - 1
+    rows = []
+    for k in range(n_bins):
+        err = errors[bin_of == k]
+        rows.append((SNR_BIN_EDGES[k], SNR_BIN_EDGES[k + 1],
+                     float(np.mean(err)) if err.size else None, int(err.size)))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class EvalMetrics:
     mae: float | None
@@ -149,15 +162,14 @@ class EvalMetrics:
     per_snr: tuple  # rows of (bin_lo, bin_hi, mae_or_None, n)
 
 
-def evaluate(model: CnnModel, blocks, cfg: CnnDetectorConfig | None = None) -> EvalMetrics:
+def evaluate(model: CnnModel, blocks: np.ndarray,
+             cfg: CnnDetectorConfig | None = None) -> EvalMetrics:
     """Miss/false-alarm rates and true-positive MAE, binned by SNR tag."""
     if len(blocks) == 0:
-        raise ValueError("block list must be non-empty")
+        raise ValueError("block array must be non-empty")
     cfg = cfg or model.cfg
-    amps = np.stack([b.amplitudes for b in blocks]).astype(np.float64)
-    labels = np.array([b.label for b in blocks])
-    snrs = np.array([b.snr_db for b in blocks])
-    scores = predict(model, amps)
+    labels = blocks["label"].astype(np.float64)
+    scores = predict(model, blocks["amp"])
     detected = scores >= cfg.detect_threshold
     starts = np.rint(np.clip(scores, 0.0, cfg.block_len - 1))
 
@@ -168,26 +180,21 @@ def evaluate(model: CnnModel, blocks, cfg: CnnDetectorConfig | None = None) -> E
     tp = has_start & detected
     err = np.abs(starts - labels)
     mae = float(np.mean(err[tp])) if tp.any() else None
-
-    rows = []
-    for lo, hi in zip(SNR_BIN_EDGES[:-1], SNR_BIN_EDGES[1:]):
-        in_bin = tp & (snrs >= lo) & ((snrs < hi) if hi < SNR_BIN_EDGES[-1] else (snrs <= hi))
-        n = int(in_bin.sum())
-        rows.append((lo, hi, float(np.mean(err[in_bin])) if n else None, n))
-    return EvalMetrics(mae, miss, false_alarm, tuple(rows))
+    return EvalMetrics(mae, miss, false_alarm,
+                       mae_by_snr(blocks["snr"][tp], err[tp]))
 
 
-def train_detector(model: CnnModel, train_blocks, val_blocks=None,
+def train_detector(model: CnnModel, train_blocks: np.ndarray,
+                   val_blocks: np.ndarray | None = None,
                    train_cfg: nn.TrainConfig | None = None) -> dict:
     """Train on labeled blocks (raw sample-unit labels, -1 for no packet)."""
     train_cfg = train_cfg or nn.TrainConfig()
-    x = prepare_inputs(np.stack([b.amplitudes for b in train_blocks]), model.cfg)
-    t = np.array([b.label for b in train_blocks], dtype=np.float64)
+    x = prepare_inputs(train_blocks["amp"], model.cfg)
+    t = train_blocks["label"].astype(np.float64)
     val = None
-    if val_blocks:
-        vx = prepare_inputs(np.stack([b.amplitudes for b in val_blocks]), model.cfg)
-        vt = np.array([b.label for b in val_blocks], dtype=np.float64)
-        val = (vx, vt)
+    if val_blocks is not None and len(val_blocks) > 0:
+        val = (prepare_inputs(val_blocks["amp"], model.cfg),
+               val_blocks["label"].astype(np.float64))
     return nn.train(model.net, x, t, train_cfg, val)
 
 

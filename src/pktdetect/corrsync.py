@@ -78,24 +78,9 @@ def timing_metric(y: ComplexSignal, tau: int, L: int) -> float:
 
 
 def metric_trace(y: ComplexSignal, lag: int, window: int | None = None) -> np.ndarray:
-    """M(tau) for every feasible tau, by direct windowed summation."""
-    s = y.samples
-    window = lag if window is None else window
-    n_out = len(s) - lag - window + 1
-    if n_out < 1:
-        return np.zeros(0)
-    box = np.ones(window)
-    z = np.conj(s[:len(s) - lag]) * s[lag:]
-    lam = np.convolve(z, box, mode="valid")[:n_out]
-    p = np.convolve(np.abs(s[lag:]) ** 2, box, mode="valid")[:n_out]
-    m = np.zeros(n_out)
-    np.divide(np.abs(lam) ** 2, p ** 2, out=m, where=p > 0)
-    return m
-
-
-def metric_trace_incremental(y: ComplexSignal, lag: int,
-                             window: int | None = None) -> np.ndarray:
-    """Sliding-update (cumulative-sum) variant of metric_trace."""
+    """M(tau) for every feasible tau, from running sums of the lag products
+    and of the lagged-window power (each window sum is a difference of two
+    prefix sums)."""
     s = y.samples
     window = lag if window is None else window
     n_out = len(s) - lag - window + 1

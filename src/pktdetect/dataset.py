@@ -1,8 +1,10 @@
 """Labeled-block dataset generation, splitting and persistence.
 
-Each record is a fixed-length amplitude block |y| tagged with the
-packet-start sample (or -1 when the block holds no start), the SNR used for
-the simulation, and the block kind (packet start / pure noise / packet
+A dataset is one numpy record array of `record_dtype(block_len)`, the same
+packed layout in memory and on disk.  Each record is a fixed-length
+amplitude block |y| ("amp") tagged with the packet-start sample ("label",
+-1 when the block holds no start), the SNR used for the simulation ("snr")
+and the block kind ("kind": packet start / pure noise / packet
 mid-or-tail).  Generation is deterministic given the spec seed: every block
 draws from its own (seed, index) substream.
 """
@@ -35,21 +37,10 @@ class Kind(enum.IntEnum):
     MID_TAIL = 2
 
 
-@dataclass(frozen=True)
-class LabeledBlock:
-    amplitudes: np.ndarray
-    label: float
-    snr_db: float
-    kind: Kind
-
-    def __post_init__(self):
-        # float32 is the storage precision, so save/load round-trips bit-exactly
-        object.__setattr__(self, "amplitudes",
-                           np.asarray(self.amplitudes, dtype=np.float32))
-        if (self.kind == Kind.START) != (self.label >= 0):
-            raise ValueError("label >= 0 exactly for START blocks")
-        if np.any(self.amplitudes < 0):
-            raise ValueError("amplitudes must be non-negative")
+def record_dtype(block_len: int) -> np.dtype:
+    """One labeled block: float32 amplitudes, label and SNR tag, uint8 kind."""
+    return np.dtype([("amp", "<f4", (block_len,)), ("label", "<f4"),
+                     ("snr", "<f4"), ("kind", "u1")], align=False)
 
 
 @dataclass(frozen=True)
@@ -146,13 +137,13 @@ class _Simulator:
 
 
 def generate(spec: DatasetSpec,
-             preamble_spec: PreambleSpec | None = None) -> list[LabeledBlock]:
+             preamble_spec: PreambleSpec | None = None) -> np.ndarray:
     """Generate the labeled blocks for one dataset spec."""
     sim = _Simulator(spec, preamble_spec)
     tpl = spec.channel
     b = spec.block_len
     lo_snr, hi_snr = spec.snr_range_db
-    blocks = []
+    blocks = np.zeros(spec.n_blocks, dtype=record_dtype(b))
     for i in range(spec.n_blocks):
         rng = np.random.default_rng((spec.seed, i))
         snr = float(rng.uniform(lo_snr, hi_snr))
@@ -166,7 +157,7 @@ def generate(spec: DatasetSpec,
             sigma2 = sim.noise_sigma2(snr)
             w = np.sqrt(sigma2 / 2) * (rng.standard_normal(b)
                                        + 1j * rng.standard_normal(b))
-            blocks.append(LabeledBlock(np.abs(w), -1.0, snr, kind))
+            blocks[i] = (np.abs(w), -1.0, snr, kind)
             continue
         cfo = float(rng.uniform(-tpl.cfo_max_hz, tpl.cfo_max_hz)) if tpl.cfo_max_hz else 0.0
         taps = (draw_model_b_taps(rng, sim.os_rate, tpl.rms_delay_spread_ns)
@@ -175,11 +166,11 @@ def generate(spec: DatasetSpec,
         if kind == Kind.START:
             tau = int(rng.integers(0, b))
             window = y[sim.pkt_pos - tau:sim.pkt_pos - tau + b]
-            blocks.append(LabeledBlock(np.abs(window), float(tau), snr, kind))
+            blocks[i] = (np.abs(window), tau, snr, kind)
         else:
             w0 = int(rng.integers(sim.pkt_pos + 1, sim.pkt_pos + PREAMBLE_LEN + 1))
             window = y[w0:w0 + b]
-            blocks.append(LabeledBlock(np.abs(window), -1.0, snr, kind))
+            blocks[i] = (np.abs(window), -1.0, snr, kind)
     return blocks
 
 
@@ -193,7 +184,7 @@ def split(blocks, fractions=(0.70, 0.15, 0.15), seed: int = 0):
         raise ValueError("fractions must sum to 1")
     n = len(blocks)
     rng = np.random.default_rng(seed)
-    has_start = np.array([blk.label >= 0 for blk in blocks])
+    has_start = blocks["label"] >= 0
     keys = np.empty(n)
     order_within = np.empty(n, dtype=np.int64)
     for mask in (has_start, ~has_start):
@@ -203,46 +194,48 @@ def split(blocks, fractions=(0.70, 0.15, 0.15), seed: int = 0):
         shuffled = rng.permutation(idx)
         keys[shuffled] = (np.arange(idx.size) + 0.5) / idx.size
         order_within[shuffled] = np.arange(idx.size)
-    order = sorted(range(n), key=lambda j: (keys[j], order_within[j], j))
+    order = np.lexsort((np.arange(n), order_within, keys))
     cut1 = int(np.floor(fractions[0] * n))
     cut2 = int(np.floor((fractions[0] + fractions[1]) * n))
-    parts = (order[:cut1], order[cut1:cut2], order[cut2:])
-    return tuple([blocks[j] for j in part] for part in parts)
+    return blocks[order[:cut1]], blocks[order[cut1:cut2]], blocks[order[cut2:]]
 
 
 # -- file format --------------------------------------------------------------
-# <name>.blocks.bin: packed records of (block_len float32 amplitudes,
-# float32 label, float32 snr_db, uint8 kind), little-endian, fixed stride.
+# <name>.blocks.bin: the record array's bytes (record_dtype: little-endian,
+# fixed stride, no padding).
 # <name>.manifest.json: format version, block_len, record count, per-kind
 # counts and the sha256 of the binary file.
 
 
-def _record_dtype(block_len: int) -> np.dtype:
-    return np.dtype([("amp", "<f4", (block_len,)), ("label", "<f4"),
-                     ("snr", "<f4"), ("kind", "u1")], align=False)
-
-
-def save(blocks, path_prefix: str | Path, spec: DatasetSpec | None = None) -> None:
+def save(blocks: np.ndarray, path_prefix: str | Path,
+         spec: DatasetSpec | None = None) -> None:
     path_prefix = Path(path_prefix)
-    block_len = len(blocks[0].amplitudes)
-    arr = np.zeros(len(blocks), dtype=_record_dtype(block_len))
-    for i, blk in enumerate(blocks):
-        arr[i] = (blk.amplitudes.astype(np.float32), blk.label, blk.snr_db,
-                  int(blk.kind))
-    payload = arr.tobytes()
+    payload = blocks.tobytes()
     bin_path = path_prefix.with_name(path_prefix.name + ".blocks.bin")
     bin_path.write_bytes(payload)
+    counts = np.bincount(blocks["kind"], minlength=len(Kind))
     manifest = {
         "format_version": FORMAT_VERSION,
-        "block_len": block_len,
+        "block_len": blocks.dtype["amp"].shape[0],
         "n_records": len(blocks),
-        "kind_counts": {k.name: int(sum(1 for b in blocks if b.kind == k))
-                        for k in Kind},
+        "kind_counts": {k.name: int(counts[k]) for k in Kind},
         "sha256": hashlib.sha256(payload).hexdigest(),
         "spec": json.loads(spec.to_json()) if spec else None,
     }
     path_prefix.with_name(path_prefix.name + ".manifest.json").write_text(
         json.dumps(manifest, indent=1))
+
+
+def _check_records(blocks: np.ndarray) -> None:
+    amp, label, kind = blocks["amp"], blocks["label"], blocks["kind"]
+    if not (np.isfinite(amp).all() and (amp >= 0).all()):
+        raise DatasetError("amplitudes must be finite and non-negative")
+    if not (np.isfinite(label).all() and np.isfinite(blocks["snr"]).all()):
+        raise DatasetError("labels and SNR tags must be finite")
+    if (kind > max(Kind)).any():
+        raise DatasetError("unknown block kind code")
+    if ((kind == Kind.START) != (label >= 0)).any():
+        raise DatasetError("label >= 0 exactly for START blocks")
 
 
 def load(path_prefix: str | Path):
@@ -262,11 +255,9 @@ def load(path_prefix: str | Path):
         raise DatasetError(f"cannot read {bin_path}: {exc}") from exc
     if hashlib.sha256(payload).hexdigest() != manifest["sha256"]:
         raise DatasetError("dataset checksum mismatch (corrupt or truncated file)")
-    dtype = _record_dtype(manifest["block_len"])
+    dtype = record_dtype(manifest["block_len"])
     if len(payload) != manifest["n_records"] * dtype.itemsize:
         raise DatasetError("record count disagrees with manifest")
-    arr = np.frombuffer(payload, dtype=dtype)
-    blocks = [LabeledBlock(rec["amp"].copy(), float(rec["label"]),
-                           float(rec["snr"]), Kind(int(rec["kind"])))
-              for rec in arr]
+    blocks = np.frombuffer(payload, dtype=dtype).copy()
+    _check_records(blocks)
     return blocks, manifest

@@ -58,8 +58,11 @@ class StreamSimulator:
         self.lts = lts_core(spec, self.params)
 
     def run_trial(self, rng: np.random.Generator, has_packet: bool,
-                  detector: CorrDetectorConfig | None = None) -> TrialOutcome:
+                  detector: CorrDetectorConfig | None = None,
+                  snr_db: float | None = None) -> TrialOutcome:
+        """One stream trial at snr_db (default: the config's SNR)."""
         cfg = self.cfg
+        snr_db = cfg.snr_db if snr_db is None else snr_db
         detector = detector or CorrDetectorConfig()
         pre = int(rng.integers(*cfg.pre_pad_range))
         base_len = pre + len(self.x.samples) + cfg.post_pad
@@ -72,7 +75,7 @@ class StreamSimulator:
                if cfg.cfo_max_hz else 0.0)
         taps = (draw_model_b_taps(rng, self.os_rate, cfg.rms_delay_spread_ns)
                 if cfg.multipath else np.ones(1))
-        ch = ChannelConfig(taps=taps, snr_db=cfg.snr_db, cfo_hz=cfo)
+        ch = ChannelConfig(taps=taps, snr_db=snr_db, cfo_hz=cfo)
         y_os = apply_channel(ComplexSignal(buf, self.os_rate), ch, rng=rng,
                              signal_power=self.p_signal_os)
         y = rx_frontend(y_os, self.rx_cfg)
@@ -80,7 +83,7 @@ class StreamSimulator:
         fine = (fine_detect(y, res.start_sample, self.lts, detector)
                 if res.detected else -1)
         return TrialOutcome(has_packet, pre if has_packet else -1,
-                            res.detected, res.start_sample, fine, cfg.snr_db)
+                            res.detected, res.start_sample, fine, snr_db)
 
 
 def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
@@ -90,20 +93,17 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     """Run a batch of mixed packet / noise-only trials.
 
     When snr_range_db is given, each trial draws its own SNR uniformly from
-    the range (the simulator is rebuilt per SNR tag is unnecessary: only the
-    channel config changes).
+    the range and the simulator runs it at that SNR; otherwise every trial
+    uses trial_cfg.snr_db.
     """
     sim = StreamSimulator(trial_cfg)
     outcomes = []
     for i in range(n_trials):
         rng = np.random.default_rng((seed, i))
-        cfg = trial_cfg
-        if snr_range_db is not None:
-            snr = float(rng.uniform(*snr_range_db))
-            cfg = StreamTrialConfig(**{**trial_cfg.__dict__, "snr_db": snr})
-            sim.cfg = cfg
+        snr = (float(rng.uniform(*snr_range_db)) if snr_range_db is not None
+               else None)
         has_packet = bool(rng.uniform() < packet_fraction)
-        outcomes.append(sim.run_trial(rng, has_packet, detector))
+        outcomes.append(sim.run_trial(rng, has_packet, detector, snr))
     return outcomes
 
 

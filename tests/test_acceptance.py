@@ -69,9 +69,8 @@ def _forced_decision_mae(model, blocks) -> float:
     flags nothing, so its regression quality is measured by forcing the
     decision and clamping the score into the valid start range.
     """
-    amps = np.stack([b.amplitudes for b in blocks]).astype(np.float64)
-    labels = np.array([b.label for b in blocks])
-    scores = cnn.predict(model, amps)
+    labels = blocks["label"].astype(np.float64)
+    scores = cnn.predict(model, blocks["amp"])
     starts = np.rint(np.clip(scores, 0.0, model.cfg.block_len - 1))
     mask = labels >= 0
     return float(np.mean(np.abs(starts[mask] - labels[mask])))

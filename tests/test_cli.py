@@ -88,16 +88,6 @@ class TestEval:
         summary = _read_csv(tmp_path / "eval_summary.csv")
         assert summary[0] == ["miss_rate", "false_alarm_rate"]
 
-    def test_stub_perfect(self, workspace, tmp_path):
-        out = tmp_path / "stub.csv"
-        assert main(["eval", "--model", "unused", "--stub-perfect",
-                     "--data", str(workspace / "data"), "--block-len", "40",
-                     "--out", str(out)]) == 0
-        summary = _read_csv(tmp_path / "stub_summary.csv")
-        assert summary[1] == ["0.0", "0.0"]
-        for row in _read_csv(out)[1:]:
-            assert row[2] in ("", "0.0")
-
     def test_conventional_mode(self, tmp_path):
         out = tmp_path / "conv.csv"
         assert main(["eval", "--conventional", "--awgn-only",

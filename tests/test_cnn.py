@@ -5,8 +5,14 @@ from hypothesis import strategies as st
 
 from pktdetect import cnn, dataset, nn
 from pktdetect.cnn import (BLOCK_LENGTHS, CheckpointError, CnnDetectorConfig,
-                           block_to_channels, build_model, channels_to_block,
-                           detect, evaluate, load_model, predict, save_model)
+                           block_to_channels, build_model, detect, evaluate,
+                           load_model, mae_by_snr, predict, save_model)
+
+
+def channels_to_block(channels: np.ndarray) -> np.ndarray:
+    """Inverse of block_to_channels."""
+    swapped = np.swapaxes(channels, -1, -2)
+    return swapped.reshape(swapped.shape[:-2] + (-1,))
 
 
 class TestBlockFraming:
@@ -118,18 +124,27 @@ class TestModel:
 
 def _blocks(n, b, seed=0, labeled_fraction=0.5):
     rng = np.random.default_rng(seed)
-    out = []
+    out = np.zeros(n, dtype=dataset.record_dtype(b))
     for i in range(n):
         amp = np.abs(rng.standard_normal(b))
         if rng.uniform() < labeled_fraction:
-            out.append(dataset.LabeledBlock(amp, float(rng.integers(0, b)),
-                                            float(rng.uniform(0, 25)),
-                                            dataset.Kind.START))
+            out[i] = (amp, rng.integers(0, b), rng.uniform(0, 25),
+                      dataset.Kind.START)
         else:
-            out.append(dataset.LabeledBlock(amp, -1.0,
-                                            float(rng.uniform(0, 25)),
-                                            dataset.Kind.NOISE_ONLY))
+            out[i] = (amp, -1.0, rng.uniform(0, 25), dataset.Kind.NOISE_ONLY)
     return out
+
+
+def test_mae_by_snr_bin_edges():
+    edges = cnn.SNR_BIN_EDGES
+    snrs = [5.0, np.nextafter(5.0, 0.0), 25.0, -0.5, 25.5]
+    rows = mae_by_snr(snrs, [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert [row[:2] for row in rows] == list(zip(edges[:-1], edges[1:]))
+    assert [row[3] for row in rows] == [1, 1, 0, 0, 1]
+    assert rows[0][2] == 2.0   # nextafter(5, 0) is in [0, 5)
+    assert rows[1][2] == 1.0   # 5.0 is in [5, 10)
+    assert rows[2][2] is None
+    assert rows[4][2] == 3.0   # 25.0 is in the closed last bin [20, 25]
 
 
 class TestEvaluate:
@@ -144,7 +159,7 @@ class TestEvaluate:
     def test_empty_rejected(self):
         model = build_model(CnnDetectorConfig(block_len=40))
         with pytest.raises(ValueError):
-            evaluate(model, [])
+            evaluate(model, np.zeros(0, dtype=dataset.record_dtype(40)))
 
     def test_forced_detector_flags_everything(self):
         model = build_model(CnnDetectorConfig(block_len=40), seed=0)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from pktdetect.channel import ChannelConfig, apply_channel
 from pktdetect.corrsync import (CorrDetectorConfig, DetectionResult, autocorr,
                                 coarse_detect, detect, fine_detect,
-                                metric_trace, metric_trace_incremental,
-                                plateau_refine, timing_metric, window_power)
+                                metric_trace, plateau_refine, timing_metric,
+                                window_power)
 from pktdetect.preamble import (BASE_RATE_HZ, ComplexSignal, build_preamble,
                                 lts_core)
 
@@ -88,16 +88,22 @@ class TestMetricTraces:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_incremental_matches_direct(self, seed):
+        # running-sum trace against the direct scalar metric at every tau
         y = _noise(500, seed)
         a = metric_trace(y, 80)
-        b = metric_trace_incremental(y, 80)
+        b = np.array([timing_metric(y, tau, 80) for tau in range(len(a))])
+        assert len(a) == 500 - 2 * 80 + 1
         assert np.max(np.abs(a - b)) <= 1e-9
 
     def test_asymmetric_window(self):
         y = _noise(400, 4)
+        s = y.samples
         a = metric_trace(y, 16, 145)
-        b = metric_trace_incremental(y, 16, 145)
-        assert len(a) == 400 - 16 - 145 + 1
+        b = np.array([
+            abs(np.sum(np.conj(s[t:t + 145]) * s[t + 16:t + 161])) ** 2
+            / np.sum(np.abs(s[t + 16:t + 161]) ** 2) ** 2
+            for t in range(400 - 16 - 145 + 1)])
+        assert len(a) == len(b)
         assert np.max(np.abs(a - b)) <= 1e-9
 
     def test_short_signal_empty_trace(self):

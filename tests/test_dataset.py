@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from pktdetect import dataset
 from pktdetect.dataset import (ChannelTemplate, DatasetError, DatasetSpec,
-                               Kind, LabeledBlock, generate, load, save, split)
+                               Kind, generate, load, record_dtype, save, split)
 from pktdetect.preamble import PREAMBLE_LEN
 
 # small, fast channel template for unit tests (no multipath, no CFO)
@@ -18,20 +19,70 @@ def small_blocks():
     return generate(spec)
 
 
-class TestLabeledBlock:
-    def test_amplitudes_stored_float32(self):
-        blk = LabeledBlock(np.ones(8, dtype=np.float64), 3.0, 10.0, Kind.START)
-        assert blk.amplitudes.dtype == np.float32
+def _tampered(blocks, prefix, edit):
+    """Save blocks, apply edit(records) to the file and re-sign the manifest,
+    so only the record check in load can catch the planted fault."""
+    save(blocks, prefix)
+    bin_path = prefix.with_name(prefix.name + ".blocks.bin")
+    rec = np.frombuffer(bin_path.read_bytes(), record_dtype(40)).copy()
+    edit(rec)
+    bin_path.write_bytes(rec.tobytes())
+    man_path = prefix.with_name(prefix.name + ".manifest.json")
+    doc = json.loads(man_path.read_text())
+    doc["sha256"] = hashlib.sha256(rec.tobytes()).hexdigest()
+    man_path.write_text(json.dumps(doc))
+    return prefix
 
-    def test_label_kind_consistency(self):
-        with pytest.raises(ValueError):
-            LabeledBlock(np.ones(8), 3.0, 10.0, Kind.NOISE_ONLY)
-        with pytest.raises(ValueError):
-            LabeledBlock(np.ones(8), -1.0, 10.0, Kind.START)
 
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError):
-            LabeledBlock(np.array([1.0, -0.1]), -1.0, 10.0, Kind.NOISE_ONLY)
+def _first(rec, kind):
+    return int(np.nonzero(rec["kind"] == kind)[0][0])
+
+
+class TestRecordCheck:
+    def test_amplitudes_stored_float32(self, small_blocks):
+        assert small_blocks.dtype == record_dtype(40)
+        assert small_blocks["amp"].dtype == np.float32
+
+    def test_label_kind_consistency(self, small_blocks, tmp_path):
+        def start_label_on_noise(rec):
+            rec["label"][_first(rec, Kind.NOISE_ONLY)] = 3.0
+
+        def no_label_on_start(rec):
+            rec["label"][_first(rec, Kind.START)] = -1.0
+
+        for i, edit in enumerate((start_label_on_noise, no_label_on_start)):
+            with pytest.raises(DatasetError):
+                load(_tampered(small_blocks, tmp_path / f"ds{i}", edit))
+
+    def test_negative_amplitude_rejected(self, small_blocks, tmp_path):
+        def edit(rec):
+            rec["amp"][5, 3] = -0.1
+        with pytest.raises(DatasetError):
+            load(_tampered(small_blocks, tmp_path / "ds", edit))
+
+    def test_non_finite_amplitude_rejected(self, small_blocks, tmp_path):
+        for value in (np.nan, np.inf):
+            def edit(rec):
+                rec["amp"][5, 3] = value
+            with pytest.raises(DatasetError):
+                load(_tampered(small_blocks, tmp_path / f"ds{value}", edit))
+
+    def test_nan_label_or_snr_rejected(self, small_blocks, tmp_path):
+        def nan_snr(rec):
+            rec["snr"][5] = np.nan
+
+        def nan_label_on_noise(rec):
+            rec["label"][_first(rec, Kind.NOISE_ONLY)] = np.nan
+
+        for i, edit in enumerate((nan_snr, nan_label_on_noise)):
+            with pytest.raises(DatasetError):
+                load(_tampered(small_blocks, tmp_path / f"ds{i}", edit))
+
+    def test_bad_kind_rejected(self, small_blocks, tmp_path):
+        def edit(rec):
+            rec["kind"][_first(rec, Kind.MID_TAIL)] = max(Kind) + 1
+        with pytest.raises(DatasetError):
+            load(_tampered(small_blocks, tmp_path / "ds", edit))
 
 
 class TestDatasetSpec:
@@ -61,22 +112,18 @@ class TestDatasetSpec:
 class TestGenerate:
     def test_deterministic(self):
         spec = DatasetSpec(block_len=40, n_blocks=40, seed=2, channel=_FAST)
-        a, b = generate(spec), generate(spec)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.amplitudes, y.amplitudes)
-            assert (x.label, x.snr_db, x.kind) == (y.label, y.snr_db, y.kind)
+        assert generate(spec).tobytes() == generate(spec).tobytes()
 
     def test_block_shapes_and_labels(self, small_blocks):
-        for blk in small_blocks:
-            assert blk.amplitudes.shape == (40,)
-            if blk.kind == Kind.START:
-                assert 0 <= blk.label <= 39
-            else:
-                assert blk.label == -1.0
-            assert 0.0 <= blk.snr_db <= 25.0
+        assert small_blocks["amp"].shape == (300, 40)
+        start = small_blocks["kind"] == Kind.START
+        labels = small_blocks["label"]
+        assert np.all((labels[start] >= 0) & (labels[start] <= 39))
+        assert np.all(labels[~start] == -1.0)
+        assert np.all((small_blocks["snr"] >= 0.0) & (small_blocks["snr"] <= 25.0))
 
     def test_kind_proportions(self, small_blocks):
-        counts = {k: sum(1 for b in small_blocks if b.kind == k) for k in Kind}
+        counts = {k: np.sum(small_blocks["kind"] == k) for k in Kind}
         n = len(small_blocks)
         assert counts[Kind.START] / n == pytest.approx(0.5, abs=0.1)
         assert counts[Kind.NOISE_ONLY] / n == pytest.approx(0.25, abs=0.1)
@@ -85,7 +132,7 @@ class TestGenerate:
     def test_snr_uniformity(self):
         spec = DatasetSpec(block_len=40, n_blocks=2_000, seed=5, channel=_FAST,
                            frac_no_start=1.0, frac_noise_within_no_start=1.0)
-        snrs = np.sort([b.snr_db for b in generate(spec)]) / 25.0
+        snrs = np.sort(generate(spec)["snr"].astype(np.float64)) / 25.0
         # Kolmogorov-Smirnov distance against Uniform(0, 1)
         n = len(snrs)
         ecdf_hi = np.arange(1, n + 1) / n
@@ -94,7 +141,7 @@ class TestGenerate:
         assert ks < 1.63 / np.sqrt(n)  # ~1% significance level
 
     def test_start_labels_cover_block(self, small_blocks):
-        labels = [b.label for b in small_blocks if b.kind == Kind.START]
+        labels = small_blocks["label"][small_blocks["kind"] == Kind.START]
         assert min(labels) < 5
         assert max(labels) > 34
 
@@ -106,8 +153,7 @@ class TestGenerate:
         blocks = generate(spec)
         sim = dataset._Simulator(spec)
         expected = sim.noise_sigma2(snr)
-        measured = np.mean([np.mean(b.amplitudes.astype(np.float64) ** 2)
-                            for b in blocks])
+        measured = np.mean(blocks["amp"].astype(np.float64) ** 2)
         assert measured == pytest.approx(expected, rel=0.05)
 
     def test_start_block_contains_preamble_onset(self):
@@ -116,11 +162,11 @@ class TestGenerate:
         spec = DatasetSpec(block_len=160, n_blocks=60, seed=8, channel=_FAST,
                            frac_no_start=0.0, snr_range_db=(25.0, 25.0))
         for blk in generate(spec):
-            tau = int(blk.label)
+            tau = int(blk["label"])
             if not 20 <= tau <= 140:
                 continue
-            before = np.mean(blk.amplitudes[:tau] ** 2)
-            after = np.mean(blk.amplitudes[tau:] ** 2)
+            before = np.mean(blk["amp"][:tau] ** 2)
+            after = np.mean(blk["amp"][tau:] ** 2)
             assert after > 10 * before
 
 
@@ -134,12 +180,12 @@ class TestSplit:
         a = split(small_blocks, seed=3)
         b = split(small_blocks, seed=3)
         for pa, pb in zip(a, b):
-            assert [id(x) for x in pa] == [id(x) for x in pb]
+            assert pa.tobytes() == pb.tobytes()
 
     def test_class_balance(self, small_blocks):
-        overall = np.mean([b.label >= 0 for b in small_blocks])
+        overall = np.mean(small_blocks["label"] >= 0)
         for part in split(small_blocks, (0.7, 0.15, 0.15), seed=0):
-            frac = np.mean([b.label >= 0 for b in part])
+            frac = np.mean(part["label"] >= 0)
             assert abs(frac - overall) <= 0.02 + 1.0 / len(part)
 
     def test_bad_fractions(self, small_blocks):
@@ -154,11 +200,7 @@ class TestPersistence:
         loaded, manifest = load(tmp_path / "ds")
         assert manifest["n_records"] == len(small_blocks)
         assert manifest["block_len"] == 40
-        for a, b in zip(small_blocks, loaded):
-            np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-            assert a.label == b.label
-            assert a.snr_db == pytest.approx(b.snr_db, rel=1e-6)
-            assert a.kind == b.kind
+        assert loaded.tobytes() == small_blocks.tobytes()
 
     def test_save_is_deterministic(self, small_blocks, tmp_path):
         save(small_blocks, tmp_path / "a")
