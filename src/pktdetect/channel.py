@@ -1,7 +1,7 @@
 """Channel impairments and receiver front end.
 
-Applies multipath convolution, carrier frequency offset, AWGN at a target
-SNR and a timing offset to the oversampled transmit stream, then undoes the
+Applies multipath convolution, carrier frequency offset, a timing offset
+and AWGN at a target SNR to the oversampled transmit stream, then undoes the
 pulse shaping (matched filter + decimation) to recover the 1 MHz stream the
 detectors operate on.
 """
@@ -13,6 +13,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .preamble import ComplexSignal
+
+
+@dataclass(frozen=True)
+class ChannelTemplate:
+    """Per-packet channel randomization knobs of the tx -> channel -> rx link."""
+
+    os_factor: int = 4
+    filter_taps: int = 48
+    cfo_max_hz: float = 18_000.0  # +/-20 ppm at a 900 MHz carrier
+    multipath: bool = True
+    rms_delay_spread_ns: float = 80.0
+    fractional_timing_offset: float = 0.0  # in oversampled samples, [0, 1)
 
 
 @dataclass
@@ -60,13 +72,10 @@ class RxFrontendConfig:
 
     matched_taps: np.ndarray
     os_factor: int
-    decimation_phase: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "matched_taps",
                            np.asarray(self.matched_taps, dtype=np.float64))
-        if not 0 <= self.decimation_phase < self.os_factor:
-            raise ValueError("decimation_phase must lie in [0, os_factor)")
 
 
 def draw_model_b_taps(seed: int | np.random.Generator, os_rate_hz: float,
@@ -93,32 +102,28 @@ def draw_model_b_taps(seed: int | np.random.Generator, os_rate_hz: float,
 def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
                   rng: np.random.Generator | None = None,
                   signal_power: float | None = None) -> ComplexSignal:
-    """Multipath + CFO + AWGN + timing offset, in that order.
+    """Multipath + CFO + timing offset + AWGN, in that order.
 
     The channel is applied as a *linear* convolution with tail retention
     (a streaming receiver never sees the block-circular idealization).
     Noise variance is set against the mean power of the clean convolved
-    signal over its nonzero support, so zero-padded stretches carry pure
-    noise of the same variance.
+    signal over its nonzero support, measured before the timing offset, so
+    zero-padded stretches, the delay prefix included, carry pure white noise
+    of the same variance.
     """
     if len(sig.samples) == 0:
         raise ValueError("signal must be non-empty")
+    if cfg.timing_offset_samples < 0:
+        raise ValueError("timing_offset_samples must be non-negative")
     rng = rng or np.random.default_rng(cfg.seed)
     out = np.convolve(sig.samples, cfg.taps)
     if cfg.cfo_hz != 0.0:
         n = np.arange(len(out))
         out = out * np.exp(2j * np.pi * cfg.cfo_hz * n / sig.sample_rate_hz)
-    if np.isfinite(cfg.snr_db):
-        if signal_power is None:
-            support = np.abs(out) > 0
-            signal_power = float(np.mean(np.abs(out[support]) ** 2)) if support.any() else 0.0
-        sigma2 = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
-        noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(len(out))
-                                       + 1j * rng.standard_normal(len(out)))
-        out = out + noise
+    if signal_power is None and np.isfinite(cfg.snr_db):
+        support = np.abs(out) > 0
+        signal_power = float(np.mean(np.abs(out[support]) ** 2)) if support.any() else 0.0
     if cfg.timing_offset_samples != 0.0:
-        if cfg.timing_offset_samples < 0:
-            raise ValueError("timing_offset_samples must be non-negative")
         n0 = int(np.floor(cfg.timing_offset_samples))
         frac = cfg.timing_offset_samples - n0
         out = np.concatenate([np.zeros(n0, dtype=np.complex128), out])
@@ -126,6 +131,11 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
             # first-order fractional delay; adequate on the oversampled grid
             delayed = np.concatenate([[0.0], out[:-1]])
             out = (1 - frac) * out + frac * delayed
+    if np.isfinite(cfg.snr_db):
+        sigma2 = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
+        noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(len(out))
+                                       + 1j * rng.standard_normal(len(out)))
+        out = out + noise
     return ComplexSignal(out, sig.sample_rate_hz)
 
 
@@ -139,6 +149,5 @@ def rx_frontend(sig: ComplexSignal, cfg: RxFrontendConfig) -> ComplexSignal:
     """
     filtered = np.convolve(sig.samples, cfg.matched_taps) / cfg.os_factor
     delay = len(cfg.matched_taps) - 1
-    start = delay + cfg.decimation_phase
-    out = filtered[start::cfg.os_factor]
+    out = filtered[delay::cfg.os_factor]
     return ComplexSignal(out, sig.sample_rate_hz / cfg.os_factor)

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, cnn, dataset, flops, nn, streams
+from .channel import ChannelTemplate
 from .cnn import BLOCK_LENGTHS, CnnDetectorConfig
 from .corrsync import CorrDetectorConfig
 
@@ -117,6 +118,13 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _channel(args) -> ChannelTemplate:
+    """Model-B multipath and CFO, or a plain AWGN channel with --awgn-only."""
+    if args.awgn_only:
+        return ChannelTemplate(multipath=False, cfo_max_hz=0.0)
+    return ChannelTemplate()
+
+
 def _write_eval_outputs(out: Path, per_snr, miss, false_alarm) -> None:
     _write_csv(out, ["snr_bin_lo", "snr_bin_hi", "mae", "n"],
                [(_fmt(lo), _fmt(hi), _fmt(mae), n) for lo, hi, mae, n in per_snr])
@@ -128,9 +136,8 @@ def _write_eval_outputs(out: Path, per_snr, miss, false_alarm) -> None:
 def cmd_eval(args) -> int:
     out = Path(args.out)
     if args.conventional:
-        trial_cfg = streams.StreamTrialConfig(
-            snr_db=args.snr_db, multipath=not args.awgn_only,
-            cfo_max_hz=0.0 if args.awgn_only else 18_000.0)
+        trial_cfg = streams.StreamTrialConfig(snr_db=args.snr_db,
+                                              channel=_channel(args))
         snr_range = tuple(args.snr_range) if args.snr_range else None
         outcomes = streams.evaluate_conventional(
             trial_cfg, args.packets, seed=args.seed, snr_range_db=snr_range)
@@ -195,9 +202,8 @@ def cmd_sweep(args) -> int:
     model = cnn.load_model(args.model) if args.model else None
     for snr in snrs:
         if args.conventional:
-            trial_cfg = streams.StreamTrialConfig(
-                snr_db=snr, multipath=not args.awgn_only,
-                cfo_max_hz=0.0 if args.awgn_only else 18_000.0)
+            trial_cfg = streams.StreamTrialConfig(snr_db=snr,
+                                                  channel=_channel(args))
             outcomes = streams.evaluate_conventional(
                 trial_cfg, args.packets, seed=args.seed)
             s = streams.summarize(outcomes)
@@ -208,9 +214,7 @@ def cmd_sweep(args) -> int:
             spec = dataset.DatasetSpec(
                 block_len=model.cfg.block_len, n_blocks=args.packets,
                 snr_range_db=(snr, snr), seed=args.seed,
-                channel=dataset.ChannelTemplate(
-                    multipath=not args.awgn_only,
-                    cfo_max_hz=0.0 if args.awgn_only else 18_000.0))
+                channel=_channel(args))
             blocks = dataset.generate(spec)
             m = cnn.evaluate(model, blocks)
             rows.append((f"cnn-B{model.cfg.block_len}", _fmt(snr), _fmt(m.mae),

@@ -18,11 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .preamble import (ComplexSignal, OfdmParams, PreambleSpec, PREAMBLE_LEN,
-                       build_preamble, default_preamble_spec,
-                       design_interp_filter, upsample_filter)
-from .channel import (ChannelConfig, RxFrontendConfig, apply_channel,
-                      draw_model_b_taps, rx_frontend)
+from .preamble import PREAMBLE_LEN
+from .channel import ChannelTemplate
+from .streams import StreamSimulator, StreamTrialConfig
+# Unused here, kept because the benchmark's tracer (bench/tracing.py) swaps
+# these four names in this module's namespace and fails if one is missing;
+# the link looks them up in streams.
+from .preamble import default_preamble_spec  # noqa: F401
+from .channel import apply_channel, draw_model_b_taps, rx_frontend  # noqa: F401
 
 FORMAT_VERSION = 1
 
@@ -41,18 +44,6 @@ def record_dtype(block_len: int) -> np.dtype:
     """One labeled block: float32 amplitudes, label and SNR tag, uint8 kind."""
     return np.dtype([("amp", "<f4", (block_len,)), ("label", "<f4"),
                      ("snr", "<f4"), ("kind", "u1")], align=False)
-
-
-@dataclass(frozen=True)
-class ChannelTemplate:
-    """Per-block channel randomization knobs used during generation."""
-
-    os_factor: int = 4
-    filter_taps: int = 48
-    cfo_max_hz: float = 18_000.0  # +/-20 ppm at a 900 MHz carrier
-    multipath: bool = True
-    rms_delay_spread_ns: float = 80.0
-    fractional_timing_offset: float = 0.0  # in oversampled samples, [0, 1)
 
 
 @dataclass(frozen=True)
@@ -97,50 +88,13 @@ class DatasetSpec:
         return cls(channel=channel, **doc)
 
 
-class _Simulator:
-    """Shared clean-path precomputation for per-block NDP simulations."""
+def generate(spec: DatasetSpec) -> np.ndarray:
+    """Generate the labeled blocks for one dataset spec.
 
-    def __init__(self, spec: DatasetSpec, preamble_spec: PreambleSpec | None = None):
-        self.spec = spec
-        tpl = spec.channel
-        self.params = OfdmParams()
-        self.os = tpl.os_factor
-        self.taps = design_interp_filter(self.os, tpl.filter_taps)
-        self.rx_cfg = RxFrontendConfig(self.taps, self.os)
-        x = build_preamble(preamble_spec or default_preamble_spec(), self.params)
-        self.x_os = upsample_filter(x, self.os, self.taps).samples
-        self.os_rate = self.params.base_sample_rate_hz * self.os
-        # clean oversampled signal power over its support: the SNR reference
-        self.p_signal_os = float(np.mean(np.abs(self.x_os[np.abs(self.x_os) > 0]) ** 2))
-        # variance transfer of the rx front end (matched filter + 1/os scale)
-        self.noise_gain = float(np.sum(self.taps ** 2)) / self.os ** 2
-        b = spec.block_len
-        self.pkt_pos = b  # base-rate packet-start index inside the sim buffer
-        self.base_len = 2 * b + PREAMBLE_LEN + 16
-
-    def simulate(self, rng: np.random.Generator, snr_db: float, cfo_hz: float,
-                 taps: np.ndarray) -> np.ndarray:
-        """One impaired NDP inside a noise-filled buffer, at 1 MHz."""
-        buf = np.zeros(self.base_len * self.os + len(self.taps) - 1,
-                       dtype=np.complex128)
-        lo = self.pkt_pos * self.os
-        buf[lo:lo + len(self.x_os)] = self.x_os
-        cfg = ChannelConfig(taps=taps, snr_db=snr_db, cfo_hz=cfo_hz,
-                            timing_offset_samples=self.spec.channel.fractional_timing_offset)
-        y_os = apply_channel(ComplexSignal(buf, self.os_rate), cfg, rng=rng,
-                             signal_power=self.p_signal_os)
-        return rx_frontend(y_os, self.rx_cfg).samples
-
-    def noise_sigma2(self, snr_db: float) -> float:
-        """Base-rate noise variance implied by an SNR tag (noise-only blocks)."""
-        return self.p_signal_os * 10.0 ** (-snr_db / 10.0) * self.noise_gain
-
-
-def generate(spec: DatasetSpec,
-             preamble_spec: PreambleSpec | None = None) -> np.ndarray:
-    """Generate the labeled blocks for one dataset spec."""
-    sim = _Simulator(spec, preamble_spec)
-    tpl = spec.channel
+    Each block is cut from one link stream: `block_len` samples of noise,
+    the NDP, then `block_len + 16` more.
+    """
+    sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
     b = spec.block_len
     lo_snr, hi_snr = spec.snr_range_db
     blocks = np.zeros(spec.n_blocks, dtype=record_dtype(b))
@@ -159,18 +113,13 @@ def generate(spec: DatasetSpec,
                                        + 1j * rng.standard_normal(b))
             blocks[i] = (np.abs(w), -1.0, snr, kind)
             continue
-        cfo = float(rng.uniform(-tpl.cfo_max_hz, tpl.cfo_max_hz)) if tpl.cfo_max_hz else 0.0
-        taps = (draw_model_b_taps(rng, sim.os_rate, tpl.rms_delay_spread_ns)
-                if tpl.multipath else np.ones(1))
-        y = sim.simulate(rng, snr, cfo, taps)
+        y = sim.receive(rng, snr, pre=b, post=b + 16).samples
         if kind == Kind.START:
             tau = int(rng.integers(0, b))
-            window = y[sim.pkt_pos - tau:sim.pkt_pos - tau + b]
-            blocks[i] = (np.abs(window), tau, snr, kind)
+            blocks[i] = (np.abs(y[b - tau:2 * b - tau]), tau, snr, kind)
         else:
-            w0 = int(rng.integers(sim.pkt_pos + 1, sim.pkt_pos + PREAMBLE_LEN + 1))
-            window = y[w0:w0 + b]
-            blocks[i] = (np.abs(window), -1.0, snr, kind)
+            w0 = int(rng.integers(b + 1, b + PREAMBLE_LEN + 1))
+            blocks[i] = (np.abs(y[w0:w0 + b]), -1.0, snr, kind)
     return blocks
 
 

@@ -1,31 +1,29 @@
-"""Full-stream NDP trials for the conventional detector.
+"""The one tx -> channel -> rx link, and full-stream NDP trials on it.
 
-Simulates noise-padded NDP packets (or noise-only streams) through the
-transmit/channel/receiver chain and scores the correlation detector on
-them: start-sample error, miss rate and false-alarm rate.
+`StreamSimulator` builds the oversampled NDP once and pushes it (or nothing,
+for a noise-only stream) through the channel and the receiver front end on
+each call.  Dataset generation cuts its labeled blocks from these streams;
+stream trials score the correlation detector on them: start-sample error,
+miss rate and false-alarm rate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .preamble import (ComplexSignal, OfdmParams, PreambleSpec,
+from .preamble import (ComplexSignal, OfdmParams, PREAMBLE_LEN,
                        build_preamble, default_preamble_spec,
                        design_interp_filter, lts_core, upsample_filter)
-from .channel import (ChannelConfig, RxFrontendConfig, apply_channel,
-                      draw_model_b_taps, rx_frontend)
+from .channel import (ChannelConfig, ChannelTemplate, RxFrontendConfig,
+                      apply_channel, draw_model_b_taps, rx_frontend)
 from .corrsync import CorrDetectorConfig, coarse_detect, fine_detect
 
 
 @dataclass(frozen=True)
 class StreamTrialConfig:
     snr_db: float = 20.0
-    os_factor: int = 4
-    filter_taps: int = 48
-    cfo_max_hz: float = 0.0
-    multipath: bool = False
-    rms_delay_spread_ns: float = 80.0
+    channel: ChannelTemplate = ChannelTemplate(multipath=False, cfo_max_hz=0.0)
     pre_pad_range: tuple = (100, 300)  # uniform packet position, base samples
     post_pad: int = 100
 
@@ -41,21 +39,52 @@ class TrialOutcome:
 
 
 class StreamSimulator:
-    """Reusable transmit-side precomputation for stream trials."""
+    """The tx -> channel -> rx link of `cfg.channel`, with its transmit-side
+    precomputation, plus stream trials of the correlation detector."""
 
-    def __init__(self, cfg: StreamTrialConfig,
-                 preamble_spec: PreambleSpec | None = None):
+    def __init__(self, cfg: StreamTrialConfig):
         self.cfg = cfg
+        tpl = cfg.channel
         self.params = OfdmParams()
-        spec = preamble_spec or default_preamble_spec()
-        self.taps = design_interp_filter(cfg.os_factor, cfg.filter_taps)
-        self.rx_cfg = RxFrontendConfig(self.taps, cfg.os_factor)
-        self.x = build_preamble(spec, self.params)
-        self.x_os = upsample_filter(self.x, cfg.os_factor, self.taps).samples
-        self.os_rate = self.params.base_sample_rate_hz * cfg.os_factor
+        spec = default_preamble_spec()
+        self.taps = design_interp_filter(tpl.os_factor, tpl.filter_taps)
+        self.rx_cfg = RxFrontendConfig(self.taps, tpl.os_factor)
+        x = build_preamble(spec, self.params)
+        self.x_os = upsample_filter(x, tpl.os_factor, self.taps).samples
+        self.os_rate = self.params.base_sample_rate_hz * tpl.os_factor
+        # clean oversampled signal power over its support: the SNR reference
         self.p_signal_os = float(np.mean(
             np.abs(self.x_os[np.abs(self.x_os) > 0]) ** 2))
+        # variance transfer of the rx front end (matched filter + 1/os scale)
+        self.noise_gain = float(np.sum(self.taps ** 2)) / tpl.os_factor ** 2
         self.lts = lts_core(spec, self.params)
+
+    def noise_sigma2(self, snr_db: float) -> float:
+        """Base-rate noise variance of the rx stream at an SNR."""
+        return self.p_signal_os * 10.0 ** (-snr_db / 10.0) * self.noise_gain
+
+    def receive(self, rng: np.random.Generator, snr_db: float, pre: int,
+                post: int, has_packet: bool = True) -> ComplexSignal:
+        """The 1 MHz rx stream of `pre` samples, the NDP (noise only when
+        has_packet is false) and `post` samples, then the rx filter tail.
+
+        Draws the CFO, then the multipath taps, then the noise from rng.
+        """
+        tpl = self.cfg.channel
+        os = tpl.os_factor
+        buf = np.zeros((pre + PREAMBLE_LEN + post) * os + len(self.taps) - 1,
+                       dtype=np.complex128)
+        if has_packet:
+            buf[pre * os:pre * os + len(self.x_os)] = self.x_os
+        cfo = (float(rng.uniform(-tpl.cfo_max_hz, tpl.cfo_max_hz))
+               if tpl.cfo_max_hz else 0.0)
+        taps = (draw_model_b_taps(rng, self.os_rate, tpl.rms_delay_spread_ns)
+                if tpl.multipath else np.ones(1))
+        ch = ChannelConfig(taps=taps, snr_db=snr_db, cfo_hz=cfo,
+                           timing_offset_samples=tpl.fractional_timing_offset)
+        y_os = apply_channel(ComplexSignal(buf, self.os_rate), ch, rng=rng,
+                             signal_power=self.p_signal_os)
+        return rx_frontend(y_os, self.rx_cfg)
 
     def run_trial(self, rng: np.random.Generator, has_packet: bool,
                   detector: CorrDetectorConfig | None = None,
@@ -65,20 +94,7 @@ class StreamSimulator:
         snr_db = cfg.snr_db if snr_db is None else snr_db
         detector = detector or CorrDetectorConfig()
         pre = int(rng.integers(*cfg.pre_pad_range))
-        base_len = pre + len(self.x.samples) + cfg.post_pad
-        buf = np.zeros(base_len * cfg.os_factor + len(self.taps) - 1,
-                       dtype=np.complex128)
-        if has_packet:
-            lo = pre * cfg.os_factor
-            buf[lo:lo + len(self.x_os)] = self.x_os
-        cfo = (float(rng.uniform(-cfg.cfo_max_hz, cfg.cfo_max_hz))
-               if cfg.cfo_max_hz else 0.0)
-        taps = (draw_model_b_taps(rng, self.os_rate, cfg.rms_delay_spread_ns)
-                if cfg.multipath else np.ones(1))
-        ch = ChannelConfig(taps=taps, snr_db=snr_db, cfo_hz=cfo)
-        y_os = apply_channel(ComplexSignal(buf, self.os_rate), ch, rng=rng,
-                             signal_power=self.p_signal_os)
-        y = rx_frontend(y_os, self.rx_cfg)
+        y = self.receive(rng, snr_db, pre, cfg.post_pad, has_packet)
         res = coarse_detect(y, detector)
         fine = (fine_detect(y, res.start_sample, self.lts, detector)
                 if res.detected else -1)

@@ -15,7 +15,7 @@ import pytest
 import conftest
 from conftest import finite_diff_grads, instrumented_forward
 from pktdetect import cli, cnn, dataset, flops, nn, streams
-from pktdetect.channel import ChannelConfig, apply_channel
+from pktdetect.channel import ChannelConfig, ChannelTemplate, apply_channel
 from pktdetect.cnn import CnnDetectorConfig
 from pktdetect.corrsync import autocorr, timing_metric
 from pktdetect.preamble import (BASE_RATE_HZ, PREAMBLE_LEN, ComplexSignal,
@@ -224,8 +224,8 @@ def test_criterion_7_flops_model(tmp_path):
 
 def test_criterion_8_pipeline_reproducibility(tmp_path):
     spec = dataset.DatasetSpec(block_len=40, n_blocks=200, seed=3,
-                               channel=dataset.ChannelTemplate(
-                                   multipath=False, cfo_max_hz=0.0))
+                               channel=ChannelTemplate(multipath=False,
+                                                       cfo_max_hz=0.0))
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(spec.to_json())
 

@@ -109,6 +109,19 @@ class TestApplyChannel:
         expected = 0.75 * s + 0.25 * np.concatenate([[0.0], s[:-1]])
         np.testing.assert_allclose(out.samples, expected, atol=1e-14)
 
+    def test_timing_offset_prefix_carries_noise(self):
+        sig = _rand_signal(50, 12)
+        out = apply_channel(sig, ChannelConfig(snr_db=10.0, timing_offset_samples=3),
+                            rng=np.random.default_rng(13))
+        assert np.all(out.samples[:3] != 0)
+
+    def test_fractional_offset_keeps_noise_white(self):
+        # the delay acts on the signal only; noise is added afterwards
+        sig = ComplexSignal(np.zeros(200_000, dtype=np.complex128), BASE_RATE_HZ)
+        out = apply_channel(sig, ChannelConfig(snr_db=0.0, timing_offset_samples=0.5),
+                            rng=np.random.default_rng(14), signal_power=1.0)
+        assert np.var(out.samples) == pytest.approx(1.0, rel=0.05)
+
     def test_negative_offset_rejected(self):
         sig = _rand_signal(10, 9)
         with pytest.raises(ValueError):
@@ -157,10 +170,6 @@ class TestModelBTaps:
 
 
 class TestRxFrontend:
-    def test_decimation_phase_validated(self):
-        with pytest.raises(ValueError):
-            RxFrontendConfig(np.ones(4), 4, decimation_phase=4)
-
     def test_clean_loopback(self, preamble):
         # tx interpolation -> matched filter -> decimation reproduces the
         # base-rate stream to within filter truncation error

@@ -7,7 +7,8 @@ import pytest
 
 from pktdetect import cli, cnn, dataset
 from pktdetect.cli import main
-from pktdetect.dataset import ChannelTemplate, DatasetSpec
+from pktdetect.channel import ChannelTemplate
+from pktdetect.dataset import DatasetSpec
 
 
 def _write_spec(path: Path, block_len=40, n_blocks=120, seed=1):

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from pktdetect import dataset
-from pktdetect.dataset import (ChannelTemplate, DatasetError, DatasetSpec,
-                               Kind, generate, load, record_dtype, save, split)
+from pktdetect.channel import ChannelTemplate
+from pktdetect.dataset import (DatasetError, DatasetSpec, Kind, generate, load,
+                               record_dtype, save, split)
 from pktdetect.preamble import PREAMBLE_LEN
+from pktdetect.streams import StreamSimulator, StreamTrialConfig
 
 # small, fast channel template for unit tests (no multipath, no CFO)
 _FAST = ChannelTemplate(multipath=False, cfo_max_hz=0.0)
@@ -151,7 +152,7 @@ class TestGenerate:
                            frac_no_start=1.0, frac_noise_within_no_start=1.0,
                            snr_range_db=(snr, snr))
         blocks = generate(spec)
-        sim = dataset._Simulator(spec)
+        sim = StreamSimulator(StreamTrialConfig(channel=_FAST))
         expected = sim.noise_sigma2(snr)
         measured = np.mean(blocks["amp"].astype(np.float64) ** 2)
         assert measured == pytest.approx(expected, rel=0.05)

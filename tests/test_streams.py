@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pktdetect.preamble import PREAMBLE_LEN
 from pktdetect.streams import (StreamSimulator, StreamTrialConfig,
                                TrialOutcome, evaluate_conventional, summarize)
 
@@ -8,6 +9,21 @@ from pktdetect.streams import (StreamSimulator, StreamTrialConfig,
 @pytest.fixture(scope="module")
 def awgn_sim():
     return StreamSimulator(StreamTrialConfig(snr_db=20.0))
+
+
+class TestReceive:
+    @pytest.mark.parametrize("pre, post", [(40, 56), (160, 176), (123, 100)],
+                             ids=["dataset-b40", "dataset-b160", "trial"])
+    def test_clean_stream_geometry(self, awgn_sim, preamble, pre, post):
+        # the preamble sits at sample `pre` of a pre + NDP + post stream,
+        # followed only by the rx filter tail
+        y = awgn_sim.receive(np.random.default_rng(0), np.inf, pre, post).samples
+        n = pre + PREAMBLE_LEN + post
+        os = awgn_sim.cfg.channel.os_factor
+        assert n < len(y) <= n + len(awgn_sim.taps) // os
+        expected = np.zeros(n, dtype=np.complex128)
+        expected[pre:pre + PREAMBLE_LEN] = preamble.samples
+        assert np.abs(y[:n] - expected).max() < 10 ** (-40 / 20)
 
 
 class TestRunTrial:
