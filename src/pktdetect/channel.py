@@ -7,10 +7,12 @@ detectors operate on.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .preamble import ComplexSignal
 
@@ -25,6 +27,16 @@ class ChannelTemplate:
     multipath: bool = True
     rms_delay_spread_ns: float = 80.0
     fractional_timing_offset: float = 0.0  # in oversampled samples, [0, 1)
+
+    def __post_init__(self):
+        if self.os_factor < 1 or self.filter_taps < 1:
+            raise ValueError("os_factor and filter_taps must be at least 1")
+        if not self.cfo_max_hz >= 0:
+            raise ValueError("cfo_max_hz must be non-negative")
+        if self.multipath and not self.rms_delay_spread_ns > 0:
+            raise ValueError("rms_delay_spread_ns must be positive with multipath")
+        if not 0 <= self.fractional_timing_offset < 1:
+            raise ValueError("fractional_timing_offset must lie in [0, 1)")
 
 
 @dataclass
@@ -90,18 +102,30 @@ def draw_model_b_taps(seed: int | np.random.Generator, os_rate_hz: float,
     if os_rate_hz < 1e6:
         raise ValueError("os_rate_hz must be at least 1 MHz")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    scale = _model_b_tap_scale(os_rate_hz, rms_delay_spread_ns, truncation_factor)
+    h = scale * (rng.standard_normal(len(scale))
+                 + 1j * rng.standard_normal(len(scale)))
+    return h / np.sqrt(np.sum(np.abs(h) ** 2))
+
+
+@functools.lru_cache(maxsize=16)
+def _model_b_tap_scale(os_rate_hz: float, rms_delay_spread_ns: float,
+                       truncation_factor: float) -> np.ndarray:
+    """Per-tap amplitude sqrt(profile / 2) of the normalized power-delay
+    profile (read-only: it is shared between calls)."""
     dt_ns = 1e9 / os_rate_hz
     delays = np.arange(0.0, truncation_factor * rms_delay_spread_ns + 1e-9, dt_ns)
     profile = np.exp(-delays / rms_delay_spread_ns)
     profile /= profile.sum()
-    h = np.sqrt(profile / 2) * (rng.standard_normal(len(profile))
-                                + 1j * rng.standard_normal(len(profile)))
-    return h / np.sqrt(np.sum(np.abs(h) ** 2))
+    scale = np.sqrt(profile / 2)
+    scale.flags.writeable = False
+    return scale
 
 
 def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
                   rng: np.random.Generator | None = None,
-                  signal_power: float | None = None) -> ComplexSignal:
+                  signal_power: float | None = None,
+                  span: tuple[int, int] | None = None) -> ComplexSignal:
     """Multipath + CFO + timing offset + AWGN, in that order.
 
     The channel is applied as a *linear* convolution with tail retention
@@ -110,32 +134,52 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
     signal over its nonzero support, measured before the timing offset, so
     zero-padded stretches, the delay prefix included, carry pure white noise
     of the same variance.
+
+    With span=(lo, hi), only output samples [lo, hi) are computed, from the
+    input samples they depend on.  The noise is still drawn for the whole
+    output, so the result equals that slice of the output without a span
+    and rng is left in the same state.  A span needs signal_power.
     """
-    if len(sig.samples) == 0:
+    x, taps = sig.samples, cfg.taps
+    if len(x) == 0:
         raise ValueError("signal must be non-empty")
     if cfg.timing_offset_samples < 0:
         raise ValueError("timing_offset_samples must be non-negative")
+    n0 = int(np.floor(cfg.timing_offset_samples))
+    frac = cfg.timing_offset_samples - n0
+    n_conv = len(x) + len(taps) - 1
+    n_out = n_conv + n0
+    lo, hi = (0, n_out) if span is None else span
+    if not 0 <= lo <= hi <= n_out:
+        raise ValueError(f"span must lie within [0, {n_out}]")
+    if span is not None and signal_power is None and np.isfinite(cfg.snr_db):
+        raise ValueError("a span needs an explicit signal_power")
     rng = rng or np.random.default_rng(cfg.seed)
-    out = np.convolve(sig.samples, cfg.taps)
+    # convolved samples [first, hi - n0) feed outputs [lo, hi): shifted by
+    # the integer delay, plus one earlier sample for the fractional delay
+    first = lo - n0 - (frac > 0)
+    a = max(first, 0)
+    b = min(max(hi - n0, a), n_conv)
+    s = max(a - len(taps) + 1, 0)
+    out = (np.convolve(x[s:b], taps)[a - s:b - s] if b > a
+           else np.zeros(0, dtype=np.complex128))
     if cfg.cfo_hz != 0.0:
-        n = np.arange(len(out))
+        n = np.arange(a, b)
         out = out * np.exp(2j * np.pi * cfg.cfo_hz * n / sig.sample_rate_hz)
     if signal_power is None and np.isfinite(cfg.snr_db):
         support = np.abs(out) > 0
         signal_power = float(np.mean(np.abs(out[support]) ** 2)) if support.any() else 0.0
-    if cfg.timing_offset_samples != 0.0:
-        n0 = int(np.floor(cfg.timing_offset_samples))
-        frac = cfg.timing_offset_samples - n0
-        out = np.concatenate([np.zeros(n0, dtype=np.complex128), out])
-        if frac > 0:
-            # first-order fractional delay; adequate on the oversampled grid
-            delayed = np.concatenate([[0.0], out[:-1]])
-            out = (1 - frac) * out + frac * delayed
+    if a > first:  # samples before the convolved signal starts are zero
+        out = np.concatenate([np.zeros(a - first, dtype=np.complex128),
+                              out])[:hi - first - n0]
+    if frac > 0:
+        # first-order fractional delay; adequate on the oversampled grid
+        out = (1 - frac) * out[1:] + frac * out[:-1]
     if np.isfinite(cfg.snr_db):
         sigma2 = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
-        noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(len(out))
-                                       + 1j * rng.standard_normal(len(out)))
-        out = out + noise
+        # full-length draws keep every pinned dataset byte-identical
+        re, im = rng.standard_normal(n_out), rng.standard_normal(n_out)
+        out = out + np.sqrt(sigma2 / 2) * (re[lo:hi] + 1j * im[lo:hi])
     return ComplexSignal(out, sig.sample_rate_hz)
 
 
@@ -146,8 +190,17 @@ def rx_frontend(sig: ComplexSignal, cfg: RxFrontendConfig) -> ComplexSignal:
     as `matched_taps` (DC gain = os_factor), so the combined tx+rx group
     delay is len(taps)-1 oversampled samples and the loopback output aligns
     sample-for-sample with the base-rate transmit stream.
+
+    Polyphase decimation (Crochiere & Rabiner, *Multirate DSP*, 1983): only
+    the kept outputs are computed, output k as the inner product of the
+    reversed taps with input samples [k*os, k*os + len(taps)), zero past
+    the end of the input.
     """
-    filtered = np.convolve(sig.samples, cfg.matched_taps) / cfg.os_factor
-    delay = len(cfg.matched_taps) - 1
-    out = filtered[delay::cfg.os_factor]
-    return ComplexSignal(out, sig.sample_rate_hz / cfg.os_factor)
+    h, os = cfg.matched_taps, cfg.os_factor
+    n = -(-len(sig.samples) // os)
+    y = np.zeros(n * os + len(h) - 1, dtype=np.complex128)
+    y[:len(sig.samples)] = sig.samples
+    windows = as_strided(y, shape=(n, len(h)),
+                         strides=(os * y.itemsize, y.itemsize))
+    out = windows @ (h[::-1] / os)
+    return ComplexSignal(out, sig.sample_rate_hz / os)

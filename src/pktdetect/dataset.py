@@ -92,7 +92,9 @@ def generate(spec: DatasetSpec) -> np.ndarray:
     """Generate the labeled blocks for one dataset spec.
 
     Each block is cut from one link stream: `block_len` samples of noise,
-    the NDP, then `block_len + 16` more.
+    the NDP, then `block_len + 16` more.  Only the stream samples that the
+    block's kind can read are simulated, with the same random draws as the
+    whole stream.
     """
     sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
     b = spec.block_len
@@ -113,13 +115,17 @@ def generate(spec: DatasetSpec) -> np.ndarray:
                                        + 1j * rng.standard_normal(b))
             blocks[i] = (np.abs(w), -1.0, snr, kind)
             continue
-        y = sim.receive(rng, snr, pre=b, post=b + 16).samples
+        # simulate only the samples this kind can read: tau, drawn after the
+        # stream, puts a START block anywhere in [1, 2b)
+        lo, hi = ((1, 2 * b) if kind == Kind.START
+                  else (b + 1, 2 * b + PREAMBLE_LEN))
+        y = sim.receive(rng, snr, pre=b, post=b + 16, span=(lo, hi)).samples
         if kind == Kind.START:
             tau = int(rng.integers(0, b))
-            blocks[i] = (np.abs(y[b - tau:2 * b - tau]), tau, snr, kind)
+            w0, label = b - tau, tau
         else:
-            w0 = int(rng.integers(b + 1, b + PREAMBLE_LEN + 1))
-            blocks[i] = (np.abs(y[w0:w0 + b]), -1.0, snr, kind)
+            w0, label = int(rng.integers(b + 1, b + PREAMBLE_LEN + 1)), -1.0
+        blocks[i] = (np.abs(y[w0 - lo:w0 - lo + b]), label, snr, kind)
     return blocks
 
 

@@ -90,6 +90,7 @@ class PreambleSpec:
 
 def _idft(freq: np.ndarray, n: int = N_SUBCARRIERS) -> np.ndarray:
     # 1/sqrt(N) normalization: time-domain energy equals frequency-domain energy.
+    # Transforms along the last axis, so one call takes a batch of spectra.
     return np.fft.ifft(freq) * np.sqrt(n)
 
 
@@ -149,19 +150,25 @@ _STF_BINS = (4, 8, 12, 20, 24, 28)
 
 
 def _low_papr_bpsk(bins, seed: int, n_trials: int = 4096) -> np.ndarray:
-    """Seeded search for a +/-1 bin pattern with low time-domain PAPR."""
+    """Seeded search for a +/-1 bin pattern with low time-domain PAPR: the
+    first of n_trials random patterns with the lowest PAPR.
+
+    Patterns are drawn and transformed 128 at a time, which keeps the
+    temporaries small; one draw of shape (k, m) continues the random stream
+    exactly as k draws of m would.
+    """
     rng = np.random.default_rng(seed)
-    best = None
-    best_papr = np.inf
-    for _ in range(n_trials):
-        freq = np.zeros(N_SUBCARRIERS, dtype=np.complex128)
-        freq[list(bins)] = rng.choice([-1.0, 1.0], size=len(bins))
-        t = _idft(freq)
-        power = np.abs(t) ** 2
-        papr = power.max() / power.mean()
-        if papr < best_papr:
-            best_papr = papr
-            best = freq
+    best, best_papr = None, np.inf
+    for start in range(0, n_trials, 128):
+        freq = np.zeros((min(128, n_trials - start), N_SUBCARRIERS),
+                        dtype=np.complex128)
+        freq[:, list(bins)] = rng.choice([-1.0, 1.0],
+                                         size=(len(freq), len(bins)))
+        power = np.abs(_idft(freq)) ** 2
+        papr = power.max(axis=1) / power.mean(axis=1)
+        i = np.argmin(papr)
+        if papr[i] < best_papr:
+            best, best_papr = freq[i], papr[i]
     return best * _unit_power_scale(len(bins))
 
 

@@ -64,11 +64,14 @@ class StreamSimulator:
         return self.p_signal_os * 10.0 ** (-snr_db / 10.0) * self.noise_gain
 
     def receive(self, rng: np.random.Generator, snr_db: float, pre: int,
-                post: int, has_packet: bool = True) -> ComplexSignal:
+                post: int, has_packet: bool = True,
+                span: tuple[int, int] | None = None) -> ComplexSignal:
         """The 1 MHz rx stream of `pre` samples, the NDP (noise only when
-        has_packet is false) and `post` samples, then the rx filter tail.
+        has_packet is false) and `post` samples, then the rx filter tail;
+        with span=(lo, hi), only its samples [lo, hi).
 
-        Draws the CFO, then the multipath taps, then the noise from rng.
+        Draws the CFO, then the multipath taps, then the noise from rng;
+        the draws are the same with or without a span.
         """
         tpl = self.cfg.channel
         os = tpl.os_factor
@@ -82,9 +85,18 @@ class StreamSimulator:
                 if tpl.multipath else np.ones(1))
         ch = ChannelConfig(taps=taps, snr_db=snr_db, cfo_hz=cfo,
                            timing_offset_samples=tpl.fractional_timing_offset)
+        # channel output length: the timing offset is below one sample
+        n_os = len(buf) + len(taps) - 1
+        n_rx = -(-n_os // os)
+        lo, hi = (0, n_rx) if span is None else span
+        if not 0 <= lo < hi <= n_rx:
+            raise ValueError(f"span must lie within [0, {n_rx}]")
+        # rx sample m reads channel output samples [m*os, m*os + rx taps)
+        os_span = (lo * os, min((hi - 1) * os + len(self.taps), n_os))
         y_os = apply_channel(ComplexSignal(buf, self.os_rate), ch, rng=rng,
-                             signal_power=self.p_signal_os)
-        return rx_frontend(y_os, self.rx_cfg)
+                             signal_power=self.p_signal_os, span=os_span)
+        rx = rx_frontend(y_os, self.rx_cfg)
+        return ComplexSignal(rx.samples[:hi - lo], rx.sample_rate_hz)
 
     def run_trial(self, rng: np.random.Generator, has_packet: bool,
                   detector: CorrDetectorConfig | None = None,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pktdetect.channel import (ChannelConfig, RxFrontendConfig, apply_channel,
-                               draw_model_b_taps, rx_frontend)
+from pktdetect.channel import (ChannelConfig, ChannelTemplate, RxFrontendConfig,
+                               apply_channel, draw_model_b_taps, rx_frontend)
 from pktdetect.preamble import (BASE_RATE_HZ, ComplexSignal, build_preamble,
                                 design_interp_filter, upsample_filter)
 
@@ -38,6 +38,20 @@ class TestChannelConfig:
     def test_json_round_trip_infinite_snr(self):
         back = ChannelConfig.from_json(ChannelConfig().to_json())
         assert np.isinf(back.snr_db)
+
+
+class TestChannelTemplate:
+    @pytest.mark.parametrize("kwargs", [
+        {"os_factor": 0}, {"filter_taps": 0}, {"cfo_max_hz": -1.0},
+        {"cfo_max_hz": float("nan")}, {"rms_delay_spread_ns": 0.0},
+        {"rms_delay_spread_ns": -80.0}, {"fractional_timing_offset": -0.25},
+        {"fractional_timing_offset": 1.0}])
+    def test_invalid_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ChannelTemplate(**kwargs)
+
+    def test_spread_unused_without_multipath(self):
+        ChannelTemplate(multipath=False, rms_delay_spread_ns=0.0)
 
 
 class TestApplyChannel:
@@ -134,6 +148,31 @@ class TestApplyChannel:
         b = apply_channel(sig, cfg).samples
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 3.0, 2.25])
+    @pytest.mark.parametrize("span", [(0, 10), (1, 40), (37, 103), (100, 106),
+                                      (0, 0), (1, 2)])
+    def test_span_is_slice_of_whole_output(self, offset, span):
+        sig = _rand_signal(100, 15)
+        cfg = ChannelConfig(taps=np.array([1.0, 0.3j, 0.1]), snr_db=8.0,
+                            cfo_hz=20_000.0, timing_offset_samples=offset)
+        lo, hi = span
+        hi = min(hi, len(sig) + 2 + int(offset))
+        rng_full, rng_span = np.random.default_rng(16), np.random.default_rng(16)
+        full = apply_channel(sig, cfg, rng=rng_full, signal_power=2.0).samples
+        part = apply_channel(sig, cfg, rng=rng_span, signal_power=2.0,
+                             span=(lo, hi)).samples
+        np.testing.assert_array_equal(part, full[lo:hi])
+        assert rng_span.standard_normal() == rng_full.standard_normal()
+
+    def test_span_checks(self):
+        sig = _rand_signal(10, 17)
+        with pytest.raises(ValueError):
+            apply_channel(sig, ChannelConfig(), span=(0, 11))
+        with pytest.raises(ValueError):
+            apply_channel(sig, ChannelConfig(), span=(5, 4))
+        with pytest.raises(ValueError):  # no reference power for the noise
+            apply_channel(sig, ChannelConfig(snr_db=10.0), span=(0, 5))
+
 
 class TestModelBTaps:
     def test_unit_power(self):
@@ -143,6 +182,21 @@ class TestModelBTaps:
     def test_deterministic_per_seed(self):
         np.testing.assert_array_equal(draw_model_b_taps(5, 4e6),
                                       draw_model_b_taps(5, 4e6))
+
+    @pytest.mark.parametrize("rate, spread", [(4e6, 80.0), (40e6, 80.0),
+                                              (4e6, 250.0)])
+    def test_cached_profile_gives_same_taps(self, rate, spread):
+        # the power-delay profile computed afresh on every call
+        delays = np.arange(0.0, 5.0 * spread + 1e-9, 1e9 / rate)
+        profile = np.exp(-delays / spread)
+        profile /= profile.sum()
+        rng = np.random.default_rng(18)
+        h = np.sqrt(profile / 2) * (rng.standard_normal(len(profile))
+                                    + 1j * rng.standard_normal(len(profile)))
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                draw_model_b_taps(18, rate, spread),
+                h / np.sqrt(np.sum(np.abs(h) ** 2)))
 
     def test_rate_floor(self):
         with pytest.raises(ValueError):
@@ -188,3 +242,16 @@ class TestRxFrontend:
                          RxFrontendConfig(taps, os))
         assert rx.sample_rate_hz == BASE_RATE_HZ
         assert len(rx) >= len(sig)
+
+    @pytest.mark.parametrize("os, n_taps", [(4, 48), (2, 16), (3, 7), (4, 3),
+                                            (1, 1)])
+    @pytest.mark.parametrize("n", [1, 5, 97, 2_700])
+    def test_polyphase_matches_full_rate_filter(self, os, n, n_taps):
+        # the full-rate matched filter, keeping every os-th output
+        taps = design_interp_filter(os, n_taps)
+        sig = _rand_signal(n, 19, rate=os * BASE_RATE_HZ)
+        expected = (np.convolve(sig.samples, taps) / os)[len(taps) - 1::os]
+        rx = rx_frontend(sig, RxFrontendConfig(taps, os)).samples
+        assert len(rx) == len(expected)
+        np.testing.assert_allclose(rx, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())

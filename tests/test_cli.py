@@ -63,6 +63,16 @@ class TestGen:
         bad.write_text("{not json")
         assert main(["gen", "--spec", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_invalid_channel_rejected_before_writing(self, tmp_path):
+        # zero delay spread with multipath would give NaN taps and amplitudes
+        doc = json.loads(DatasetSpec(block_len=40, n_blocks=20).to_json())
+        doc["channel"]["rms_delay_spread_ns"] = 0
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs(self, workspace):

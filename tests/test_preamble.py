@@ -7,10 +7,25 @@ from hypothesis import strategies as st
 
 from pktdetect.preamble import (BASE_RATE_HZ, LTS_CORE_LEN, LTS_CORE_OFFSETS,
                                 N_SUBCARRIERS, PREAMBLE_LEN, ComplexSignal,
-                                OfdmParams, PreambleSpec, build_preamble,
+                                OfdmParams, PreambleSpec, _WIDEBAND_BINS,
+                                _low_papr_bpsk, build_preamble,
                                 default_preamble_spec, design_interp_filter,
                                 load_preamble_spec, lts_core, ofdm_symbol,
                                 save_preamble_spec, upsample_filter)
+
+
+def _low_papr_bpsk_oracle(bins, seed, n_trials=4096):
+    """One pattern at a time, keeping the first strictly lowest PAPR."""
+    rng = np.random.default_rng(seed)
+    best, best_papr = None, np.inf
+    for _ in range(n_trials):
+        freq = np.zeros(N_SUBCARRIERS, dtype=np.complex128)
+        freq[list(bins)] = rng.choice([-1.0, 1.0], size=len(bins))
+        power = np.abs(np.fft.ifft(freq) * np.sqrt(N_SUBCARRIERS)) ** 2
+        papr = power.max() / power.mean()
+        if papr < best_papr:
+            best_papr, best = papr, freq
+    return best * np.sqrt(N_SUBCARRIERS / len(bins))
 
 
 class TestOfdmSymbol:
@@ -76,6 +91,29 @@ class TestPreambleStructure:
         a = build_preamble(default_preamble_spec()).samples
         b = build_preamble(default_preamble_spec()).samples
         np.testing.assert_array_equal(a, b)
+
+
+class TestLowPaprSearch:
+    def test_default_ltf_matches_oracle(self, preamble_spec):
+        np.testing.assert_array_equal(
+            preamble_spec.ltf_freq, _low_papr_bpsk_oracle(_WIDEBAND_BINS, 11))
+
+    @pytest.mark.parametrize("n_trials", [300, 512])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 29, 9001])
+    def test_batched_search_matches_oracle(self, seed, n_trials):
+        np.testing.assert_array_equal(
+            _low_papr_bpsk(_WIDEBAND_BINS, seed, n_trials=n_trials),
+            _low_papr_bpsk_oracle(_WIDEBAND_BINS, seed, n_trials=n_trials))
+
+    @pytest.mark.parametrize("n_trials", [6, 300])
+    def test_first_minimum_wins(self, n_trials):
+        # on two bins, a pattern and its negation tie in PAPR: the first
+        # one drawn must win, within a batch and across batches
+        bins = (4, 8)
+        for seed in range(20):
+            np.testing.assert_array_equal(
+                _low_papr_bpsk(bins, seed, n_trials=n_trials),
+                _low_papr_bpsk_oracle(bins, seed, n_trials=n_trials))
 
 
 class TestPreambleSpecValidation:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pktdetect.channel import ChannelTemplate
 from pktdetect.preamble import PREAMBLE_LEN
 from pktdetect.streams import (StreamSimulator, StreamTrialConfig,
                                TrialOutcome, evaluate_conventional, summarize)
@@ -24,6 +25,36 @@ class TestReceive:
         expected = np.zeros(n, dtype=np.complex128)
         expected[pre:pre + PREAMBLE_LEN] = preamble.samples
         assert np.abs(y[:n] - expected).max() < 10 ** (-40 / 20)
+
+    @pytest.mark.parametrize("channel", [
+        ChannelTemplate(multipath=False, cfo_max_hz=0.0), ChannelTemplate(),
+        ChannelTemplate(fractional_timing_offset=0.5)],
+        ids=["awgn", "multipath-cfo", "fractional-offset"])
+    @pytest.mark.parametrize("snr_db", [12.0, np.inf])
+    @pytest.mark.parametrize("pre, post, span", [
+        (40, 56, (1, 80)), (40, 56, (41, 640)),
+        (160, 176, (1, 320)), (160, 176, (161, 880)),
+        (123, 100, (0, 500)), (123, 100, (700, 795))],
+        ids=["b40-start", "b40-mid-tail", "b160-start", "b160-mid-tail",
+             "trial-head", "trial-tail"])
+    def test_span_is_slice_of_whole_stream(self, channel, snr_db, pre, post,
+                                           span):
+        sim = StreamSimulator(StreamTrialConfig(channel=channel))
+        rng_full, rng_span = np.random.default_rng(5), np.random.default_rng(5)
+        full = sim.receive(rng_full, snr_db, pre, post).samples
+        part = sim.receive(rng_span, snr_db, pre, post, span=span).samples
+        lo, hi = span
+        assert len(part) == hi - lo
+        np.testing.assert_allclose(part, full[lo:hi], rtol=1e-12,
+                                   atol=1e-12 * np.abs(full).max())
+        assert rng_span.standard_normal() == rng_full.standard_normal()
+
+    def test_span_checked(self, awgn_sim):
+        n = len(awgn_sim.receive(np.random.default_rng(0), 20.0, 40, 56))
+        for span in ((0, n + 1), (5, 5), (-1, 3)):
+            with pytest.raises(ValueError):
+                awgn_sim.receive(np.random.default_rng(0), 20.0, 40, 56,
+                                 span=span)
 
 
 class TestRunTrial:
