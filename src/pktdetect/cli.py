@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, cnn, dataset, flops, nn, streams
 from .channel import ChannelTemplate
@@ -26,6 +29,22 @@ class UsageError(Exception):
     pass
 
 
+def build_versions() -> dict:
+    """Python, numpy and BLAS build of this process.
+
+    Outputs are byte-identical only for a fixed numpy/BLAS build (and BLAS
+    thread count), so every manifest records them.  The BLAS name and version
+    are None where numpy cannot report them (``show_config(mode="dicts")``
+    arrived in numpy 1.26).
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version")}
+
+
 def _write_manifest(out_dir: Path, command: str, args: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -35,6 +54,7 @@ def _write_manifest(out_dir: Path, command: str, args: dict) -> None:
         "versions": {
             "tool": __version__,
             "dataset_format": dataset.FORMAT_VERSION,
+            **build_versions(),
         },
     }
     (out_dir / f"{command}.manifest.json").write_text(json.dumps(doc, indent=1))

@@ -1,6 +1,12 @@
 """Minimal neural-network engine: 1D convolution, dense layers, ReLU, MSE
 loss, backpropagation and Adam.  No external learning framework; everything
 runs in double precision on numpy arrays shaped [batch, ...].
+
+Determinism contract: for a fixed numpy/BLAS build and a fixed BLAS thread
+count, training and inference outputs are byte-identical from run to run.
+A BLAS GEMM may sum in a different order for other operand layouts, thread
+counts or builds, so the Conv1d GEMM layouts are chosen to match the
+``np.einsum(..., optimize=True)`` form they replaced, bit for bit.
 """
 from __future__ import annotations
 
@@ -11,10 +17,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Layer:
-    """Base class; layers cache what backward() needs during forward()."""
+    """Base class; layers cache what backward() needs during forward().
+
+    backward() fills ``grads`` and returns the gradient w.r.t. the layer's
+    input.  A layer whose ``needs_input_grad`` is False may return None
+    instead: Sequential clears it on its first layer, whose input is data.
+    """
 
     params: list
     grads: list
+    needs_input_grad = True
 
     def __init__(self):
         self.params = []
@@ -28,7 +40,15 @@ class Layer:
 
 
 class Conv1d(Layer):
-    """Valid (no padding), stride-1 cross-correlation: [B,C,T] -> [B,O,T-F+1]."""
+    """Valid (no padding), stride-1 cross-correlation: [B,C,T] -> [B,O,T-F+1].
+
+    Each pass is one im2col matrix and one GEMM (Chellapilla, Puri & Simard,
+    2006).  The operands are laid out as ``np.einsum(..., optimize=True)``
+    lays them out for ``matmul`` on these contractions, so the results are
+    bit-identical to the einsum form (kept as the oracle in tests/test_nn.py):
+    the order of the fused contraction index and the C/F-ordering of each
+    operand decide how BLAS sums.
+    """
 
     def __init__(self, ch_in: int, ch_out: int, filter_len: int,
                  rng: np.random.Generator | None = None):
@@ -47,22 +67,37 @@ class Conv1d(Layer):
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.w.shape[1]:
             raise ValueError("input must be [batch, ch_in, T]")
-        F = self.w.shape[2]
-        if x.shape[2] < F:
+        O, C, F = self.w.shape
+        n, _, T = x.shape
+        if T < F:
             raise ValueError("input shorter than the filter")
-        self._windows = sliding_window_view(x, F, axis=2)  # [B, C, K, F]
-        return (np.einsum("ocf,bckf->bok", self.w, self._windows, optimize=True)
-                + self.b[None, :, None])
+        K = T - F + 1
+        self._windows = sliding_window_view(x, F, axis=2)  # [n, C, K, F]
+        cols = self._windows.transpose(0, 2, 1, 3).reshape(n * K, C * F)
+        out = cols @ self.w.reshape(O, C * F).T  # [n*K, O]
+        out += self.b
+        return out.reshape(n, K, O).transpose(0, 2, 1)
 
     def backward(self, grad_out):
-        F = self.w.shape[2]
-        self.grads[0][...] = np.einsum("bok,bckf->ocf", grad_out, self._windows,
-                                       optimize=True)
+        O, C, F = self.w.shape
+        n, _, K = grad_out.shape
+        # reshape copies or makes a view exactly where einsum's did (g is an
+        # F-ordered view at n = 1), so BLAS sees the same operands
+        cols_t = self._windows.transpose(1, 3, 0, 2).reshape(C * F, n * K)
+        g = grad_out.transpose(0, 2, 1).reshape(n * K, O)
+        self.grads[0][...] = (cols_t @ g).reshape(C, F, O).transpose(2, 0, 1)
         self.grads[1][...] = grad_out.sum(axis=(0, 2))
-        padded = np.pad(grad_out, ((0, 0), (0, 0), (F - 1, F - 1)))
-        g_windows = sliding_window_view(padded, F, axis=2)  # [B, O, T, F]
-        return np.einsum("ocf,botf->bct", self.w[:, :, ::-1], g_windows,
-                         optimize=True)
+        if not self.needs_input_grad:
+            return None
+        # input gradient: full correlation of the zero-padded output gradient
+        # with the reversed filters, [n*T, O*F] @ [O*F, C]
+        T = K + F - 1
+        padded = np.zeros((n, O, T + F - 1))
+        padded[:, :, F - 1:T] = grad_out
+        gcols = (sliding_window_view(padded, F, axis=2)  # [n, O, T, F]
+                 .transpose(0, 2, 1, 3).reshape(n * T, O * F))
+        w_rev = self.w[:, :, ::-1].transpose(0, 2, 1).reshape(O * F, C)
+        return (gcols @ w_rev).reshape(n, T, C).transpose(0, 2, 1)
 
 
 class Dense(Layer):
@@ -125,16 +160,19 @@ class Flatten(Layer):
 class Sequential:
     def __init__(self, layers: list[Layer]):
         self.layers = layers
+        if layers:
+            layers[0].needs_input_grad = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Fill every layer's grads.  The gradient w.r.t. the network input
+        is not needed for training and is not computed."""
         for layer in reversed(self.layers):
             grad_out = layer.backward(grad_out)
-        return grad_out
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -157,7 +195,11 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 class Adam:
-    """Adam with bias correction; parameters updated in place."""
+    """Adam with bias correction; parameters updated in place.
+
+    The moments of all parameters are kept as one flat vector each, so a
+    step is a handful of vector operations whatever the number of arrays.
+    """
 
     def __init__(self, params: list[np.ndarray], alpha: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -167,24 +209,31 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        size = sum(p.size for p in params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ValueError("gradient list does not match parameter list")
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise ValueError("non-finite gradient: step rejected")
+        g = np.concatenate([np.ravel(x) for x in grads])
+        if g.size != self.m.size:
+            raise ValueError("gradient sizes do not match parameter sizes")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("non-finite gradient: step rejected")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g ** 2
-            p -= self.alpha * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g ** 2
+        update = self.alpha * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        lo = 0
+        for p in self.params:
+            p -= update[lo:lo + p.size].reshape(p.shape)
+            lo += p.size
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,25 @@
 """Shared fixtures and oracle helpers for the test suite."""
+import os
+
 import numpy as np
 import pytest
 
 from pktdetect import nn
+from pktdetect.cli import build_versions
 from pktdetect.preamble import build_preamble, default_preamble_spec
 
 
 # verdict lines collected by the acceptance tests, echoed after the run
 ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_report_header(config):
+    # the byte-identity tests hold for one numpy/BLAS build and thread count
+    v = build_versions()
+    threads = ", ".join(f"{k}={os.environ.get(k, '(unset)')}"
+                        for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"))
+    return (f"numpy {v['numpy']}, BLAS {v['blas']} {v['blas_version']}; "
+            f"{threads}")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -45,6 +45,21 @@ class TestGen:
         assert manifest["n_records"] == 120
         assert (data_dir / "gen.manifest.json").exists()
 
+    def test_manifest_records_build(self, workspace):
+        versions = json.loads(
+            (workspace / "data" / "gen.manifest.json").read_text())["versions"]
+        assert versions["numpy"] == np.__version__
+        assert versions["python"].count(".") == 2
+        assert set(versions) >= {"blas", "blas_version"}
+
+    def test_build_without_show_config_dicts(self, monkeypatch):
+        def old_show_config():  # numpy < 1.26 takes no mode argument
+            print("blas_opt_info: ...")
+        monkeypatch.setattr(np, "show_config", old_show_config)
+        versions = cli.build_versions()
+        assert versions["blas"] is None and versions["blas_version"] is None
+        assert versions["numpy"] == np.__version__
+
     def test_deterministic(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         _write_spec(spec_path, n_blocks=40)

@@ -1,8 +1,60 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import finite_diff_grads
-from pktdetect import nn
+from pktdetect import cnn, nn
+
+
+class EinsumConv1d(nn.Conv1d):
+    """The einsum Conv1d that the im2col + GEMM form replaced, kept as the
+    bit-exact oracle.  It always returns its input gradient."""
+
+    def forward(self, x):
+        F = self.w.shape[2]
+        self._windows = sliding_window_view(x, F, axis=2)  # [B, C, K, F]
+        return (np.einsum("ocf,bckf->bok", self.w, self._windows, optimize=True)
+                + self.b[None, :, None])
+
+    def backward(self, grad_out):
+        F = self.w.shape[2]
+        self.grads[0][...] = np.einsum("bok,bckf->ocf", grad_out, self._windows,
+                                       optimize=True)
+        self.grads[1][...] = grad_out.sum(axis=(0, 2))
+        padded = np.pad(grad_out, ((0, 0), (0, 0), (F - 1, F - 1)))
+        g_windows = sliding_window_view(padded, F, axis=2)  # [B, O, T, F]
+        return np.einsum("ocf,botf->bct", self.w[:, :, ::-1], g_windows,
+                         optimize=True)
+
+
+class LoopAdam:
+    """The per-array Adam loop that the flat-vector Adam replaced: the oracle."""
+
+    def __init__(self, params, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.alpha, self.beta1, self.beta2, self.eps = alpha, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads):
+        for g in grads:
+            if not np.all(np.isfinite(g)):
+                raise ValueError("non-finite gradient: step rejected")
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g ** 2
+            p -= self.alpha * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def _channels_last(a):
+    """The same [n, O, K] values stored with O fastest, as a conv output."""
+    return np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 def _gradcheck_layer(layer, x, seed, tol=1e-4):
@@ -47,6 +99,47 @@ class TestConv1d:
             layer = nn.Conv1d(int(ci), int(co), int(f), rng)
             x = r.standard_normal((2, int(ci), t))
             _gradcheck_layer(layer, x, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 80, 1500])
+    @pytest.mark.parametrize("conv", [0, 2])
+    @pytest.mark.parametrize("block_len", cnn.BLOCK_LENGTHS)
+    def test_gemm_matches_einsum_bit_for_bit(self, block_len, conv, n):
+        # the model's own layers and input layouts: conv1 reads the strided
+        # frame-of-4 view, conv2 the ReLU of conv1's output
+        cfg = cnn.CnnDetectorConfig(block_len=block_len)
+        net = cnn.build_model(cfg, seed=5).net
+        rng = np.random.default_rng(block_len + conv + n)
+        x = cnn.prepare_inputs(rng.rayleigh(size=(n, block_len)), cfg)
+        if conv == 2:
+            x = net.layers[1].forward(net.layers[0].forward(x))
+        layer = net.layers[conv]
+        layer.needs_input_grad = True  # compare conv1's input gradient too
+        out_ch, in_ch, flen = layer.w.shape
+        oracle = EinsumConv1d(in_ch, out_ch, flen)
+        oracle.w[...], oracle.b[...] = layer.w, layer.b
+        out = layer.forward(x)
+        assert np.array_equal(out, oracle.forward(x))
+        g = rng.standard_normal(out.shape)
+        # C-ordered, as Flatten hands conv2 its gradient, and channels-last,
+        # as the ReLU after conv1 hands conv1 its gradient
+        for grad_out in (g, _channels_last(g)):
+            grad_in = layer.backward(grad_out)
+            ref_in = oracle.backward(grad_out)
+            assert np.array_equal(layer.grads[0], oracle.grads[0])
+            assert np.array_equal(layer.grads[1], oracle.grads[1])
+            assert np.array_equal(grad_in, ref_in)
+
+    def test_first_layer_of_sequential_skips_input_gradient(self):
+        rng = np.random.default_rng(4)
+        first, second = nn.Conv1d(2, 3, 4, rng), nn.Conv1d(3, 2, 2, rng)
+        net = nn.Sequential([first, nn.Relu(), second])
+        assert not first.needs_input_grad and second.needs_input_grad
+        out = net.forward(rng.standard_normal((3, 2, 9)))
+        assert net.backward(np.ones_like(out)) is None
+        assert first.backward(np.ones((3, 3, 6))) is None
+        alone = nn.Conv1d(2, 3, 4, rng)
+        alone.forward(rng.standard_normal((3, 2, 9)))
+        assert alone.backward(np.ones((3, 3, 6))).shape == (3, 2, 9)
 
     def test_input_validation(self):
         layer = nn.Conv1d(2, 3, 4)
@@ -125,11 +218,39 @@ class TestAdam:
         assert np.all(p < 0)
 
     def test_rejects_non_finite(self):
+        p, q = np.zeros(3), np.zeros((2, 2))
+        opt = nn.Adam([p, q])
+        opt.step([np.ones(3), np.ones((2, 2))])
+        before = [a.copy() for a in (p, q, opt.m, opt.v)]
+        with pytest.raises(ValueError):
+            opt.step([np.ones(3), np.array([[1.0, np.nan], [0.0, 0.0]])])
+        # parameters, both moments and the step count untouched
+        for a, b in zip((p, q, opt.m, opt.v), before):
+            np.testing.assert_array_equal(a, b)
+        assert opt.t == 1
+
+    def test_matches_per_array_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        shapes = [(9, 4, 8), (9,), (5, 9, 3), (5,), (3, 155), (3,), (1, 3), (1,)]
+        params = [rng.standard_normal(s) for s in shapes]
+        ref_params = [p.copy() for p in params]
+        opt, ref = nn.Adam(params, alpha=0.01), LoopAdam(ref_params, alpha=0.01)
+        for _ in range(200):
+            grads = [rng.standard_normal(s) for s in shapes]
+            opt.step(grads)
+            ref.step(grads)
+        for p, r in zip(params, ref_params):
+            assert np.array_equal(p, r)
+        assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+        assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+
+    def test_rejects_wrong_sizes(self):
         p = np.zeros(3)
         opt = nn.Adam([p])
         with pytest.raises(ValueError):
-            opt.step([np.array([1.0, np.nan, 0.0])])
-        np.testing.assert_array_equal(p, 0.0)  # parameters untouched
+            opt.step([np.zeros(2)])
+        np.testing.assert_array_equal(opt.m, 0.0)
+        assert opt.t == 0
 
     def test_rejects_wrong_arity(self):
         opt = nn.Adam([np.zeros(2)])
@@ -189,6 +310,40 @@ class TestTraining:
         with pytest.raises(ValueError):
             nn.train(self._toy_net(), np.zeros((0, 4)), np.zeros(0),
                      nn.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("block_len, n_train", [(40, 241), (160, 197)])
+    def test_matches_einsum_conv_and_loop_adam(self, block_len, n_train,
+                                               monkeypatch):
+        # batch 80 with a partial last batch (241 = 3 * 80 + 1 ends on a
+        # single block) and a validation set, as cnn.train_detector runs it
+        cfg = cnn.CnnDetectorConfig(block_len=block_len)
+        rng = np.random.default_rng(block_len)
+        amp = rng.rayleigh(size=(n_train + 50, block_len))
+        label = np.where(rng.random(n_train + 50) < 0.5, -1.0,
+                         rng.integers(0, block_len, n_train + 50))
+        x, t = cnn.prepare_inputs(amp, cfg), label
+        val = (x[n_train:], t[n_train:])
+        train_cfg = nn.TrainConfig(batch_size=80, epochs=3, seed=2)
+
+        def run():
+            model = cnn.build_model(cfg, seed=3)
+            hist = nn.train(model.net, x[:n_train], t[:n_train], train_cfg, val)
+            pred = model.net.forward(x[:80])[:, 0]
+            model.net.backward(nn.mse_loss(pred, t[:80])[1][:, None])
+            return model.net, hist
+
+        net, hist = run()
+        monkeypatch.setattr(nn, "Conv1d", EinsumConv1d)
+        monkeypatch.setattr(nn, "Adam", LoopAdam)
+        ref_net, ref_hist = run()
+        assert isinstance(ref_net.layers[0], EinsumConv1d)
+        assert hist == ref_hist
+        for p, r in zip(net.params, ref_net.params):
+            assert p.tobytes() == r.tobytes()
+        # the first layer skipped its input gradient; the parameter
+        # gradients are still the oracle's
+        for g, r in zip(net.grads, ref_net.grads):
+            assert np.array_equal(g, r)
 
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):
