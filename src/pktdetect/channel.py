@@ -8,7 +8,7 @@ detectors operate on.
 from __future__ import annotations
 
 import functools
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,35 +47,15 @@ class ChannelConfig:
     snr_db: float = np.inf
     cfo_hz: float = 0.0
     timing_offset_samples: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.complex128)
-        power = np.sum(np.abs(taps) ** 2)
+        power = (np.abs(taps) ** 2).sum()
         if power == 0:
             raise ValueError("channel taps must carry nonzero power")
         self.taps = taps / np.sqrt(power)
-        if np.isnan(self.snr_db):
+        if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "taps": [[float(t.real), float(t.imag)] for t in self.taps],
-            "snr_db": None if np.isinf(self.snr_db) else float(self.snr_db),
-            "cfo_hz": float(self.cfo_hz),
-            "timing_offset_samples": float(self.timing_offset_samples),
-            "seed": int(self.seed),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelConfig":
-        doc = json.loads(text)
-        taps = np.array([complex(re, im) for re, im in doc["taps"]])
-        snr = doc["snr_db"]
-        return cls(taps=taps, snr_db=np.inf if snr is None else snr,
-                   cfo_hz=doc["cfo_hz"],
-                   timing_offset_samples=doc["timing_offset_samples"],
-                   seed=doc["seed"])
 
 
 @dataclass(frozen=True)
@@ -105,7 +85,7 @@ def draw_model_b_taps(seed: int | np.random.Generator, os_rate_hz: float,
     scale = _model_b_tap_scale(os_rate_hz, rms_delay_spread_ns, truncation_factor)
     h = scale * (rng.standard_normal(len(scale))
                  + 1j * rng.standard_normal(len(scale)))
-    return h / np.sqrt(np.sum(np.abs(h) ** 2))
+    return h / np.sqrt((np.abs(h) ** 2).sum())
 
 
 @functools.lru_cache(maxsize=16)
@@ -133,7 +113,14 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
     Noise variance is set against the mean power of the clean convolved
     signal over its nonzero support, measured before the timing offset, so
     zero-padded stretches, the delay prefix included, carry pure white noise
-    of the same variance.
+    of the same variance.  A finite snr_db needs rng.
+
+    Only the convolved support of the nonzero input samples is convolved
+    and rotated: the zero stretches around it give exactly zero before the
+    noise, so they carry noise only, and a zero input skips the convolution
+    and the CFO altogether.  The convolution is one shifted multiply-add per
+    tap; against a complex np.convolve it agrees to 1e-15 relative in
+    float64 with multipath and bit for bit with a single tap.
 
     With span=(lo, hi), only output samples [lo, hi) are computed, from the
     input samples they depend on.  The noise is still drawn for the whole
@@ -145,41 +132,63 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
         raise ValueError("signal must be non-empty")
     if cfg.timing_offset_samples < 0:
         raise ValueError("timing_offset_samples must be non-negative")
-    n0 = int(np.floor(cfg.timing_offset_samples))
+    noisy = math.isfinite(cfg.snr_db)
+    if noisy and rng is None:
+        raise ValueError("a finite snr_db needs rng")
+    n0 = math.floor(cfg.timing_offset_samples)
     frac = cfg.timing_offset_samples - n0
+    delay = int(frac > 0)  # the fractional delay reads one earlier sample
     n_conv = len(x) + len(taps) - 1
     n_out = n_conv + n0
     lo, hi = (0, n_out) if span is None else span
     if not 0 <= lo <= hi <= n_out:
         raise ValueError(f"span must lie within [0, {n_out}]")
-    if span is not None and signal_power is None and np.isfinite(cfg.snr_db):
+    if span is not None and signal_power is None and noisy:
         raise ValueError("a span needs an explicit signal_power")
-    rng = rng or np.random.default_rng(cfg.seed)
-    # convolved samples [first, hi - n0) feed outputs [lo, hi): shifted by
-    # the integer delay, plus one earlier sample for the fractional delay
-    first = lo - n0 - (frac > 0)
-    a = max(first, 0)
-    b = min(max(hi - n0, a), n_conv)
-    s = max(a - len(taps) + 1, 0)
-    out = (np.convolve(x[s:b], taps)[a - s:b - s] if b > a
-           else np.zeros(0, dtype=np.complex128))
-    if cfg.cfo_hz != 0.0:
-        n = np.arange(a, b)
-        out = out * np.exp(2j * np.pi * cfg.cfo_hz * n / sig.sample_rate_hz)
-    if signal_power is None and np.isfinite(cfg.snr_db):
-        support = np.abs(out) > 0
-        signal_power = float(np.mean(np.abs(out[support]) ** 2)) if support.any() else 0.0
-    if a > first:  # samples before the convolved signal starts are zero
-        out = np.concatenate([np.zeros(a - first, dtype=np.complex128),
-                              out])[:hi - first - n0]
-    if frac > 0:
-        # first-order fractional delay; adequate on the oversampled grid
-        out = (1 - frac) * out[1:] + frac * out[:-1]
-    if np.isfinite(cfg.snr_db):
-        sigma2 = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
+    # convolved sample c feeds output c + n0 (and c + n0 + 1 when
+    # fractionally delayed); outputs [lo, hi) read convolved [first, hi - n0)
+    first = lo - n0 - delay
+    nonzero = x != 0
+    head = int(nonzero.argmax())
+    i0 = i1 = 0  # the convolved support of the nonzero input, cut to that
+    if nonzero[head]:
+        i0 = max(first, head)
+        i1 = min(hi - n0, len(x) - int(nonzero[::-1].argmax()) + len(taps) - 1)
+    out = np.zeros(hi - lo, dtype=np.complex128)
+    if i1 > i0:
+        z = np.zeros(i1 - i0, dtype=np.complex128)
+        for k, t in enumerate(taps):  # z[c] += taps[k] * x[c - k]
+            j0, j1 = max(i0 - k, 0), min(i1 - k, len(x))
+            if j1 > j0:
+                z[j0 + k - i0:j1 + k - i0] += t * x[j0:j1]
+        if cfg.cfo_hz != 0.0:
+            # cos + i sin of the phase, which is what exp(2j*pi*f*n/fs)
+            # computes: numpy divides a complex by a real as a multiply by
+            # the reciprocal, so the phase is scaled by 1/fs, not divided
+            phase = np.arange(i0, i1) * (2 * np.pi * cfg.cfo_hz)
+            phase *= 1 / sig.sample_rate_hz
+            rot = np.empty(len(phase), dtype=np.complex128)
+            rot.real, rot.imag = np.cos(phase), np.sin(phase)
+            z *= rot
+        if signal_power is None and noisy:
+            z_abs = np.abs(z)
+            signal_power = float(np.mean(z_abs[z_abs > 0] ** 2))
+        if delay:
+            # first-order fractional delay; adequate on the oversampled grid
+            padded = np.zeros(len(z) + 2, dtype=np.complex128)
+            padded[1:-1] = z
+            z = (1 - frac) * padded[1:] + frac * padded[:-1]
+        # z now holds the outputs reading convolved [i0 - delay, i1)
+        c0, c1 = max(i0 - delay, first), min(i1, hi - n0 - delay)
+        out[c0 - first:c1 - first] = z[c0 - i0 + delay:c1 - i0 + delay]
+    if noisy:
+        # an all-zero input without signal_power has no reference: 0 noise
+        sigma2 = (signal_power or 0.0) * 10.0 ** (-cfg.snr_db / 10.0)
         # full-length draws keep every pinned dataset byte-identical
         re, im = rng.standard_normal(n_out), rng.standard_normal(n_out)
-        out = out + np.sqrt(sigma2 / 2) * (re[lo:hi] + 1j * im[lo:hi])
+        g = math.sqrt(sigma2 / 2)
+        out.real += g * re[lo:hi]
+        out.imag += g * im[lo:hi]
     return ComplexSignal(out, sig.sample_rate_hz)
 
 

@@ -118,7 +118,7 @@ def prepare_inputs(blocks: np.ndarray, cfg: CnnDetectorConfig) -> np.ndarray:
 
 def predict(model: CnnModel, blocks: np.ndarray) -> np.ndarray:
     """Raw scalar scores for a batch of amplitude blocks."""
-    return model.net.forward(prepare_inputs(blocks, model.cfg))[:, 0]
+    return model.net.predict(prepare_inputs(blocks, model.cfg))[:, 0]
 
 
 def detect(model: CnnModel, block: np.ndarray,

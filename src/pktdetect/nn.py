@@ -38,6 +38,9 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def drop_cache(self) -> None:
+        """Forget what forward() kept for backward()."""
+
 
 class Conv1d(Layer):
     """Valid (no padding), stride-1 cross-correlation: [B,C,T] -> [B,O,T-F+1].
@@ -99,6 +102,9 @@ class Conv1d(Layer):
         w_rev = self.w[:, :, ::-1].transpose(0, 2, 1).reshape(O * F, C)
         return (gcols @ w_rev).reshape(n, T, C).transpose(0, 2, 1)
 
+    def drop_cache(self):
+        self._windows = None
+
 
 class Dense(Layer):
     """Affine layer: [B, N_i] -> [B, N_o]."""
@@ -130,6 +136,9 @@ class Dense(Layer):
         self.grads[1][...] = grad_out.sum(axis=0)
         return grad_out @ self.w
 
+    def drop_cache(self):
+        self._x = None
+
 
 class Relu(Layer):
     def __init__(self):
@@ -142,6 +151,9 @@ class Relu(Layer):
 
     def backward(self, grad_out):
         return grad_out * self._mask
+
+    def drop_cache(self):
+        self._mask = None
 
 
 class Flatten(Layer):
@@ -156,6 +168,9 @@ class Flatten(Layer):
     def backward(self, grad_out):
         return grad_out.reshape(self._shape)
 
+    def drop_cache(self):
+        self._shape = None
+
 
 class Sequential:
     def __init__(self, layers: list[Layer]):
@@ -166,6 +181,15 @@ class Sequential:
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
+        return x
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """forward() for inference: the same arithmetic, but each layer's
+        backward cache is dropped as soon as the layer has run, so no
+        activation outlives the call."""
+        for layer in self.layers:
+            x = layer.forward(x)
+            layer.drop_cache()
         return x
 
     def backward(self, grad_out: np.ndarray) -> None:

@@ -125,6 +125,7 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     uses trial_cfg.snr_db.
     """
     sim = StreamSimulator(trial_cfg)
+    detector = detector or CorrDetectorConfig()
     outcomes = []
     for i in range(n_trials):
         rng = np.random.default_rng((seed, i))

@@ -6,7 +6,8 @@ import pytest
 
 from pktdetect import nn
 from pktdetect.cli import build_versions
-from pktdetect.preamble import build_preamble, default_preamble_spec
+from pktdetect.preamble import (ComplexSignal, build_preamble,
+                                default_preamble_spec)
 
 
 # verdict lines collected by the acceptance tests, echoed after the run
@@ -92,3 +93,37 @@ def finite_diff_grads(fn, params, h=1e-6):
             g[idx] = (plus - minus) / (2 * h)
         grads.append(g)
     return grads
+
+
+def oracle_apply_channel(sig, cfg, rng=None, signal_power=None, span=None):
+    """The apply_channel that the support-only form replaced, kept as the
+    oracle: a complex np.convolve over the whole span and the CFO phasor as
+    a complex exp."""
+    x, taps = sig.samples, cfg.taps
+    n0 = int(np.floor(cfg.timing_offset_samples))
+    frac = cfg.timing_offset_samples - n0
+    n_conv = len(x) + len(taps) - 1
+    n_out = n_conv + n0
+    lo, hi = (0, n_out) if span is None else span
+    first = lo - n0 - (frac > 0)
+    a = max(first, 0)
+    b = min(max(hi - n0, a), n_conv)
+    s = max(a - len(taps) + 1, 0)
+    out = (np.convolve(x[s:b], taps)[a - s:b - s] if b > a
+           else np.zeros(0, dtype=np.complex128))
+    if cfg.cfo_hz != 0.0:
+        n = np.arange(a, b)
+        out = out * np.exp(2j * np.pi * cfg.cfo_hz * n / sig.sample_rate_hz)
+    if signal_power is None and np.isfinite(cfg.snr_db):
+        support = np.abs(out) > 0
+        signal_power = float(np.mean(np.abs(out[support]) ** 2)) if support.any() else 0.0
+    if a > first:
+        out = np.concatenate([np.zeros(a - first, dtype=np.complex128),
+                              out])[:hi - first - n0]
+    if frac > 0:
+        out = (1 - frac) * out[1:] + frac * out[:-1]
+    if np.isfinite(cfg.snr_db):
+        sigma2 = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
+        re, im = rng.standard_normal(n_out), rng.standard_normal(n_out)
+        out = out + np.sqrt(sigma2 / 2) * (re[lo:hi] + 1j * im[lo:hi])
+    return ComplexSignal(out, sig.sample_rate_hz)

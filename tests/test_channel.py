@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_apply_channel
 from pktdetect.channel import (ChannelConfig, ChannelTemplate, RxFrontendConfig,
                                apply_channel, draw_model_b_taps, rx_frontend)
 from pktdetect.preamble import (BASE_RATE_HZ, ComplexSignal, build_preamble,
@@ -25,19 +26,6 @@ class TestChannelConfig:
     def test_nan_snr_rejected(self):
         with pytest.raises(ValueError):
             ChannelConfig(snr_db=np.nan)
-
-    def test_json_round_trip(self):
-        cfg = ChannelConfig(taps=np.array([1.0, 0.5j]), snr_db=12.5,
-                            cfo_hz=300.0, timing_offset_samples=1.25, seed=9)
-        back = ChannelConfig.from_json(cfg.to_json())
-        np.testing.assert_allclose(back.taps, cfg.taps, atol=1e-15)
-        assert back.snr_db == cfg.snr_db
-        assert back.cfo_hz == cfg.cfo_hz
-        assert back.timing_offset_samples == cfg.timing_offset_samples
-
-    def test_json_round_trip_infinite_snr(self):
-        back = ChannelConfig.from_json(ChannelConfig().to_json())
-        assert np.isinf(back.snr_db)
 
 
 class TestChannelTemplate:
@@ -143,10 +131,14 @@ class TestApplyChannel:
 
     def test_seeded_noise_deterministic(self):
         sig = _rand_signal(100, 10)
-        cfg = ChannelConfig(snr_db=5.0, seed=77)
-        a = apply_channel(sig, cfg).samples
-        b = apply_channel(sig, cfg).samples
+        cfg = ChannelConfig(snr_db=5.0)
+        a = apply_channel(sig, cfg, rng=np.random.default_rng(77)).samples
+        b = apply_channel(sig, cfg, rng=np.random.default_rng(77)).samples
         np.testing.assert_array_equal(a, b)
+
+    def test_noise_needs_rng(self):
+        with pytest.raises(ValueError):
+            apply_channel(_rand_signal(10, 10), ChannelConfig(snr_db=5.0))
 
     @pytest.mark.parametrize("offset", [0.0, 0.5, 3.0, 2.25])
     @pytest.mark.parametrize("span", [(0, 10), (1, 40), (37, 103), (100, 106),
@@ -171,7 +163,87 @@ class TestApplyChannel:
         with pytest.raises(ValueError):
             apply_channel(sig, ChannelConfig(), span=(5, 4))
         with pytest.raises(ValueError):  # no reference power for the noise
-            apply_channel(sig, ChannelConfig(snr_db=10.0), span=(0, 5))
+            apply_channel(sig, ChannelConfig(snr_db=10.0),
+                          rng=np.random.default_rng(0), span=(0, 5))
+
+
+def _padded(n_pre, n_body, n_post, seed):
+    body = _rand_signal(n_body, seed, rate=4 * BASE_RATE_HZ)
+    x = np.zeros(n_pre + n_body + n_post, dtype=np.complex128)
+    x[n_pre:n_pre + n_body] = body.samples
+    return ComplexSignal(x, body.sample_rate_hz)
+
+
+class TestAgainstOracle:
+    """The support-only channel against the np.convolve / complex-exp form."""
+
+    CHANNELS = {
+        "awgn": dict(),
+        "multipath-cfo": dict(taps=draw_model_b_taps(3, 4e6), cfo_hz=-13_250.5),
+        "offset-0.5": dict(taps=draw_model_b_taps(4, 4e6), cfo_hz=9_000.0,
+                           timing_offset_samples=0.5),
+        "long-multipath": dict(taps=draw_model_b_taps(5, 40e6), cfo_hz=17e3,
+                               timing_offset_samples=2.25),
+    }
+
+    @staticmethod
+    def _both(sig, cfg, signal_power, span):
+        rng_new, rng_old = np.random.default_rng(21), np.random.default_rng(21)
+        new = apply_channel(sig, cfg, rng=rng_new, signal_power=signal_power,
+                            span=span).samples
+        old = oracle_apply_channel(sig, cfg, rng=rng_old,
+                                   signal_power=signal_power,
+                                   span=span).samples
+        assert rng_new.standard_normal() == rng_old.standard_normal()
+        return new, old
+
+    @staticmethod
+    def _n_out(sig, cfg):
+        return len(sig) + len(cfg.taps) - 1 + int(cfg.timing_offset_samples)
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize("snr_db", [6.0, np.inf])
+    @pytest.mark.parametrize("span", [None, (0, 30), (2, 250), (57, 300),
+                                      (120, 121), (290, 306)])
+    @pytest.mark.parametrize("n_pre, n_post", [(60, 40), (0, 0)])
+    def test_float64_agreement(self, channel, snr_db, span, n_pre, n_post):
+        sig = _padded(n_pre, 200, n_post, 22)
+        cfg = ChannelConfig(snr_db=snr_db, **self.CHANNELS[channel])
+        n_out = self._n_out(sig, cfg)
+        if span is not None:
+            span = (min(span[0], n_out), min(span[1], n_out))
+        power = None if span is None else 1.5
+        new, old = self._both(sig, cfg, power, span)
+        assert len(new) == len(old)
+        if len(old):
+            np.testing.assert_allclose(new, old, rtol=0,
+                                       atol=1e-15 * np.abs(old).max())
+
+    @pytest.mark.parametrize("cfo_hz", [0.0, 18e3, -7_777.7])
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 3.0, 1.75])
+    @pytest.mark.parametrize("snr_db", [3.0, np.inf])
+    def test_single_tap_bit_identical(self, cfo_hz, offset, snr_db):
+        sig = _padded(37, 500, 11, 23)
+        cfg = ChannelConfig(snr_db=snr_db, cfo_hz=cfo_hz,
+                            timing_offset_samples=offset)
+        for span in (None, (30, 400)):
+            new, old = self._both(sig, cfg, 2.0, span)
+            np.testing.assert_array_equal(new, old)
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize("span", [None, (5, 80)])
+    def test_zero_input_is_scaled_noise(self, channel, span):
+        sig = ComplexSignal(np.zeros(100, dtype=np.complex128), 4e6)
+        cfg = ChannelConfig(snr_db=4.0, **self.CHANNELS[channel])
+        rng = np.random.default_rng(24)
+        out = apply_channel(sig, cfg, rng=np.random.default_rng(24),
+                            signal_power=3.0, span=span).samples
+        n_out = self._n_out(sig, cfg)
+        lo, hi = (0, n_out) if span is None else span
+        g = np.sqrt(3.0 * 10 ** -0.4 / 2)
+        re, im = rng.standard_normal(n_out), rng.standard_normal(n_out)
+        np.testing.assert_array_equal(out.real, g * re[lo:hi])
+        np.testing.assert_array_equal(out.imag, g * im[lo:hi])
 
 
 class TestModelBTaps:

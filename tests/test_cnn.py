@@ -97,6 +97,16 @@ class TestModel:
                                     .standard_normal((7, 80))))
         assert out.shape == (7,)
 
+    @pytest.mark.parametrize("block_len", [40, 160])
+    def test_predict_is_forward_without_caches(self, block_len):
+        model = build_model(CnnDetectorConfig(block_len=block_len), seed=2)
+        blocks = np.abs(np.random.default_rng(4).standard_normal((50, block_len)))
+        expected = model.net.forward(cnn.prepare_inputs(blocks, model.cfg))[:, 0]
+        np.testing.assert_array_equal(predict(model, blocks), expected)
+        caches = ("_windows", "_mask", "_x", "_shape")
+        assert all(getattr(layer, name, None) is None
+                   for layer in model.net.layers for name in caches)
+
     def test_prepare_inputs_rms_mode(self):
         cfg = CnnDetectorConfig(block_len=40, normalize="rms")
         blocks = np.abs(np.random.default_rng(2).standard_normal((3, 40))) + 0.1

@@ -23,7 +23,8 @@ def _padded_packet(preamble, pre=200, post=100, seed=None, snr_db=None):
     buf[pre:pre + len(preamble)] = preamble.samples
     sig = ComplexSignal(buf, BASE_RATE_HZ)
     if snr_db is not None:
-        sig = apply_channel(sig, ChannelConfig(snr_db=snr_db, seed=seed or 0),
+        sig = apply_channel(sig, ChannelConfig(snr_db=snr_db),
+                            rng=np.random.default_rng(seed or 0),
                             signal_power=1.0)
     return sig
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_apply_channel
+from pktdetect import streams
 from pktdetect.channel import ChannelTemplate
 from pktdetect.preamble import PREAMBLE_LEN
 from pktdetect.streams import (StreamSimulator, StreamTrialConfig,
@@ -48,6 +50,30 @@ class TestReceive:
         np.testing.assert_allclose(part, full[lo:hi], rtol=1e-12,
                                    atol=1e-12 * np.abs(full).max())
         assert rng_span.standard_normal() == rng_full.standard_normal()
+
+    @pytest.mark.parametrize("channel", [
+        ChannelTemplate(multipath=False, cfo_max_hz=0.0), ChannelTemplate(),
+        ChannelTemplate(fractional_timing_offset=0.5)],
+        ids=["awgn", "multipath-cfo", "fractional-offset"])
+    @pytest.mark.parametrize("b", [40, 160])
+    def test_float32_amplitudes_match_oracle_link(self, channel, b,
+                                                  monkeypatch):
+        # the START and MID_TAIL windows dataset.generate cuts, as it stores
+        # them: |y| in float32
+        sim = StreamSimulator(StreamTrialConfig(channel=channel))
+        spans = [(1, 2 * b), (b + 1, 2 * b + PREAMBLE_LEN)]
+        cases = [(seed, snr, span) for seed in range(4)
+                 for snr in (3.0, 17.0, np.inf) for span in spans]
+
+        def amplitudes():
+            return [np.abs(sim.receive(np.random.default_rng(seed), snr, b,
+                                       b + 16, span=span).samples)
+                    .astype(np.float32) for seed, snr, span in cases]
+
+        fast = amplitudes()
+        monkeypatch.setattr(streams, "apply_channel", oracle_apply_channel)
+        for new, old in zip(fast, amplitudes()):
+            np.testing.assert_array_equal(new, old)
 
     def test_span_checked(self, awgn_sim):
         n = len(awgn_sim.receive(np.random.default_rng(0), 20.0, 40, 56))
