@@ -70,31 +70,32 @@ class RxFrontendConfig:
                            np.asarray(self.matched_taps, dtype=np.float64))
 
 
+TRUNCATION_FACTOR = 5.0  # model-B profile length, in RMS delay spreads
+
+
 def draw_model_b_taps(seed: int | np.random.Generator, os_rate_hz: float,
-                      rms_delay_spread_ns: float = 80.0,
-                      truncation_factor: float = 5.0) -> np.ndarray:
+                      rms_delay_spread_ns: float = 80.0) -> np.ndarray:
     """One indoor multipath realization on the oversampled tap grid.
 
     Exponentially decaying power-delay profile with the given RMS delay
-    spread, truncated at `truncation_factor` times the spread, Rayleigh
+    spread, truncated at TRUNCATION_FACTOR times the spread, Rayleigh
     (circularly-symmetric Gaussian) taps, power-normalized to 1.
     """
     if os_rate_hz < 1e6:
         raise ValueError("os_rate_hz must be at least 1 MHz")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    scale = _model_b_tap_scale(os_rate_hz, rms_delay_spread_ns, truncation_factor)
+    scale = _model_b_tap_scale(os_rate_hz, rms_delay_spread_ns)
     h = scale * (rng.standard_normal(len(scale))
                  + 1j * rng.standard_normal(len(scale)))
     return h / np.sqrt((np.abs(h) ** 2).sum())
 
 
 @functools.lru_cache(maxsize=16)
-def _model_b_tap_scale(os_rate_hz: float, rms_delay_spread_ns: float,
-                       truncation_factor: float) -> np.ndarray:
+def _model_b_tap_scale(os_rate_hz: float, rms_delay_spread_ns: float) -> np.ndarray:
     """Per-tap amplitude sqrt(profile / 2) of the normalized power-delay
     profile (read-only: it is shared between calls)."""
     dt_ns = 1e9 / os_rate_hz
-    delays = np.arange(0.0, truncation_factor * rms_delay_spread_ns + 1e-9, dt_ns)
+    delays = np.arange(0.0, TRUNCATION_FACTOR * rms_delay_spread_ns + 1e-9, dt_ns)
     profile = np.exp(-delays / rms_delay_spread_ns)
     profile /= profile.sum()
     scale = np.sqrt(profile / 2)
@@ -110,8 +111,10 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
 
     The channel is applied as a *linear* convolution with tail retention
     (a streaming receiver never sees the block-circular idealization).
-    Noise variance is set against the mean power of the clean convolved
-    signal over its nonzero support, measured before the timing offset, so
+    Noise variance is set against `signal_power` when one is given (the
+    link passes the transmit signal's power, see StreamSimulator.receive);
+    otherwise against the mean power of the clean convolved signal over its
+    nonzero support, measured before the timing offset.  Either way the
     zero-padded stretches, the delay prefix included, carry pure white noise
     of the same variance.  A finite snr_db needs rng.
 

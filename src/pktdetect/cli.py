@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__, cnn, dataset, flops, nn, streams
 from .channel import ChannelTemplate
 from .cnn import BLOCK_LENGTHS, CnnDetectorConfig
-from .corrsync import CorrDetectorConfig
 
 
 class UsageError(Exception):

@@ -12,13 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .corrsync import DetectionResult
 
 BLOCK_LENGTHS = (40, 80, 160, 320, 800, 1600)
 
@@ -37,7 +36,10 @@ class CnnDetectorConfig:
     fc_neurons: int = 3
     no_packet_label: float = -1.0
     detect_threshold: float = -0.5
-    normalize: str = "raw"  # "raw" or "rms"
+    # "raw" (what `train` builds) or "rms".  Both stay: the acceptance gates
+    # train criteria 5 and 6 with "rms", so dropping either value would move
+    # a gate or a CLI output, and old checkpoints carry the flag.
+    normalize: str = "raw"
 
     def __post_init__(self):
         if self.block_len % self.in_channels != 0:
@@ -121,17 +123,6 @@ def predict(model: CnnModel, blocks: np.ndarray) -> np.ndarray:
     return model.net.predict(prepare_inputs(blocks, model.cfg))[:, 0]
 
 
-def detect(model: CnnModel, block: np.ndarray,
-           cfg: CnnDetectorConfig | None = None) -> DetectionResult:
-    """Presence decision + start estimate for one amplitude block."""
-    cfg = cfg or model.cfg
-    score = float(predict(model, np.asarray(block)[None, :])[0])
-    if score >= cfg.detect_threshold:
-        start = int(round(min(max(score, 0.0), cfg.block_len - 1)))
-        return DetectionResult(True, start, score)
-    return DetectionResult(False, -1, score)
-
-
 SNR_BIN_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
 
 
@@ -162,12 +153,15 @@ class EvalMetrics:
     per_snr: tuple  # rows of (bin_lo, bin_hi, mae_or_None, n)
 
 
-def evaluate(model: CnnModel, blocks: np.ndarray,
-             cfg: CnnDetectorConfig | None = None) -> EvalMetrics:
-    """Miss/false-alarm rates and true-positive MAE, binned by SNR tag."""
+def evaluate(model: CnnModel, blocks: np.ndarray) -> EvalMetrics:
+    """Miss/false-alarm rates and true-positive MAE, binned by SNR tag.
+
+    A block is detected when its score reaches the detect threshold; its
+    start estimate is the score rounded and clamped to [0, block_len - 1].
+    """
     if len(blocks) == 0:
         raise ValueError("block array must be non-empty")
-    cfg = cfg or model.cfg
+    cfg = model.cfg
     labels = blocks["label"].astype(np.float64)
     scores = predict(model, blocks["amp"])
     detected = scores >= cfg.detect_threshold

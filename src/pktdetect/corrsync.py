@@ -1,13 +1,13 @@
 """Conventional correlation-based packet-start detection.
 
-Sliding complex autocorrelation between two lag-separated windows, the
-normalized timing metric M = |corr|^2 / power^2, a dwell-based threshold
-trigger, plateau refinement around the metric peak, and a cross-correlation
-fine-timing stage against the known long training symbol.
+Sliding complex autocorrelation at lag L over an L-sample window (L = half
+the STF), the normalized timing metric M = |corr|^2 / power^2, a dwell-based
+threshold trigger, plateau refinement around the metric peak, and a
+cross-correlation fine-timing stage against the known long training symbol.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,28 +17,18 @@ from .preamble import ComplexSignal, LTS_CORE_OFFSETS
 @dataclass(frozen=True)
 class CorrDetectorConfig:
     l_window: int = 80          # correlation lag and window length (half STF)
-    l_s: int = 16               # short-training-symbol length
     l_stf: int = 160            # STF field length
     trigger_threshold: float = 0.5
     trigger_dwell: int = 8      # consecutive above-threshold samples required
     plateau_fraction: float = 0.9
     fine_search_span: int = 12
     lts_offsets: tuple = LTS_CORE_OFFSETS  # LTS copy positions within the preamble
-    use_literal_window: bool = False  # lag l_s over an (l_stf - l_s + 1) window
 
     def __post_init__(self):
         if not 0 < self.plateau_fraction < 1:
             raise ValueError("plateau_fraction must lie in (0, 1)")
         if self.l_window < 1:
             raise ValueError("l_window must be positive")
-
-    @property
-    def lag(self) -> int:
-        return self.l_s if self.use_literal_window else self.l_window
-
-    @property
-    def window(self) -> int:
-        return (self.l_stf - self.l_s + 1) if self.use_literal_window else self.l_window
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,7 @@ def timing_metric(y: ComplexSignal, tau: int, L: int) -> float:
 def metric_trace(y: ComplexSignal, lag: int, window: int | None = None) -> np.ndarray:
     """M(tau) for every feasible tau, from running sums of the lag products
     and of the lagged-window power (each window sum is a difference of two
-    prefix sums)."""
+    prefix sums).  The window defaults to the lag, as `coarse_detect` runs it."""
     s = y.samples
     window = lag if window is None else window
     n_out = len(s) - lag - window + 1
@@ -116,7 +106,7 @@ def coarse_detect(y: ComplexSignal, cfg: CorrDetectorConfig) -> DetectionResult:
     consecutive samples; the peak search then covers the following
     2 * l_stf samples.
     """
-    m = metric_trace(y, cfg.lag, cfg.window)
+    m = metric_trace(y, cfg.l_window)
     dwell = max(1, cfg.trigger_dwell)
     if len(m) < dwell:
         return DetectionResult(False, -1, 0.0)
@@ -154,14 +144,3 @@ def fine_detect(y: ComplexSignal, coarse: int, lts_ref: ComplexSignal,
     peak_pos = lo + int(np.argmax(corr))
     candidates = np.array([peak_pos - off for off in cfg.lts_offsets])
     return int(candidates[np.argmin(np.abs(candidates - coarse))])
-
-
-def detect(y: ComplexSignal, lts_ref: ComplexSignal,
-           cfg: CorrDetectorConfig | None = None) -> DetectionResult:
-    """Coarse + fine packet-start detection in one call."""
-    cfg = cfg or CorrDetectorConfig()
-    res = coarse_detect(y, cfg)
-    if not res.detected:
-        return res
-    refined = fine_detect(y, res.start_sample, lts_ref, cfg)
-    return DetectionResult(True, refined, res.score)

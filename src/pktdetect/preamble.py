@@ -2,21 +2,20 @@
 
 Builds the 14-symbol preamble (STF, LTF1, SIG, LTF2) as a discrete-time
 complex-baseband signal at 1 MHz, plus oversampling / pulse-shape filtering
-for transmission.  Subcarrier contents are loaded from a JSON spec file; the
-default spec ships synthetic sequences that keep the structural properties
+for transmission.  The subcarrier contents come from a `PreambleSpec`; the
+default spec holds synthetic sequences that keep the structural properties
 the detectors rely on (STF periodicity, repeated LTS) without transcribing
 standard tables.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 BASE_RATE_HZ = 1_000_000.0
-N_SUBCARRIERS = 32
+N_SUBCARRIERS = 32  # 31.25 kHz subcarrier spacing at BASE_RATE_HZ
+CP_LEN = 8          # cyclic prefix: an 8 us guard, so a 40 us symbol
 PREAMBLE_LEN = 560
 STF_LEN = 160
 LTF1_LEN = 160
@@ -26,6 +25,7 @@ LTS_CORE_LEN = 32
 # therefore five back-to-back copies of the core, starting at these offsets
 # (relative to the preamble start).
 LTS_CORE_OFFSETS = (160, 192, 224, 256, 288)
+ROLLOFF = 0.35  # of the root-raised-cosine pulse shape
 
 
 @dataclass(frozen=True)
@@ -43,30 +43,6 @@ class ComplexSignal:
 
 
 @dataclass(frozen=True)
-class OfdmParams:
-    n_subcarriers: int = 32
-    subcarrier_spacing_hz: float = 31_250.0
-    cp_duration_us: float = 8.0
-    symbol_duration_us: float = 40.0
-    base_sample_rate_hz: float = 1_000_000.0
-
-    def __post_init__(self):
-        if abs(self.base_sample_rate_hz - self.n_subcarriers * self.subcarrier_spacing_hz) > 1e-6:
-            raise ValueError("base sample rate must equal n_subcarriers * subcarrier spacing")
-        if abs(self.symbol_duration_us - (self.cp_duration_us + self.n_subcarriers
-                                          / (self.base_sample_rate_hz / 1e6))) > 1e-9:
-            raise ValueError("symbol duration must equal CP duration plus IDFT duration")
-
-    @property
-    def cp_samples(self) -> int:
-        return int(round(self.cp_duration_us * self.base_sample_rate_hz / 1e6))
-
-    @property
-    def symbol_samples(self) -> int:
-        return self.cp_samples + self.n_subcarriers
-
-
-@dataclass(frozen=True)
 class PreambleSpec:
     """Frequency-domain contents of the four preamble fields."""
 
@@ -74,8 +50,6 @@ class PreambleSpec:
     ltf_freq: np.ndarray
     sig_freq: np.ndarray
     ltf2_freq: np.ndarray
-    n_stf_symbols: int = 4
-    n_ltf1_symbols: int = 4
 
     def __post_init__(self):
         for name in ("stf_freq", "ltf_freq", "sig_freq", "ltf2_freq"):
@@ -88,60 +62,55 @@ class PreambleSpec:
             raise ValueError("stf_freq may only populate every 4th bin")
 
 
-def _idft(freq: np.ndarray, n: int = N_SUBCARRIERS) -> np.ndarray:
+def _idft(freq: np.ndarray) -> np.ndarray:
     # 1/sqrt(N) normalization: time-domain energy equals frequency-domain energy.
     # Transforms along the last axis, so one call takes a batch of spectra.
-    return np.fft.ifft(freq) * np.sqrt(n)
+    return np.fft.ifft(freq) * np.sqrt(N_SUBCARRIERS)
 
 
-def ofdm_symbol(freq: np.ndarray, params: OfdmParams | None = None) -> ComplexSignal:
+def ofdm_symbol(freq: np.ndarray) -> ComplexSignal:
     """One cyclic-prefixed OFDM symbol (40 samples at 1 MHz).
 
-    The cyclic prefix copies the last `cp_samples` IDFT outputs; the IDFT is
+    The cyclic prefix copies the last CP_LEN IDFT outputs; the IDFT is
     scaled by 1/sqrt(N) so Parseval holds between domains.
     """
-    params = params or OfdmParams()
     freq = np.asarray(freq, dtype=np.complex128)
-    if freq.shape != (params.n_subcarriers,):
-        raise ValueError(f"freq must have length {params.n_subcarriers}")
-    body = _idft(freq, params.n_subcarriers)
-    samples = np.concatenate([body[-params.cp_samples:], body])
-    return ComplexSignal(samples, params.base_sample_rate_hz)
+    if freq.shape != (N_SUBCARRIERS,):
+        raise ValueError(f"freq must have length {N_SUBCARRIERS}")
+    body = _idft(freq)
+    samples = np.concatenate([body[-CP_LEN:], body])
+    return ComplexSignal(samples, BASE_RATE_HZ)
 
 
-def lts_core(spec: PreambleSpec, params: OfdmParams | None = None) -> ComplexSignal:
+def lts_core(spec: PreambleSpec) -> ComplexSignal:
     """The 32-sample long-training-symbol core used for fine timing."""
-    params = params or OfdmParams()
-    return ComplexSignal(_idft(spec.ltf_freq, params.n_subcarriers), params.base_sample_rate_hz)
+    return ComplexSignal(_idft(spec.ltf_freq), BASE_RATE_HZ)
 
 
-def build_preamble(spec: PreambleSpec | None = None,
-                   params: OfdmParams | None = None) -> ComplexSignal:
+def build_preamble(spec: PreambleSpec | None = None) -> ComplexSignal:
     """Full 14-symbol NDP preamble: 560 samples at 1 MHz.
 
     Field layout: 4 STF symbols [0,160), LTF1 [160,320) as guard + two LTS
     periods, 1 SIG symbol [320,360), 5 filler symbols [360,560).
     """
     spec = spec or default_preamble_spec()
-    params = params or OfdmParams()
-    stf_sym = ofdm_symbol(spec.stf_freq, params).samples
-    stf = np.tile(stf_sym, spec.n_stf_symbols)
+    stf = np.tile(ofdm_symbol(spec.stf_freq).samples, 4)
 
-    core = _idft(spec.ltf_freq, params.n_subcarriers)
+    core = _idft(spec.ltf_freq)
     lts64 = np.tile(core, 2)
     ltf1 = np.concatenate([lts64[-LTS_CORE_LEN:], lts64, lts64])
 
-    sig = ofdm_symbol(spec.sig_freq, params).samples
-    ltf2 = np.tile(ofdm_symbol(spec.ltf2_freq, params).samples, 5)
+    sig = ofdm_symbol(spec.sig_freq).samples
+    ltf2 = np.tile(ofdm_symbol(spec.ltf2_freq).samples, 5)
 
     samples = np.concatenate([stf, ltf1, sig, ltf2])
     assert len(samples) == PREAMBLE_LEN
-    return ComplexSignal(samples, params.base_sample_rate_hz)
+    return ComplexSignal(samples, BASE_RATE_HZ)
 
 
-def _unit_power_scale(n_bins: int, n: int = N_SUBCARRIERS) -> float:
+def _unit_power_scale(n_bins: int) -> float:
     # Scale unit-magnitude bins so each field has unit mean sample power.
-    return np.sqrt(n / n_bins)
+    return np.sqrt(N_SUBCARRIERS / n_bins)
 
 
 # Occupied bins for the wideband fields: every nonzero bin except DC.
@@ -196,36 +165,9 @@ def default_preamble_spec() -> PreambleSpec:
     return PreambleSpec(stf_freq=stf, ltf_freq=ltf, sig_freq=bpsk(13), ltf2_freq=bpsk(17))
 
 
-def save_preamble_spec(spec: PreambleSpec, path: str | Path) -> None:
-    def pairs(vec):
-        return [[float(v.real), float(v.imag)] for v in vec]
-
-    doc = {
-        "n": N_SUBCARRIERS,
-        "stf_freq": pairs(spec.stf_freq),
-        "ltf_freq": pairs(spec.ltf_freq),
-        "sig_freq": pairs(spec.sig_freq),
-        "ltf2_freq": pairs(spec.ltf2_freq),
-    }
-    Path(path).write_text(json.dumps(doc, indent=1))
-
-
-def load_preamble_spec(path: str | Path) -> PreambleSpec:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("n") != N_SUBCARRIERS:
-        raise ValueError(f"preamble spec must have n={N_SUBCARRIERS}")
-
-    def vec(key):
-        arr = np.array(doc[key], dtype=np.float64)
-        return arr[:, 0] + 1j * arr[:, 1]
-
-    return PreambleSpec(stf_freq=vec("stf_freq"), ltf_freq=vec("ltf_freq"),
-                        sig_freq=vec("sig_freq"), ltf2_freq=vec("ltf2_freq"))
-
-
-def design_interp_filter(os_factor: int, n_taps: int = 48,
-                         rolloff: float = 0.35) -> np.ndarray:
-    """Root-raised-cosine pulse-shape filter for zero-stuffed interpolation.
+def design_interp_filter(os_factor: int, n_taps: int = 48) -> np.ndarray:
+    """Root-raised-cosine pulse-shape filter (roll-off ROLLOFF) for
+    zero-stuffed interpolation.
 
     The transmit filter and the receiver's matched ("reverse pulse-shape")
     filter use the same taps; their cascade is a raised-cosine Nyquist pulse,
@@ -237,21 +179,19 @@ def design_interp_filter(os_factor: int, n_taps: int = 48,
         raise ValueError("os_factor must be >= 1")
     if os_factor == 1:
         return np.ones(1)
-    if not 0 < rolloff <= 1:
-        raise ValueError("rolloff must lie in (0, 1]")
     t = (np.arange(n_taps) - (n_taps - 1) / 2) / os_factor
     h = np.empty(n_taps)
     for i, ti in enumerate(t):
         if abs(ti) < 1e-12:
-            h[i] = 1 - rolloff + 4 * rolloff / np.pi
-        elif abs(abs(ti) - 1 / (4 * rolloff)) < 1e-9:
-            h[i] = (rolloff / np.sqrt(2)) * (
-                (1 + 2 / np.pi) * np.sin(np.pi / (4 * rolloff))
-                + (1 - 2 / np.pi) * np.cos(np.pi / (4 * rolloff)))
+            h[i] = 1 - ROLLOFF + 4 * ROLLOFF / np.pi
+        elif abs(abs(ti) - 1 / (4 * ROLLOFF)) < 1e-9:
+            h[i] = (ROLLOFF / np.sqrt(2)) * (
+                (1 + 2 / np.pi) * np.sin(np.pi / (4 * ROLLOFF))
+                + (1 - 2 / np.pi) * np.cos(np.pi / (4 * ROLLOFF)))
         else:
-            h[i] = ((np.sin(np.pi * ti * (1 - rolloff))
-                     + 4 * rolloff * ti * np.cos(np.pi * ti * (1 + rolloff)))
-                    / (np.pi * ti * (1 - (4 * rolloff * ti) ** 2)))
+            h[i] = ((np.sin(np.pi * ti * (1 - ROLLOFF))
+                     + 4 * ROLLOFF * ti * np.cos(np.pi * ti * (1 + ROLLOFF)))
+                    / (np.pi * ti * (1 - (4 * ROLLOFF * ti) ** 2)))
     return h * (os_factor / h.sum())
 
 

@@ -3,8 +3,8 @@
 `StreamSimulator` builds the oversampled NDP once and pushes it (or nothing,
 for a noise-only stream) through the channel and the receiver front end on
 each call.  Dataset generation cuts its labeled blocks from these streams;
-stream trials score the correlation detector on them: start-sample error,
-miss rate and false-alarm rate.
+stream trials score the correlation detector, always at `DETECTOR`, on
+them: start-sample error, miss rate and false-alarm rate.
 """
 from __future__ import annotations
 
@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preamble import (ComplexSignal, OfdmParams, PREAMBLE_LEN,
+from .preamble import (BASE_RATE_HZ, ComplexSignal, PREAMBLE_LEN,
                        build_preamble, default_preamble_spec,
                        design_interp_filter, lts_core, upsample_filter)
 from .channel import (ChannelConfig, ChannelTemplate, RxFrontendConfig,
                       apply_channel, draw_model_b_taps, rx_frontend)
 from .corrsync import CorrDetectorConfig, coarse_detect, fine_detect
+
+DETECTOR = CorrDetectorConfig()
 
 
 @dataclass(frozen=True)
@@ -45,22 +47,23 @@ class StreamSimulator:
     def __init__(self, cfg: StreamTrialConfig):
         self.cfg = cfg
         tpl = cfg.channel
-        self.params = OfdmParams()
         spec = default_preamble_spec()
         self.taps = design_interp_filter(tpl.os_factor, tpl.filter_taps)
         self.rx_cfg = RxFrontendConfig(self.taps, tpl.os_factor)
-        x = build_preamble(spec, self.params)
+        x = build_preamble(spec)
         self.x_os = upsample_filter(x, tpl.os_factor, self.taps).samples
-        self.os_rate = self.params.base_sample_rate_hz * tpl.os_factor
-        # clean oversampled signal power over its support: the SNR reference
+        self.os_rate = BASE_RATE_HZ * tpl.os_factor
+        # the SNR reference: the mean power of the transmitted (pre-channel)
+        # oversampled signal over its support
         self.p_signal_os = float(np.mean(
             np.abs(self.x_os[np.abs(self.x_os) > 0]) ** 2))
         # variance transfer of the rx front end (matched filter + 1/os scale)
         self.noise_gain = float(np.sum(self.taps ** 2)) / tpl.os_factor ** 2
-        self.lts = lts_core(spec, self.params)
+        self.lts = lts_core(spec)
 
     def noise_sigma2(self, snr_db: float) -> float:
-        """Base-rate noise variance of the rx stream at an SNR."""
+        """Base-rate noise variance of the rx stream at an SNR, set against
+        the transmit power `p_signal_os` as in `receive`."""
         return self.p_signal_os * 10.0 ** (-snr_db / 10.0) * self.noise_gain
 
     def receive(self, rng: np.random.Generator, snr_db: float, pre: int,
@@ -71,7 +74,9 @@ class StreamSimulator:
         with span=(lo, hi), only its samples [lo, hi).
 
         Draws the CFO, then the multipath taps, then the noise from rng;
-        the draws are the same with or without a span.
+        the draws are the same with or without a span.  The SNR is set
+        against `p_signal_os`, the transmit signal's mean power over its
+        support, not against the realized multipath-convolved power.
         """
         tpl = self.cfg.channel
         os = tpl.os_factor
@@ -99,16 +104,14 @@ class StreamSimulator:
         return ComplexSignal(rx.samples[:hi - lo], rx.sample_rate_hz)
 
     def run_trial(self, rng: np.random.Generator, has_packet: bool,
-                  detector: CorrDetectorConfig | None = None,
                   snr_db: float | None = None) -> TrialOutcome:
         """One stream trial at snr_db (default: the config's SNR)."""
         cfg = self.cfg
         snr_db = cfg.snr_db if snr_db is None else snr_db
-        detector = detector or CorrDetectorConfig()
         pre = int(rng.integers(*cfg.pre_pad_range))
         y = self.receive(rng, snr_db, pre, cfg.post_pad, has_packet)
-        res = coarse_detect(y, detector)
-        fine = (fine_detect(y, res.start_sample, self.lts, detector)
+        res = coarse_detect(y, DETECTOR)
+        fine = (fine_detect(y, res.start_sample, self.lts, DETECTOR)
                 if res.detected else -1)
         return TrialOutcome(has_packet, pre if has_packet else -1,
                             res.detected, res.start_sample, fine, snr_db)
@@ -116,7 +119,6 @@ class StreamSimulator:
 
 def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
                           seed: int = 0, packet_fraction: float = 0.5,
-                          detector: CorrDetectorConfig | None = None,
                           snr_range_db: tuple | None = None) -> list[TrialOutcome]:
     """Run a batch of mixed packet / noise-only trials.
 
@@ -125,14 +127,13 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     uses trial_cfg.snr_db.
     """
     sim = StreamSimulator(trial_cfg)
-    detector = detector or CorrDetectorConfig()
     outcomes = []
     for i in range(n_trials):
         rng = np.random.default_rng((seed, i))
         snr = (float(rng.uniform(*snr_range_db)) if snr_range_db is not None
                else None)
         has_packet = bool(rng.uniform() < packet_fraction)
-        outcomes.append(sim.run_trial(rng, has_packet, detector, snr))
+        outcomes.append(sim.run_trial(rng, has_packet, snr))
     return outcomes
 
 

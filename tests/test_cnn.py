@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pktdetect import cnn, dataset, nn
 from pktdetect.cnn import (BLOCK_LENGTHS, CheckpointError, CnnDetectorConfig,
-                           block_to_channels, build_model, detect, evaluate,
+                           block_to_channels, build_model, evaluate,
                            load_model, mae_by_snr, predict, save_model)
 
 
@@ -70,10 +70,8 @@ class TestModel:
     def test_untrained_predicts_no_packet(self):
         model = build_model(CnnDetectorConfig(block_len=40), seed=0)
         rng = np.random.default_rng(0)
-        block = np.abs(rng.standard_normal(40))
-        res = detect(model, block)
-        assert not res.detected
-        assert res.start_sample == -1
+        blocks = np.abs(rng.standard_normal((5, 40)))
+        assert np.all(predict(model, blocks) < model.cfg.detect_threshold)
         # output bias initialized at the no-packet label
         assert model.net.layers[-1].b[0] == model.cfg.no_packet_label
 
@@ -87,9 +85,10 @@ class TestModel:
         model = build_model(CnnDetectorConfig(block_len=40), seed=0)
         model.net.layers[-1].w[...] = 0.0
         model.net.layers[-1].b[...] = 1_000.0  # force a huge score
-        res = detect(model, np.ones(40))
-        assert res.detected
-        assert res.start_sample == 39
+        block = _blocks(1, 40, labeled_fraction=1.0)
+        m = evaluate(model, block)
+        assert m.miss_rate == 0.0
+        assert m.mae == abs(39 - block["label"][0])
 
     def test_predict_batch_shape(self):
         model = build_model(CnnDetectorConfig(block_len=80), seed=1)

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from pktdetect.channel import ChannelConfig, apply_channel
 from pktdetect.corrsync import (CorrDetectorConfig, DetectionResult, autocorr,
-                                coarse_detect, detect, fine_detect,
-                                metric_trace, plateau_refine, timing_metric,
-                                window_power)
+                                coarse_detect, fine_detect, metric_trace,
+                                plateau_refine, timing_metric, window_power)
 from pktdetect.preamble import (BASE_RATE_HZ, ComplexSignal, build_preamble,
                                 lts_core)
 
@@ -134,9 +133,11 @@ class TestDetection:
 
     def test_clean_packet_exact_start(self, preamble, preamble_spec):
         y = _padded_packet(preamble, pre=200)
-        res = detect(y, lts_core(preamble_spec))
+        cfg = CorrDetectorConfig()
+        res = coarse_detect(y, cfg)
         assert res.detected
-        assert res.start_sample == 200
+        assert fine_detect(y, res.start_sample, lts_core(preamble_spec),
+                           cfg) == 200
 
     def test_noise_only_no_detection(self):
         for seed in range(5):
@@ -146,12 +147,14 @@ class TestDetection:
 
     def test_high_snr_within_two_samples(self, preamble, preamble_spec):
         lts = lts_core(preamble_spec)
+        cfg = CorrDetectorConfig()
         for seed in range(10):
             y = _padded_packet(preamble, pre=150 + 11 * seed, seed=seed,
                                snr_db=20.0)
-            res = detect(y, lts)
+            res = coarse_detect(y, cfg)
             assert res.detected
-            assert abs(res.start_sample - (150 + 11 * seed)) <= 2
+            fine = fine_detect(y, res.start_sample, lts, cfg)
+            assert abs(fine - (150 + 11 * seed)) <= 2
 
     def test_fine_detect_degenerate_reference(self, preamble):
         y = _padded_packet(preamble)
@@ -162,20 +165,6 @@ class TestDetection:
         y = _noise(40, 6)
         assert fine_detect(y, 0, lts_core(preamble_spec),
                            CorrDetectorConfig()) == 0
-
-    def test_literal_window_properties(self):
-        cfg = CorrDetectorConfig(use_literal_window=True)
-        assert cfg.lag == 16
-        assert cfg.window == 145
-        default = CorrDetectorConfig()
-        assert default.lag == default.window == 80
-
-    def test_literal_window_detects_clean_packet(self, preamble, preamble_spec):
-        y = _padded_packet(preamble, pre=200)
-        res = detect(y, lts_core(preamble_spec),
-                     CorrDetectorConfig(use_literal_window=True))
-        assert res.detected
-        assert abs(res.start_sample - 200) <= 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
