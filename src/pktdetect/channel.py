@@ -185,14 +185,25 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
         c0, c1 = max(i0 - delay, first), min(i1, hi - n0 - delay)
         out[c0 - first:c1 - first] = z[c0 - i0 + delay:c1 - i0 + delay]
     if noisy:
-        # an all-zero input without signal_power has no reference: 0 noise
-        sigma2 = (signal_power or 0.0) * 10.0 ** (-cfg.snr_db / 10.0)
         # full-length draws keep every pinned dataset byte-identical
         re, im = rng.standard_normal(n_out), rng.standard_normal(n_out)
-        g = math.sqrt(sigma2 / 2)
-        out.real += g * re[lo:hi]
-        out.imag += g * im[lo:hi]
+        # an all-zero input without signal_power has no reference: 0 noise
+        add_noise(out, re[lo:hi], im[lo:hi], signal_power or 0.0, cfg.snr_db)
     return ComplexSignal(out, sig.sample_rate_hz)
+
+
+def add_noise(out: np.ndarray, re: np.ndarray, im: np.ndarray,
+              signal_power: float, snr_db: float) -> None:
+    """Add complex white noise at snr_db against signal_power to out, in
+    place, scaled from the unit normals re and im (out's length each): the
+    noise variance is signal_power * 10^(-snr_db/10), split evenly between
+    the real and imaginary parts.  A non-finite snr_db adds none."""
+    if not math.isfinite(snr_db):
+        return
+    sigma2 = signal_power * 10.0 ** (-snr_db / 10.0)
+    g = math.sqrt(sigma2 / 2)
+    out.real += g * re
+    out.imag += g * im
 
 
 def rx_frontend(sig: ComplexSignal, cfg: RxFrontendConfig) -> ComplexSignal:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -158,7 +159,7 @@ def cmd_eval(args) -> int:
         trial_cfg = streams.StreamTrialConfig(snr_db=args.snr_db,
                                               channel=_channel(args))
         snr_range = tuple(args.snr_range) if args.snr_range else None
-        outcomes = streams.evaluate_conventional(
+        outcomes, = streams.evaluate_conventional(
             trial_cfg, args.packets, seed=args.seed, snr_range_db=snr_range)
         summary = streams.summarize(outcomes)
         tp = [o for o in outcomes if o.has_packet and o.detected]
@@ -192,7 +193,8 @@ def cmd_flops(args) -> int:
     if args.all:
         reports = [flops.model_flops(CnnDetectorConfig(block_len=b))
                    for b in BLOCK_LENGTHS]
-        reports.append(flops.conventional_flops())
+        reports += [flops.conventional_flops(),
+                    flops.conventional_flops_recursive()]
     elif args.conventional:
         reports = [flops.conventional_flops()]
     elif args.block_len:
@@ -216,16 +218,23 @@ def cmd_flops(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    snrs = [float(s) for s in args.snrs.split(",")]
-    rows = []
+    try:
+        snrs = tuple(snr_db(s) for s in args.snrs.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--snrs: {exc}") from exc
+    if not (args.model or args.conventional):
+        raise UsageError("sweep needs --model and/or --conventional")
+    if args.model and not all(map(math.isfinite, snrs)):
+        raise UsageError("--snrs: the model sweep needs finite points")
     model = cnn.load_model(args.model) if args.model else None
-    for snr in snrs:
-        if args.conventional:
-            trial_cfg = streams.StreamTrialConfig(snr_db=snr,
-                                                  channel=_channel(args))
-            outcomes = streams.evaluate_conventional(
-                trial_cfg, args.packets, seed=args.seed)
-            s = streams.summarize(outcomes)
+    # one simulation per trial, scored at every point
+    conventional = (streams.evaluate_conventional(
+        streams.StreamTrialConfig(channel=_channel(args)), args.packets,
+        seed=args.seed, snrs_db=snrs) if args.conventional else None)
+    rows = []
+    for k, snr in enumerate(snrs):
+        if conventional is not None:
+            s = streams.summarize(conventional[k])
             rows.append(("conventional", _fmt(snr), _fmt(s["mae"]),
                          _fmt(s["miss_rate"]), _fmt(s["false_alarm_rate"]),
                          s["n_trials"]))
@@ -239,14 +248,34 @@ def cmd_sweep(args) -> int:
             rows.append((f"cnn-B{model.cfg.block_len}", _fmt(snr), _fmt(m.mae),
                          _fmt(m.miss_rate), _fmt(m.false_alarm_rate),
                          len(blocks)))
-    if not rows:
-        raise UsageError("sweep needs --model and/or --conventional")
     out = Path(args.out)
     _write_csv(out, ["detector", "snr_db", "mae", "miss_rate",
                      "false_alarm_rate", "n"], rows)
     _write_manifest(out.parent, "sweep", vars(args))
     print(f"wrote {len(rows)} sweep rows to {out}")
     return 0
+
+
+def snr_db(text: str) -> float:
+    """One SNR point in dB: a number, or inf for a noiseless point."""
+    snr = float(text)  # ValueError on a malformed entry
+    if math.isnan(snr) or snr == -math.inf:
+        raise ValueError(f"SNR {text!r} is not a number of dB or inf")
+    return snr
+
+
+def finite_snr_db(text: str) -> float:
+    snr = snr_db(text)
+    if math.isinf(snr):
+        raise ValueError(f"SNR {text!r} is not finite")
+    return snr
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"{n} is not positive")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,9 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conventional", action="store_true")
     p.add_argument("--data", help="dataset directory (model mode)")
     p.add_argument("--block-len", type=int, help="dataset block length")
-    p.add_argument("--packets", type=int, default=2000)
-    p.add_argument("--snr-db", type=float, default=20.0)
-    p.add_argument("--snr-range", type=float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--packets", type=positive_int, default=2000)
+    p.add_argument("--snr-db", type=snr_db, default=20.0)
+    p.add_argument("--snr-range", type=finite_snr_db, nargs=2,
+                   metavar=("LO", "HI"))
     p.add_argument("--awgn-only", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="per-SNR-bin MAE CSV path")
@@ -287,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-len", type=int)
     p.add_argument("--conventional", action="store_true")
     p.add_argument("--all", action="store_true",
-                   help="six CNN block lengths plus the conventional row")
+                   help="six CNN block lengths plus the direct and the "
+                        "running-sum correlator rows")
     p.add_argument("--out", help="comparison CSV path")
     p.set_defaults(func=cmd_flops)
 
@@ -296,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conventional", action="store_true")
     p.add_argument("--snrs", default="0,5,10,15,20,25",
                    help="comma-separated SNR points in dB")
-    p.add_argument("--packets", type=int, default=500,
+    p.add_argument("--packets", type=positive_int, default=500,
                    help="trials (or blocks) per SNR point")
     p.add_argument("--awgn-only", action="store_true")
     p.add_argument("--seed", type=int, default=0)

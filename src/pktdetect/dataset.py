@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -66,6 +67,9 @@ class DatasetSpec:
                 raise ValueError("fractions must lie in [0, 1]")
         if self.block_len < 1 or self.n_blocks < 1:
             raise ValueError("block_len and n_blocks must be positive")
+        if (len(self.snr_range_db) != 2
+                or not all(map(math.isfinite, self.snr_range_db))):
+            raise ValueError("snr_range_db must be two finite values in dB")
         mid_tail_possible = (self.frac_no_start > 0
                              and self.frac_noise_within_no_start < 1)
         if mid_tail_possible and self.block_len > PREAMBLE_LEN:

@@ -113,7 +113,10 @@ def conventional_flops(cfg: CorrDetectorConfig | None = None,
 
 def conventional_flops_recursive(cfg: CorrDetectorConfig | None = None,
                                  sample_rate_hz: float = 1e6) -> FlopsReport:
-    """Sliding-update variant (context only, not the headline number).
+    """Running-sum cost of the coarse correlator: the form
+    `corrsync.metric_trace` runs, 31 real FLOPs per incoming sample.
+    `flops --all` reports it next to the direct per-slide model, which
+    stays the headline number (criterion 7).
 
     Each slide adds one new term and removes one old term from both running
     sums: 2 complex multiplies + 2 complex adds for the correlation, 2

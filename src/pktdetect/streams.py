@@ -5,10 +5,24 @@ for a noise-only stream) through the channel and the receiver front end on
 each call.  Dataset generation cuts its labeled blocks from these streams;
 stream trials score the correlation detector, always at `DETECTOR`, on
 them: start-sample error, miss rate and false-alarm rate.
+
+A stream is made in two steps.  `draw_link` makes the link's random draws
+(CFO, multipath taps, unit noise) and the noiseless channel output;
+`rx_stream` scales the unit noise to an SNR, adds it and runs the rx front
+end.  No draw of a trial (packet or not, its position, the link draws)
+depends on the SNR, so an SNR sweep draws each trial once and scores it at
+every point: one link simulation per trial plus one rx front end and
+detection per point.  The points are paired:
+each sees the same packets, positions, CFOs, channels and unit noise, and
+only the noise scale differs, so a curve over them reads as a paired
+comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+import math
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +30,8 @@ from .preamble import (BASE_RATE_HZ, ComplexSignal, PREAMBLE_LEN,
                        build_preamble, default_preamble_spec,
                        design_interp_filter, lts_core, upsample_filter)
 from .channel import (ChannelConfig, ChannelTemplate, RxFrontendConfig,
-                      apply_channel, draw_model_b_taps, rx_frontend)
+                      add_noise, apply_channel, draw_model_b_taps,
+                      rx_frontend)
 from .corrsync import CorrDetectorConfig, coarse_detect, fine_detect
 
 DETECTOR = CorrDetectorConfig()
@@ -38,6 +53,16 @@ class TrialOutcome:
     coarse_start: int
     fine_start: int
     snr_db: float
+
+
+class LinkDraw(NamedTuple):
+    """What `StreamSimulator.draw_link` drew for one stream: everything but
+    the noise scale, which is all that depends on the SNR."""
+    pre: int
+    has_packet: bool
+    clean: np.ndarray   # noiseless oversampled channel output over the span
+    noise: tuple | None  # unit-normal (re, im) over the same samples
+    n_rx: int           # rx samples kept
 
 
 class StreamSimulator:
@@ -66,6 +91,60 @@ class StreamSimulator:
         the transmit power `p_signal_os` as in `receive`."""
         return self.p_signal_os * 10.0 ** (-snr_db / 10.0) * self.noise_gain
 
+    def at_snr(self, snr_db: float) -> "StreamSimulator":
+        """This link with its config at another SNR point; the transmit side
+        is shared, not rebuilt."""
+        sim = copy.copy(self)
+        sim.cfg = replace(self.cfg, snr_db=snr_db)
+        return sim
+
+    def draw_link(self, rng: np.random.Generator, pre: int, post: int,
+                  has_packet: bool = True, span: tuple[int, int] | None = None,
+                  noisy: bool = True) -> LinkDraw:
+        """The SNR-free part of one `receive` stream: the CFO, then the
+        multipath taps, the noiseless channel output, then (when noisy) the
+        two unit-normal noise vectors, drawn from rng in that order."""
+        tpl = self.cfg.channel
+        os = tpl.os_factor
+        buf = np.zeros((pre + PREAMBLE_LEN + post) * os + len(self.taps) - 1,
+                       dtype=np.complex128)
+        if has_packet:
+            buf[pre * os:pre * os + len(self.x_os)] = self.x_os
+        cfo = (float(rng.uniform(-tpl.cfo_max_hz, tpl.cfo_max_hz))
+               if tpl.cfo_max_hz else 0.0)
+        taps = (draw_model_b_taps(rng, self.os_rate, tpl.rms_delay_spread_ns)
+                if tpl.multipath else np.ones(1))
+        ch = ChannelConfig(taps=taps, cfo_hz=cfo,
+                           timing_offset_samples=tpl.fractional_timing_offset)
+        # channel output length: the timing offset is below one sample
+        n_os = len(buf) + len(taps) - 1
+        n_rx = -(-n_os // os)
+        lo, hi = (0, n_rx) if span is None else span
+        if not 0 <= lo < hi <= n_rx:
+            raise ValueError(f"span must lie within [0, {n_rx}]")
+        # rx sample m reads channel output samples [m*os, m*os + rx taps)
+        os_lo, os_hi = lo * os, min((hi - 1) * os + len(self.taps), n_os)
+        clean = apply_channel(ComplexSignal(buf, self.os_rate), ch,
+                              span=(os_lo, os_hi)).samples
+        noise = None
+        if noisy:
+            # full-length draws, as apply_channel makes them
+            re, im = rng.standard_normal(n_os), rng.standard_normal(n_os)
+            noise = (re[os_lo:os_hi], im[os_lo:os_hi])
+        return LinkDraw(pre, has_packet, clean, noise, hi - lo)
+
+    def rx_stream(self, link: LinkDraw, snr_db: float) -> ComplexSignal:
+        """The 1 MHz rx stream of a drawn link at snr_db: its unit noise
+        scaled against `p_signal_os` and added to the channel output, then
+        the rx front end."""
+        y = link.clean.copy()
+        if math.isfinite(snr_db):
+            if link.noise is None:
+                raise ValueError("a finite snr_db needs a noisy link draw")
+            add_noise(y, *link.noise, self.p_signal_os, snr_db)
+        rx = rx_frontend(ComplexSignal(y, self.os_rate), self.rx_cfg)
+        return ComplexSignal(rx.samples[:link.n_rx], rx.sample_rate_hz)
+
     def receive(self, rng: np.random.Generator, snr_db: float, pre: int,
                 post: int, has_packet: bool = True,
                 span: tuple[int, int] | None = None) -> ComplexSignal:
@@ -78,62 +157,56 @@ class StreamSimulator:
         against `p_signal_os`, the transmit signal's mean power over its
         support, not against the realized multipath-convolved power.
         """
-        tpl = self.cfg.channel
-        os = tpl.os_factor
-        buf = np.zeros((pre + PREAMBLE_LEN + post) * os + len(self.taps) - 1,
-                       dtype=np.complex128)
-        if has_packet:
-            buf[pre * os:pre * os + len(self.x_os)] = self.x_os
-        cfo = (float(rng.uniform(-tpl.cfo_max_hz, tpl.cfo_max_hz))
-               if tpl.cfo_max_hz else 0.0)
-        taps = (draw_model_b_taps(rng, self.os_rate, tpl.rms_delay_spread_ns)
-                if tpl.multipath else np.ones(1))
-        ch = ChannelConfig(taps=taps, snr_db=snr_db, cfo_hz=cfo,
-                           timing_offset_samples=tpl.fractional_timing_offset)
-        # channel output length: the timing offset is below one sample
-        n_os = len(buf) + len(taps) - 1
-        n_rx = -(-n_os // os)
-        lo, hi = (0, n_rx) if span is None else span
-        if not 0 <= lo < hi <= n_rx:
-            raise ValueError(f"span must lie within [0, {n_rx}]")
-        # rx sample m reads channel output samples [m*os, m*os + rx taps)
-        os_span = (lo * os, min((hi - 1) * os + len(self.taps), n_os))
-        y_os = apply_channel(ComplexSignal(buf, self.os_rate), ch, rng=rng,
-                             signal_power=self.p_signal_os, span=os_span)
-        rx = rx_frontend(y_os, self.rx_cfg)
-        return ComplexSignal(rx.samples[:hi - lo], rx.sample_rate_hz)
+        link = self.draw_link(rng, pre, post, has_packet, span,
+                              noisy=math.isfinite(snr_db))
+        return self.rx_stream(link, snr_db)
 
-    def run_trial(self, rng: np.random.Generator, has_packet: bool,
-                  snr_db: float | None = None) -> TrialOutcome:
-        """One stream trial at snr_db (default: the config's SNR)."""
-        cfg = self.cfg
-        snr_db = cfg.snr_db if snr_db is None else snr_db
-        pre = int(rng.integers(*cfg.pre_pad_range))
-        y = self.receive(rng, snr_db, pre, cfg.post_pad, has_packet)
+    def run_trial(self, link: LinkDraw) -> TrialOutcome:
+        """The correlation detector on a drawn trial at the config's SNR."""
+        snr_db = self.cfg.snr_db
+        y = self.rx_stream(link, snr_db)
         res = coarse_detect(y, DETECTOR)
         fine = (fine_detect(y, res.start_sample, self.lts, DETECTOR)
                 if res.detected else -1)
-        return TrialOutcome(has_packet, pre if has_packet else -1,
+        return TrialOutcome(link.has_packet,
+                            link.pre if link.has_packet else -1,
                             res.detected, res.start_sample, fine, snr_db)
 
 
 def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
                           seed: int = 0, packet_fraction: float = 0.5,
-                          snr_range_db: tuple | None = None) -> list[TrialOutcome]:
-    """Run a batch of mixed packet / noise-only trials.
+                          snr_range_db: tuple | None = None,
+                          snrs_db: tuple | None = None
+                          ) -> list[list[TrialOutcome]]:
+    """Run a batch of mixed packet / noise-only trials at each SNR point;
+    returns one list of outcomes per point, trials in order.
 
-    When snr_range_db is given, each trial draws its own SNR uniformly from
-    the range and the simulator runs it at that SNR; otherwise every trial
-    uses trial_cfg.snr_db.
+    The points are snrs_db, or trial_cfg.snr_db alone.  Each trial is drawn
+    once and scored at every point, so the points are paired: they see the
+    same packets, positions, CFOs, channels and unit noise, and only the
+    noise scale differs.  A trial costs one link draw plus one rx front end
+    and detection per point.  When snr_range_db is given, each trial instead
+    draws its own SNR uniformly from the range and is scored at that one
+    point.
     """
+    if snr_range_db is not None and snrs_db is not None:
+        raise ValueError("give snr_range_db or snrs_db, not both")
+    snrs = (trial_cfg.snr_db,) if snrs_db is None else tuple(snrs_db)
     sim = StreamSimulator(trial_cfg)
-    outcomes = []
+    points = [sim.at_snr(snr) for snr in snrs]
+    # a non-finite point adds no noise, so draw it only for a finite one
+    noisy = snr_range_db is not None or any(map(math.isfinite, snrs))
+    outcomes = [[] for _ in points]
     for i in range(n_trials):
         rng = np.random.default_rng((seed, i))
-        snr = (float(rng.uniform(*snr_range_db)) if snr_range_db is not None
-               else None)
+        if snr_range_db is not None:
+            points = [sim.at_snr(float(rng.uniform(*snr_range_db)))]
         has_packet = bool(rng.uniform() < packet_fraction)
-        outcomes.append(sim.run_trial(rng, has_packet, snr))
+        pre = int(rng.integers(*trial_cfg.pre_pad_range))
+        link = sim.draw_link(rng, pre, trial_cfg.post_pad, has_packet,
+                             noisy=noisy)
+        for point, out in zip(points, outcomes):
+            out.append(point.run_trial(link))
     return outcomes
 
 

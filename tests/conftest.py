@@ -127,3 +127,55 @@ def oracle_apply_channel(sig, cfg, rng=None, signal_power=None, span=None):
         re, im = rng.standard_normal(n_out), rng.standard_normal(n_out)
         out = out + np.sqrt(sigma2 / 2) * (re[lo:hi] + 1j * im[lo:hi])
     return ComplexSignal(out, sig.sample_rate_hz)
+
+
+def oracle_receive(sim, rng, snr_db, pre, post, has_packet=True):
+    """The one-step StreamSimulator.receive that the draw + noise split
+    replaced, kept as the oracle: the link at one SNR, noise drawn and added
+    inside the channel (here the oracle channel)."""
+    from pktdetect.channel import ChannelConfig, draw_model_b_taps, rx_frontend
+    from pktdetect.preamble import PREAMBLE_LEN
+
+    tpl = sim.cfg.channel
+    os = tpl.os_factor
+    buf = np.zeros((pre + PREAMBLE_LEN + post) * os + len(sim.taps) - 1,
+                   dtype=np.complex128)
+    if has_packet:
+        buf[pre * os:pre * os + len(sim.x_os)] = sim.x_os
+    cfo = (float(rng.uniform(-tpl.cfo_max_hz, tpl.cfo_max_hz))
+           if tpl.cfo_max_hz else 0.0)
+    taps = (draw_model_b_taps(rng, sim.os_rate, tpl.rms_delay_spread_ns)
+            if tpl.multipath else np.ones(1))
+    ch = ChannelConfig(taps=taps, snr_db=snr_db, cfo_hz=cfo,
+                       timing_offset_samples=tpl.fractional_timing_offset)
+    n_rx = -(-(len(buf) + len(taps) - 1) // os)
+    y_os = oracle_apply_channel(ComplexSignal(buf, sim.os_rate), ch, rng=rng,
+                                signal_power=sim.p_signal_os)
+    rx = rx_frontend(y_os, sim.rx_cfg)
+    return ComplexSignal(rx.samples[:n_rx], rx.sample_rate_hz)
+
+
+def oracle_evaluate_conventional(trial_cfg, n_trials, seed=0,
+                                 packet_fraction=0.5, snr_range_db=None):
+    """The per-point trial loop that the shared one replaced, kept as the
+    oracle: every trial simulated afresh at trial_cfg.snr_db (or at its own
+    SNR drawn from snr_range_db)."""
+    from pktdetect.corrsync import coarse_detect, fine_detect
+    from pktdetect.streams import DETECTOR, StreamSimulator, TrialOutcome
+
+    sim = StreamSimulator(trial_cfg)
+    outcomes = []
+    for i in range(n_trials):
+        rng = np.random.default_rng((seed, i))
+        snr = (float(rng.uniform(*snr_range_db)) if snr_range_db is not None
+               else trial_cfg.snr_db)
+        has_packet = bool(rng.uniform() < packet_fraction)
+        pre = int(rng.integers(*trial_cfg.pre_pad_range))
+        y = oracle_receive(sim, rng, snr, pre, trial_cfg.post_pad, has_packet)
+        res = coarse_detect(y, DETECTOR)
+        fine = (fine_detect(y, res.start_sample, sim.lts, DETECTOR)
+                if res.detected else -1)
+        outcomes.append(TrialOutcome(has_packet, pre if has_packet else -1,
+                                     res.detected, res.start_sample, fine,
+                                     snr))
+    return outcomes

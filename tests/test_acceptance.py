@@ -114,12 +114,12 @@ def test_criterion_2_metric_invariants():
 
 def test_criterion_3_conventional_awgn():
     trial_cfg = streams.StreamTrialConfig(snr_db=20.0)
-    packet_trials = streams.evaluate_conventional(trial_cfg, 1_000, seed=101,
-                                                  packet_fraction=1.0)
+    packet_trials, = streams.evaluate_conventional(trial_cfg, 1_000, seed=101,
+                                                   packet_fraction=1.0)
     within2 = np.mean([o.detected and abs(o.fine_start - o.true_start) <= 2
                        for o in packet_trials])
-    mixed = streams.evaluate_conventional(trial_cfg, 2_000, seed=202,
-                                          packet_fraction=0.5)
+    mixed, = streams.evaluate_conventional(trial_cfg, 2_000, seed=202,
+                                           packet_fraction=0.5)
     s = streams.summarize(mixed)
     ok = (within2 >= 0.99 and s["miss_rate"] < 0.01
           and s["false_alarm_rate"] < 0.01)

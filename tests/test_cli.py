@@ -78,6 +78,17 @@ class TestGen:
         bad.write_text("{not json")
         assert main(["gen", "--spec", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("snr_range", [[0, "Infinity"], [0, "NaN"], [5]])
+    def test_nonfinite_snr_range_rejected(self, tmp_path, snr_range):
+        doc = json.loads(DatasetSpec(block_len=40, n_blocks=20).to_json())
+        doc["snr_range_db"] = snr_range
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc).replace('"Infinity"', "Infinity")
+                             .replace('"NaN"', "NaN"))
+        out = tmp_path / "out"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_invalid_channel_rejected_before_writing(self, tmp_path):
         # zero delay spread with multipath would give NaN taps and amplitudes
         doc = json.loads(DatasetSpec(block_len=40, n_blocks=20).to_json())
@@ -123,6 +134,23 @@ class TestEval:
     def test_requires_model_or_conventional(self, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("packets", ["0", "-3"])
+    def test_conventional_nonpositive_packets_rejected(self, tmp_path,
+                                                       packets):
+        out = tmp_path / "out" / "conv.csv"
+        assert main(["eval", "--conventional", "--packets", packets,
+                     "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("snr", [["--snr-db", "nan"],
+                                     ["--snr-range", "0", "nan"],
+                                     ["--snr-range", "0", "inf"]])
+    def test_conventional_bad_snr_rejected(self, tmp_path, snr):
+        out = tmp_path / "out" / "conv.csv"
+        assert main(["eval", "--conventional", "--packets", "5", *snr,
+                     "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
     def test_block_len_mismatch(self, workspace, tmp_path):
         assert main(["eval", "--model", str(workspace / "model.ckpt"),
                      "--data", str(workspace / "data"), "--block-len", "80",
@@ -143,9 +171,23 @@ class TestFlops:
         rows = _read_csv(out)
         assert rows[0] == ["detector", "muls_per_block", "adds_per_block",
                            "blocks_per_second", "mflops"]
-        assert len(rows) == 8  # header + six CNN rows + conventional
-        assert rows[-1][0] == "conventional"
+        # header + six CNN rows + the direct and running-sum correlators
+        assert len(rows) == 9
+        assert [r[0] for r in rows[-2:]] == ["conventional",
+                                             "conventional-recursive"]
         assert "MFLOPS" in capsys.readouterr().out
+
+    def test_all_has_running_sum_correlator(self, tmp_path):
+        # 31 real FLOPs per incoming sample at 1 MHz: the metric_trace form
+        out = tmp_path / "flops.csv"
+        assert main(["flops", "--all", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = {r["detector"]: r for r in csv.DictReader(fh)}
+        row = rows["conventional-recursive"]
+        assert (int(row["muls_per_block"]), int(row["adds_per_block"])) == (16, 15)
+        assert float(row["blocks_per_second"]) == 1e6
+        assert float(row["mflops"]) == 31.0
+        assert float(rows["conventional"]["mflops"]) == 1041.0
 
     def test_single_block_len(self, capsys):
         assert main(["flops", "--block-len", "160"]) == 0
@@ -177,6 +219,38 @@ class TestSweep:
 
     def test_requires_detector(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_points_scored_on_shared_trials(self, tmp_path):
+        # a repeated point sees the same trials, so its row repeats; inf is
+        # a noiseless point
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--conventional", "--snrs", "10,inf,10",
+                     "--packets", "12", "--seed", "3", "--out", str(out)]) == 0
+        rows = _read_csv(out)
+        assert [r[1] for r in rows[1:]] == ["10.0", "inf", "10.0"]
+        assert rows[1] == rows[3]
+
+    def test_model_sweep_needs_finite_points(self, workspace, tmp_path):
+        out = tmp_path / "out" / "sweep.csv"
+        assert main(["sweep", "--model", str(workspace / "model.ckpt"),
+                     "--conventional", "--snrs", "10,inf", "--packets", "5",
+                     "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("packets", ["0", "-3"])
+    def test_nonpositive_packets_rejected(self, tmp_path, packets):
+        out = tmp_path / "out" / "sweep.csv"
+        assert main(["sweep", "--conventional", "--snrs", "20",
+                     "--packets", packets, "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("snrs", ["5,,10", "nan", "10,NaN", "abc",
+                                      "5,-inf", ""])
+    def test_bad_snr_points_rejected(self, tmp_path, snrs):
+        out = tmp_path / "out" / "sweep.csv"
+        assert main(["sweep", "--conventional", f"--snrs={snrs}",
+                     "--packets", "5", "--out", str(out)]) == 2
+        assert not out.parent.exists()
 
 
 class TestParsing:

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import oracle_apply_channel
+from conftest import (oracle_apply_channel, oracle_evaluate_conventional,
+                      oracle_receive)
 from pktdetect import streams
 from pktdetect.channel import ChannelTemplate
 from pktdetect.preamble import PREAMBLE_LEN
@@ -85,24 +88,42 @@ class TestReceive:
 
 class TestRunTrial:
     def test_packet_trial_fields(self, awgn_sim):
-        out = awgn_sim.run_trial(np.random.default_rng(0), has_packet=True)
+        link = awgn_sim.draw_link(np.random.default_rng(0), 123, 100)
+        out = awgn_sim.run_trial(link)
         assert out.has_packet
-        assert 100 <= out.true_start < 300
+        assert out.true_start == 123
         assert out.snr_db == 20.0
 
     def test_noise_trial_fields(self, awgn_sim):
-        out = awgn_sim.run_trial(np.random.default_rng(1), has_packet=False)
+        link = awgn_sim.draw_link(np.random.default_rng(1), 123, 100,
+                                  has_packet=False)
+        out = awgn_sim.run_trial(link)
         assert not out.has_packet
         assert out.true_start == -1
 
     def test_high_snr_accuracy(self, awgn_sim):
         hits = 0
         for seed in range(20):
-            out = awgn_sim.run_trial(np.random.default_rng(seed),
-                                     has_packet=True)
+            rng = np.random.default_rng(seed)
+            pre = int(rng.integers(100, 300))
+            out = awgn_sim.run_trial(awgn_sim.draw_link(rng, pre, 100))
             if out.detected and abs(out.fine_start - out.true_start) <= 2:
                 hits += 1
         assert hits >= 19
+
+    def test_finite_snr_needs_noisy_draw(self, awgn_sim):
+        link = awgn_sim.draw_link(np.random.default_rng(0), 123, 100,
+                                  noisy=False)
+        assert link.noise is None
+        assert awgn_sim.at_snr(np.inf).run_trial(link).detected
+        with pytest.raises(ValueError):
+            awgn_sim.run_trial(link)
+
+    def test_at_snr_shares_transmit_side(self, awgn_sim):
+        sim = awgn_sim.at_snr(3.0)
+        assert sim.cfg == replace(awgn_sim.cfg, snr_db=3.0)
+        assert awgn_sim.cfg.snr_db == 20.0
+        assert sim.x_os is awgn_sim.x_os and sim.lts is awgn_sim.lts
 
 
 class TestEvaluate:
@@ -131,8 +152,99 @@ class TestEvaluate:
 
     def test_per_trial_snr_range(self):
         cfg = StreamTrialConfig()
-        outcomes = evaluate_conventional(cfg, 8, seed=4,
-                                         snr_range_db=(5.0, 15.0))
+        outcomes, = evaluate_conventional(cfg, 8, seed=4,
+                                          snr_range_db=(5.0, 15.0))
         snrs = {o.snr_db for o in outcomes}
         assert all(5.0 <= s <= 15.0 for s in snrs)
         assert len(snrs) > 1
+
+
+SWEEP_CHANNELS = [ChannelTemplate(multipath=False, cfo_max_hz=0.0),
+                  ChannelTemplate()]
+POINTS = (0.0, 10.0, 25.0, np.inf, 10.0)
+
+
+@pytest.mark.parametrize("channel", SWEEP_CHANNELS,
+                         ids=["awgn", "multipath-cfo"])
+@pytest.mark.parametrize("seed", [1, 9001])
+class TestSharedSweep:
+    """evaluate_conventional draws each trial once and scores it at every
+    point; the per-point loop it replaced is the oracle."""
+
+    def test_outcomes_match_per_point_loop(self, channel, seed):
+        cfg = StreamTrialConfig(channel=channel)
+        per_point = evaluate_conventional(cfg, 40, seed=seed, snrs_db=POINTS)
+        assert len(per_point) == len(POINTS)
+        for snr, outcomes in zip(POINTS, per_point):
+            assert outcomes == oracle_evaluate_conventional(
+                replace(cfg, snr_db=snr), 40, seed=seed)
+
+    def test_rx_streams_equal_receive(self, channel, seed, monkeypatch):
+        cfg = StreamTrialConfig(channel=channel)
+        seen = []
+        coarse = streams.coarse_detect
+
+        def recording(y, *args):
+            seen.append(y.samples.tobytes())
+            return coarse(y, *args)
+
+        monkeypatch.setattr(streams, "coarse_detect", recording)
+        n = 6
+        evaluate_conventional(cfg, n, seed=seed, snrs_db=POINTS)
+        monkeypatch.setattr(streams, "coarse_detect", coarse)
+        assert len(seen) == n * len(POINTS)
+        sim = StreamSimulator(cfg)
+        for i in range(n):
+            for k, snr in enumerate(POINTS):
+                rng = np.random.default_rng((seed, i))
+                has_packet = bool(rng.uniform() < 0.5)
+                pre = int(rng.integers(*cfg.pre_pad_range))
+                y = sim.receive(rng, snr, pre, cfg.post_pad, has_packet)
+                assert seen[i * len(POINTS) + k] == y.samples.tobytes()
+                if i == 0:  # and, within rounding, the one-step oracle link
+                    rng = np.random.default_rng((seed, i))
+                    rng.uniform(), rng.integers(*cfg.pre_pad_range)
+                    ref = oracle_receive(sim, rng, snr, pre, cfg.post_pad,
+                                         has_packet).samples
+                    np.testing.assert_allclose(y.samples, ref, rtol=0,
+                                               atol=1e-12)
+
+    def test_run_trial_once_per_trial_and_point(self, channel, seed,
+                                               monkeypatch):
+        calls, inits, links = [], [], []
+        run_trial = StreamSimulator.run_trial
+        init = StreamSimulator.__init__
+        apply_channel = streams.apply_channel
+
+        def recording_trial(self, *args, **kwargs):
+            calls.append(self.cfg.snr_db)
+            return run_trial(self, *args, **kwargs)
+
+        def recording_init(self, *args, **kwargs):
+            inits.append(1)
+            init(self, *args, **kwargs)
+
+        def recording_channel(*args, **kwargs):
+            links.append(1)
+            return apply_channel(*args, **kwargs)
+
+        monkeypatch.setattr(StreamSimulator, "run_trial", recording_trial)
+        monkeypatch.setattr(StreamSimulator, "__init__", recording_init)
+        monkeypatch.setattr(streams, "apply_channel", recording_channel)
+        evaluate_conventional(StreamTrialConfig(channel=channel), 7,
+                              seed=seed, snrs_db=POINTS)
+        assert calls == list(POINTS) * 7
+        assert len(inits) == 1 and len(links) == 7
+
+    def test_snr_range_matches_per_point_loop(self, channel, seed):
+        cfg = StreamTrialConfig(channel=channel)
+        outcomes, = evaluate_conventional(cfg, 40, seed=seed,
+                                          snr_range_db=(0.0, 25.0))
+        assert outcomes == oracle_evaluate_conventional(
+            cfg, 40, seed=seed, snr_range_db=(0.0, 25.0))
+
+
+def test_points_and_range_exclusive():
+    with pytest.raises(ValueError):
+        evaluate_conventional(StreamTrialConfig(), 1, snrs_db=(10.0,),
+                              snr_range_db=(0.0, 5.0))
