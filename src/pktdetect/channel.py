@@ -41,17 +41,22 @@ class ChannelTemplate:
 
 @dataclass
 class ChannelConfig:
-    """Impairment parameters; taps are power-normalized at construction."""
+    """Impairment parameters; taps are power-normalized at construction.
+
+    One channel, or rows of channels (see apply_channel): taps of shape
+    (rows, n_taps), each row normalized on its own, and cfo_hz one value
+    or one per row.
+    """
 
     taps: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=np.complex128))
     snr_db: float = np.inf
-    cfo_hz: float = 0.0
+    cfo_hz: float | np.ndarray = 0.0
     timing_offset_samples: float = 0.0
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.complex128)
-        power = (np.abs(taps) ** 2).sum()
-        if power == 0:
+        power = (np.abs(taps) ** 2).sum(axis=-1, keepdims=True)
+        if not power.all():
             raise ValueError("channel taps must carry nonzero power")
         self.taps = taps / np.sqrt(power)
         if math.isnan(self.snr_db):
@@ -106,13 +111,13 @@ def _model_b_tap_scale(os_rate_hz: float, rms_delay_spread_ns: float) -> np.ndar
 def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
                   rng: np.random.Generator | None = None,
                   signal_power: float | None = None,
-                  span: tuple[int, int] | None = None) -> ComplexSignal:
+                  span: tuple | None = None) -> ComplexSignal:
     """Multipath + CFO + timing offset + AWGN, in that order.
 
     The channel is applied as a *linear* convolution with tail retention
     (a streaming receiver never sees the block-circular idealization).
     Noise variance is set against `signal_power` when one is given (the
-    link passes the transmit signal's power, see StreamSimulator.receive);
+    link passes the transmit signal's power, see StreamSimulator.draw_link);
     otherwise against the mean power of the clean convolved signal over its
     nonzero support, measured before the timing offset.  Either way the
     zero-padded stretches, the delay prefix included, carry pure white noise
@@ -122,13 +127,22 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
     and rotated: the zero stretches around it give exactly zero before the
     noise, so they carry noise only, and a zero input skips the convolution
     and the CFO altogether.  The convolution is one shifted multiply-add per
-    tap; against a complex np.convolve it agrees to 1e-15 relative in
-    float64 with multipath and bit for bit with a single tap.
+    tap, in tap order; against a complex np.convolve it agrees to 1e-15
+    relative in float64 with multipath and bit for bit with a single tap.
 
     With span=(lo, hi), only output samples [lo, hi) are computed, from the
     input samples they depend on.  The noise is still drawn for the whole
     output, so the result equals that slice of the output without a span
     and rng is left in the same state.  A span needs signal_power.
+
+    Rows: with taps of shape (rows, n_taps) (see ChannelConfig), each row
+    is the channel of its own taps and CFO applied to the same input, and
+    the output has one row per row.  lo and hi may then be one per row, the
+    same hi - lo for every row.  Rows are noiseless (snr_db infinite).  The
+    work is done for all rows at once, over the union of their spans'
+    convolved support, and each row gets the values it would get alone: a
+    zero outside its own support may differ in sign, which adding noise
+    (add_noise) removes.
     """
     x, taps = sig.samples, cfg.taps
     if len(x) == 0:
@@ -138,39 +152,64 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
     noisy = math.isfinite(cfg.snr_db)
     if noisy and rng is None:
         raise ValueError("a finite snr_db needs rng")
+    if noisy and taps.ndim > 1:
+        raise ValueError("rows of channels are noiseless")
+    taps = taps.reshape(-1, taps.shape[-1])  # one row per channel
+    rows, n_taps = taps.shape
     n0 = math.floor(cfg.timing_offset_samples)
     frac = cfg.timing_offset_samples - n0
     delay = int(frac > 0)  # the fractional delay reads one earlier sample
-    n_conv = len(x) + len(taps) - 1
+    n_conv = len(x) + n_taps - 1
     n_out = n_conv + n0
     lo, hi = (0, n_out) if span is None else span
-    if not 0 <= lo <= hi <= n_out:
-        raise ValueError(f"span must lie within [0, {n_out}]")
+    lo = np.zeros(rows, dtype=np.int64) + lo  # one start per row
+    widths = (hi - lo).tolist()
+    m, lo_min, lo_max = widths[0], min(lo.tolist()), max(lo.tolist())
+    if lo_min < 0 or lo_max + m > n_out or m < 0 or min(widths) != max(widths):
+        raise ValueError(f"span must lie within [0, {n_out}], "
+                         "one length for all rows")
     if span is not None and signal_power is None and noisy:
         raise ValueError("a span needs an explicit signal_power")
     # convolved sample c feeds output c + n0 (and c + n0 + 1 when
-    # fractionally delayed); outputs [lo, hi) read convolved [first, hi - n0)
-    first = lo - n0 - delay
+    # fractionally delayed); a row's outputs [lo, hi) read convolved
+    # [first, first + m + delay), here columns [0, m + delay)
+    first = lo - (n0 + delay)
     nonzero = x != 0
     head = int(nonzero.argmax())
-    i0 = i1 = 0  # the convolved support of the nonzero input, cut to that
+    j0 = j1 = 0  # the columns of the convolved support of the nonzero input
     if nonzero[head]:
-        i0 = max(first, head)
-        i1 = min(hi - n0, len(x) - int(nonzero[::-1].argmax()) + len(taps) - 1)
-    out = np.zeros(hi - lo, dtype=np.complex128)
-    if i1 > i0:
-        z = np.zeros(i1 - i0, dtype=np.complex128)
-        for k, t in enumerate(taps):  # z[c] += taps[k] * x[c - k]
-            j0, j1 = max(i0 - k, 0), min(i1 - k, len(x))
-            if j1 > j0:
-                z[j0 + k - i0:j1 + k - i0] += t * x[j0:j1]
-        if cfg.cfo_hz != 0.0:
+        end = len(x) - int(nonzero[::-1].argmax()) + n_taps - 1
+        j0 = max(head - (lo_max - n0 - delay), 0)
+        j1 = min(end - (lo_min - n0 - delay), m + delay)
+    out = np.zeros((rows, m), dtype=np.complex128)
+    if j1 > j0:
+        # each row's input samples [s, s + width) feed its columns [j0, j1),
+        # zero outside x
+        width = j1 - j0 + n_taps - 1
+        s_min = lo_min - n0 - delay + j0 - (n_taps - 1)
+        s_end = lo_max - n0 - delay + j0 - (n_taps - 1) + width
+        xp, pad = x, 0
+        if s_min < 0 or s_end > len(x):
+            pad = max(-s_min, 0)
+            xp = np.zeros(pad + max(len(x), s_end), dtype=np.complex128)
+            xp[pad:pad + len(x)] = x
+        if rows == 1:  # a view, not a gather
+            xs = xp[None, s_min + pad:s_min + pad + width]
+        else:
+            s = first + (j0 - (n_taps - 1) + pad)
+            xs = xp[s[:, None] + np.arange(width)]
+        z = np.zeros((rows, j1 - j0), dtype=np.complex128)
+        for k in range(n_taps):  # z[c] += taps[k] * x[c - k]
+            z += taps[:, k, None] * xs[:, n_taps - 1 - k:width - k]
+        cfo = np.asarray(cfg.cfo_hz)  # one, or one per row
+        if cfo.any():
             # cos + i sin of the phase, which is what exp(2j*pi*f*n/fs)
             # computes: numpy divides a complex by a real as a multiply by
             # the reciprocal, so the phase is scaled by 1/fs, not divided
-            phase = np.arange(i0, i1) * (2 * np.pi * cfg.cfo_hz)
+            n = (first + j0)[:, None] + np.arange(j1 - j0)
+            phase = n * (2 * np.pi * cfo).reshape(-1, 1)
             phase *= 1 / sig.sample_rate_hz
-            rot = np.empty(len(phase), dtype=np.complex128)
+            rot = np.empty(phase.shape, dtype=np.complex128)
             rot.real, rot.imag = np.cos(phase), np.sin(phase)
             z *= rot
         if signal_power is None and noisy:
@@ -178,35 +217,46 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
             signal_power = float(np.mean(z_abs[z_abs > 0] ** 2))
         if delay:
             # first-order fractional delay; adequate on the oversampled grid
-            padded = np.zeros(len(z) + 2, dtype=np.complex128)
-            padded[1:-1] = z
-            z = (1 - frac) * padded[1:] + frac * padded[:-1]
-        # z now holds the outputs reading convolved [i0 - delay, i1)
-        c0, c1 = max(i0 - delay, first), min(i1, hi - n0 - delay)
-        out[c0 - first:c1 - first] = z[c0 - i0 + delay:c1 - i0 + delay]
+            padded = np.zeros((rows, z.shape[1] + 2), dtype=np.complex128)
+            padded[:, 1:-1] = z
+            z = (1 - frac) * padded[:, 1:] + frac * padded[:, :-1]
+        # z now holds the outputs reading convolved columns [j0 - delay, j1)
+        c0, c1 = max(j0 - delay, 0), min(j1, m)
+        out[:, c0:c1] = z[:, c0 - j0 + delay:c1 - j0 + delay]
+    if cfg.taps.ndim == 1:
+        out = out[0]
     if noisy:
         # full-length draws keep every pinned dataset byte-identical
         re, im = rng.standard_normal(n_out), rng.standard_normal(n_out)
         # an all-zero input without signal_power has no reference: 0 noise
-        add_noise(out, re[lo:hi], im[lo:hi], signal_power or 0.0, cfg.snr_db)
+        add_noise(out, re[lo_min:lo_min + m], im[lo_min:lo_min + m],
+                  signal_power or 0.0, cfg.snr_db)
     return ComplexSignal(out, sig.sample_rate_hz)
 
 
 def add_noise(out: np.ndarray, re: np.ndarray, im: np.ndarray,
-              signal_power: float, snr_db: float) -> None:
+              signal_power: float, snr_db) -> None:
     """Add complex white noise at snr_db against signal_power to out, in
-    place, scaled from the unit normals re and im (out's length each): the
+    place, scaled from the unit normals re and im (out's shape each): the
     noise variance is signal_power * 10^(-snr_db/10), split evenly between
-    the real and imaginary parts.  A non-finite snr_db adds none."""
-    if not math.isfinite(snr_db):
+    the real and imaginary parts.  snr_db is one value, or an array of one
+    finite value per row of a 2-D out.  A non-finite single snr_db adds
+    none."""
+    def scale(snr):  # in Python floats, so a row gets a lone stream's bits
+        return math.sqrt(signal_power * 10.0 ** (-snr / 10.0) / 2)
+
+    if isinstance(snr_db, np.ndarray):
+        g = np.array([[scale(snr)] for snr in snr_db.tolist()])
+    elif math.isfinite(snr_db):
+        g = scale(snr_db)
+    else:
         return
-    sigma2 = signal_power * 10.0 ** (-snr_db / 10.0)
-    g = math.sqrt(sigma2 / 2)
     out.real += g * re
     out.imag += g * im
 
 
-def rx_frontend(sig: ComplexSignal, cfg: RxFrontendConfig) -> ComplexSignal:
+def rx_frontend(sig: ComplexSignal, cfg: RxFrontendConfig,
+                n_out: int | None = None) -> ComplexSignal:
     """Matched filter, group-delay compensation, decimation to the base rate.
 
     Assumes the transmit interpolation filter had the same length and taps
@@ -217,13 +267,23 @@ def rx_frontend(sig: ComplexSignal, cfg: RxFrontendConfig) -> ComplexSignal:
     Polyphase decimation (Crochiere & Rabiner, *Multirate DSP*, 1983): only
     the kept outputs are computed, output k as the inner product of the
     reversed taps with input samples [k*os, k*os + len(taps)), zero past
-    the end of the input.
+    the end of the input.  The outputs kept are the first n_out, by default
+    every one whose window starts inside the input.  A 2-D input is rows of
+    streams (time along the last axis), each filtered on its own.
     """
     h, os = cfg.matched_taps, cfg.os_factor
-    n = -(-len(sig.samples) // os)
-    y = np.zeros(n * os + len(h) - 1, dtype=np.complex128)
-    y[:len(sig.samples)] = sig.samples
-    windows = as_strided(y, shape=(n, len(h)),
-                         strides=(os * y.itemsize, y.itemsize))
+    x = sig.samples
+    n = -(-x.shape[-1] // os) if n_out is None else n_out
+    # at least two outputs: numpy's matmul sends a single one to BLAS dot,
+    # which sums in another order
+    n_calc = max(n, 2)
+    y = x
+    if x.shape[-1] < (n_calc - 1) * os + len(h):
+        y = np.zeros(x.shape[:-1] + ((n_calc - 1) * os + len(h),),
+                     dtype=np.complex128)
+        y[..., :x.shape[-1]] = x
+    step = y.strides[-1]
+    windows = as_strided(y, shape=y.shape[:-1] + (n_calc, len(h)),
+                         strides=y.strides[:-1] + (os * step, step))
     out = windows @ (h[::-1] / os)
-    return ComplexSignal(out, sig.sample_rate_hz / os)
+    return ComplexSignal(out[..., :n], sig.sample_rate_hz / os)

@@ -74,6 +74,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _rate(x) -> str:
+    """A rate for the console: four decimals, or None when it has no
+    denominator."""
+    return "None" if x is None else f"{x:.4f}"
+
+
 def _find_dataset(data_dir: Path, block_len: int) -> Path:
     for man in sorted(data_dir.glob("*.manifest.json")):
         try:
@@ -167,8 +173,8 @@ def cmd_eval(args) -> int:
                                  [abs(o.fine_start - o.true_start) for o in tp])
         _write_eval_outputs(out, per_snr, summary["miss_rate"],
                             summary["false_alarm_rate"])
-        print(f"conventional: miss {summary['miss_rate']:.4f}, "
-              f"false alarm {summary['false_alarm_rate']:.4f}, "
+        print(f"conventional: miss {_rate(summary['miss_rate'])}, "
+              f"false alarm {_rate(summary['false_alarm_rate'])}, "
               f"mae {summary['mae']}")
     else:
         if not args.model:
@@ -182,8 +188,9 @@ def cmd_eval(args) -> int:
         metrics = cnn.evaluate(model, test_blocks)
         _write_eval_outputs(out, metrics.per_snr, metrics.miss_rate,
                             metrics.false_alarm_rate)
-        print(f"cnn: miss {metrics.miss_rate:.4f}, "
-              f"false alarm {metrics.false_alarm_rate:.4f}, mae {metrics.mae}")
+        print(f"cnn: miss {_rate(metrics.miss_rate)}, "
+              f"false alarm {_rate(metrics.false_alarm_rate)}, "
+              f"mae {metrics.mae}")
     _write_manifest(out.parent, "eval", vars(args))
     return 0
 

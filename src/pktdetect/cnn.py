@@ -148,8 +148,8 @@ def mae_by_snr(snrs: np.ndarray, errors: np.ndarray) -> tuple:
 @dataclass(frozen=True)
 class EvalMetrics:
     mae: float | None
-    miss_rate: float
-    false_alarm_rate: float
+    miss_rate: float | None         # None without START blocks
+    false_alarm_rate: float | None  # None without blocks free of a start
     per_snr: tuple  # rows of (bin_lo, bin_hi, mae_or_None, n)
 
 
@@ -158,6 +158,7 @@ def evaluate(model: CnnModel, blocks: np.ndarray) -> EvalMetrics:
 
     A block is detected when its score reaches the detect threshold; its
     start estimate is the score rounded and clamped to [0, block_len - 1].
+    A rate or MAE with no block to average over is None, not 0.
     """
     if len(blocks) == 0:
         raise ValueError("block array must be non-empty")
@@ -168,8 +169,9 @@ def evaluate(model: CnnModel, blocks: np.ndarray) -> EvalMetrics:
     starts = np.rint(np.clip(scores, 0.0, cfg.block_len - 1))
 
     has_start = labels >= 0
-    miss = float(np.mean(~detected[has_start])) if has_start.any() else 0.0
-    false_alarm = float(np.mean(detected[~has_start])) if (~has_start).any() else 0.0
+    miss = float(np.mean(~detected[has_start])) if has_start.any() else None
+    false_alarm = (float(np.mean(detected[~has_start]))
+                   if (~has_start).any() else None)
 
     tp = has_start & detected
     err = np.abs(starts - labels)

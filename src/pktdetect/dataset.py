@@ -6,7 +6,10 @@ amplitude block |y| ("amp") tagged with the packet-start sample ("label",
 -1 when the block holds no start), the SNR used for the simulation ("snr")
 and the block kind ("kind": packet start / pure noise / packet
 mid-or-tail).  Generation is deterministic given the spec seed: every block
-draws from its own (seed, index) substream.
+draws from its own (seed, index) substream.  It runs CHUNK_BLOCKS blocks
+at a time: first each block makes its draws, then the chunk's blocks are
+computed together as rows of 2-D arrays, each for only the samples it
+keeps (see `generate`).
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from .preamble import PREAMBLE_LEN
 from .channel import ChannelTemplate
-from .streams import StreamSimulator, StreamTrialConfig
+from .streams import LinkDraw, StreamSimulator, StreamTrialConfig
 # Unused here, kept because the benchmark's tracer (bench/tracing.py) swaps
 # these four names in this module's namespace and fails if one is missing;
 # the link looks them up in streams.
@@ -29,6 +32,11 @@ from .preamble import default_preamble_spec  # noqa: F401
 from .channel import apply_channel, draw_model_b_taps, rx_frontend  # noqa: F401
 
 FORMAT_VERSION = 1
+# blocks computed together by generate: enough to spread the per-call cost
+# of the link over many blocks, few enough that each of the chunk's 2-D
+# temporaries stays near 350 kB at block_len 160, in cache and off the peak
+# resident size
+CHUNK_BLOCKS = 32
 
 
 class DatasetError(Exception):
@@ -96,40 +104,81 @@ def generate(spec: DatasetSpec) -> np.ndarray:
     """Generate the labeled blocks for one dataset spec.
 
     Each block is cut from one link stream: `block_len` samples of noise,
-    the NDP, then `block_len + 16` more.  Only the stream samples that the
-    block's kind can read are simulated, with the same random draws as the
-    whole stream.
+    the NDP, then `block_len + 16` more.  Blocks are made CHUNK_BLOCKS at a
+    time, in two phases:
+
+    - draws: each block draws from its own (seed, index) substream, in the
+      order of a whole-stream simulation: SNR, kind, then for a START or
+      MID_TAIL block the CFO, the multipath taps, the two full-length
+      unit-noise vectors and the window position (tau or w0), for a
+      NOISE_ONLY block two block-length unit-noise vectors;
+    - compute: the chunk's START and MID_TAIL blocks run through the channel
+      and the rx front end together, one row each, for only the block_len
+      rx samples each keeps (the channel output under them and that slice
+      of its noise), and the NOISE_ONLY blocks are scaled together.
+
+    A row's arithmetic is that of its stream simulated alone, so the bytes
+    do not depend on the chunking.
     """
     sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
-    b = spec.block_len
-    lo_snr, hi_snr = spec.snr_range_db
+    b, os = spec.block_len, spec.channel.os_factor
+    # plain ints: an enum member lookup costs microseconds per block
+    START, NOISE_ONLY, MID_TAIL = map(int, (Kind.START, Kind.NOISE_ONLY,
+                                            Kind.MID_TAIL))
+    tx = sim.tx_stream(pre=b, post=b + 16)
+    # channel output samples under b rx samples, from the window's first
+    width = (b - 1) * os + len(sim.taps)
     blocks = np.zeros(spec.n_blocks, dtype=record_dtype(b))
-    for i in range(spec.n_blocks):
-        rng = np.random.default_rng((spec.seed, i))
-        snr = float(rng.uniform(lo_snr, hi_snr))
-        if rng.uniform() < spec.frac_no_start:
-            kind = (Kind.NOISE_ONLY
-                    if rng.uniform() < spec.frac_noise_within_no_start
-                    else Kind.MID_TAIL)
-        else:
-            kind = Kind.START
-        if kind == Kind.NOISE_ONLY:
-            sigma2 = sim.noise_sigma2(snr)
-            w = np.sqrt(sigma2 / 2) * (rng.standard_normal(b)
-                                       + 1j * rng.standard_normal(b))
-            blocks[i] = (np.abs(w), -1.0, snr, kind)
-            continue
-        # simulate only the samples this kind can read: tau, drawn after the
-        # stream, puts a START block anywhere in [1, 2b)
-        lo, hi = ((1, 2 * b) if kind == Kind.START
-                  else (b + 1, 2 * b + PREAMBLE_LEN))
-        y = sim.receive(rng, snr, pre=b, post=b + 16, span=(lo, hi)).samples
-        if kind == Kind.START:
-            tau = int(rng.integers(0, b))
-            w0, label = b - tau, tau
-        else:
-            w0, label = int(rng.integers(b + 1, b + PREAMBLE_LEN + 1)), -1.0
-        blocks[i] = (np.abs(y[w0 - lo:w0 - lo + b]), label, snr, kind)
+    unit = np.empty((CHUNK_BLOCKS, 2, width))  # unit noise under each window
+    unit_noise = np.empty((CHUNK_BLOCKS, 2, b))  # that of NOISE_ONLY blocks
+    full = None  # one stream's two full-length noise vectors, reused
+    for c0 in range(0, spec.n_blocks, CHUNK_BLOCKS):
+        chunk = blocks[c0:c0 + CHUNK_BLOCKS]
+        n = len(chunk)
+        snr, label = np.empty(n), np.full(n, -1.0)
+        kind = np.empty(n, dtype=np.uint8)
+        cfo, taps, lo = [], [], []  # per link block, in chunk order
+        g_noise = []  # noise scale per NOISE_ONLY block, in chunk order
+        for r in range(n):
+            rng = np.random.default_rng((spec.seed, c0 + r))
+            snr[r] = s = float(rng.uniform(*spec.snr_range_db))
+            if rng.uniform() < spec.frac_no_start:
+                k = (NOISE_ONLY if rng.uniform() < spec.frac_noise_within_no_start
+                     else MID_TAIL)
+            else:
+                k = START
+            kind[r] = k
+            if k == NOISE_ONLY:
+                rng.standard_normal(out=unit_noise[len(g_noise), 0])
+                rng.standard_normal(out=unit_noise[len(g_noise), 1])
+                g_noise.append(np.sqrt(sim.noise_sigma2(s) / 2))
+                continue
+            f, t = sim.draw_channel(rng)
+            if full is None:
+                full = np.empty((2, len(tx) + len(t) - 1))
+            rng.standard_normal(out=full[0])
+            rng.standard_normal(out=full[1])
+            if k == START:
+                tau = int(rng.integers(0, b))
+                w0, label[r] = b - tau, tau
+            else:
+                w0 = int(rng.integers(b + 1, b + PREAMBLE_LEN + 1))
+            unit[len(lo)] = full[:, w0 * os:w0 * os + width]
+            cfo.append(f)
+            taps.append(t)
+            lo.append(w0 * os)
+        noise_only = kind == NOISE_ONLY
+        if lo:
+            lo, m = np.array(lo), len(lo)
+            clean = sim.channel(tx, np.array(cfo), np.stack(taps), lo, lo + width)
+            link = LinkDraw(b, True, clean, (unit[:m, 0], unit[:m, 1]), b)
+            rx = sim.rx_stream(link, snr[~noise_only])
+            chunk["amp"][~noise_only] = np.abs(rx.samples)
+        if g_noise:
+            re, im = unit_noise[:len(g_noise), 0], unit_noise[:len(g_noise), 1]
+            w = np.array(g_noise)[:, None] * (re + 1j * im)
+            chunk["amp"][noise_only] = np.abs(w)
+        chunk["label"], chunk["snr"], chunk["kind"] = label, snr, kind
     return blocks
 
 

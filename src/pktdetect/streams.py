@@ -1,15 +1,18 @@
 """The one tx -> channel -> rx link, and full-stream NDP trials on it.
 
 `StreamSimulator` builds the oversampled NDP once and pushes it (or nothing,
-for a noise-only stream) through the channel and the receiver front end on
-each call.  Dataset generation cuts its labeled blocks from these streams;
-stream trials score the correlation detector, always at `DETECTOR`, on
-them: start-sample error, miss rate and false-alarm rate.
+for a noise-only stream) through the channel and the receiver front end.
+Dataset generation cuts its labeled blocks from these streams; stream
+trials score the correlation detector, always at `DETECTOR`, on them:
+start-sample error, miss rate and false-alarm rate.
 
 A stream is made in two steps.  `draw_link` makes the link's random draws
 (CFO, multipath taps, unit noise) and the noiseless channel output;
 `rx_stream` scales the unit noise to an SNR, adds it and runs the rx front
-end.  No draw of a trial (packet or not, its position, the link draws)
+end.  Both steps also take rows of streams of one geometry (a leading row
+axis, one SNR per row), which is how `dataset.generate` runs a chunk of
+blocks at once; a single stream is the one-row case of the same code.
+No draw of a trial (packet or not, its position, the link draws)
 depends on the SNR, so an SNR sweep draws each trial once and scores it at
 every point: one link simulation per trial plus one rx front end and
 detection per point.  The points are paired:
@@ -56,8 +59,9 @@ class TrialOutcome:
 
 
 class LinkDraw(NamedTuple):
-    """What `StreamSimulator.draw_link` drew for one stream: everything but
-    the noise scale, which is all that depends on the SNR."""
+    """What `StreamSimulator.draw_link` drew for one stream, or for rows of
+    streams (a leading row axis on clean and noise): everything but the
+    noise scale, which is all that depends on the SNR."""
     pre: int
     has_packet: bool
     clean: np.ndarray   # noiseless oversampled channel output over the span
@@ -88,7 +92,7 @@ class StreamSimulator:
 
     def noise_sigma2(self, snr_db: float) -> float:
         """Base-rate noise variance of the rx stream at an SNR, set against
-        the transmit power `p_signal_os` as in `receive`."""
+        the transmit power `p_signal_os` as in `rx_stream`."""
         return self.p_signal_os * 10.0 ** (-snr_db / 10.0) * self.noise_gain
 
     def at_snr(self, snr_db: float) -> "StreamSimulator":
@@ -98,68 +102,76 @@ class StreamSimulator:
         sim.cfg = replace(self.cfg, snr_db=snr_db)
         return sim
 
-    def draw_link(self, rng: np.random.Generator, pre: int, post: int,
-                  has_packet: bool = True, span: tuple[int, int] | None = None,
-                  noisy: bool = True) -> LinkDraw:
-        """The SNR-free part of one `receive` stream: the CFO, then the
-        multipath taps, the noiseless channel output, then (when noisy) the
-        two unit-normal noise vectors, drawn from rng in that order."""
-        tpl = self.cfg.channel
-        os = tpl.os_factor
+    def tx_stream(self, pre: int, post: int,
+                  has_packet: bool = True) -> np.ndarray:
+        """The oversampled transmit stream: `pre` samples, the NDP (zeros
+        when has_packet is false), `post` samples, then the filter tail."""
+        os = self.cfg.channel.os_factor
         buf = np.zeros((pre + PREAMBLE_LEN + post) * os + len(self.taps) - 1,
                        dtype=np.complex128)
         if has_packet:
             buf[pre * os:pre * os + len(self.x_os)] = self.x_os
+        return buf
+
+    def draw_channel(self, rng: np.random.Generator) -> tuple:
+        """(CFO in Hz, multipath taps) of one stream, drawn from rng in that
+        order."""
+        tpl = self.cfg.channel
         cfo = (float(rng.uniform(-tpl.cfo_max_hz, tpl.cfo_max_hz))
                if tpl.cfo_max_hz else 0.0)
         taps = (draw_model_b_taps(rng, self.os_rate, tpl.rms_delay_spread_ns)
                 if tpl.multipath else np.ones(1))
-        ch = ChannelConfig(taps=taps, cfo_hz=cfo,
-                           timing_offset_samples=tpl.fractional_timing_offset)
+        return cfo, taps
+
+    def channel(self, tx: np.ndarray, cfo, taps: np.ndarray, lo,
+                hi) -> np.ndarray:
+        """Noiseless channel output samples [lo, hi) of the transmit stream
+        tx for one drawn channel, or for rows of them (cfo, taps, lo and hi
+        one per row; see apply_channel)."""
+        offset = self.cfg.channel.fractional_timing_offset
+        ch = ChannelConfig(taps=taps, cfo_hz=cfo, timing_offset_samples=offset)
+        return apply_channel(ComplexSignal(tx, self.os_rate), ch,
+                             span=(lo, hi)).samples
+
+    def draw_link(self, rng: np.random.Generator, pre: int, post: int,
+                  has_packet: bool = True, span: tuple[int, int] | None = None,
+                  noisy: bool = True) -> LinkDraw:
+        """One stream's link: the CFO, then the multipath taps, the
+        noiseless channel output, then (when noisy) the two unit-normal
+        noise vectors, drawn from rng in that order.  With span=(lo, hi),
+        only rx samples [lo, hi) are kept; the draws are the same."""
+        os = self.cfg.channel.os_factor
+        tx = self.tx_stream(pre, post, has_packet)
+        cfo, taps = self.draw_channel(rng)
         # channel output length: the timing offset is below one sample
-        n_os = len(buf) + len(taps) - 1
+        n_os = len(tx) + len(taps) - 1
         n_rx = -(-n_os // os)
         lo, hi = (0, n_rx) if span is None else span
         if not 0 <= lo < hi <= n_rx:
             raise ValueError(f"span must lie within [0, {n_rx}]")
         # rx sample m reads channel output samples [m*os, m*os + rx taps)
         os_lo, os_hi = lo * os, min((hi - 1) * os + len(self.taps), n_os)
-        clean = apply_channel(ComplexSignal(buf, self.os_rate), ch,
-                              span=(os_lo, os_hi)).samples
+        clean = self.channel(tx, cfo, taps, os_lo, os_hi)
         noise = None
         if noisy:
-            # full-length draws, as apply_channel makes them
+            # full-length draws keep every pinned output byte-identical
             re, im = rng.standard_normal(n_os), rng.standard_normal(n_os)
             noise = (re[os_lo:os_hi], im[os_lo:os_hi])
         return LinkDraw(pre, has_packet, clean, noise, hi - lo)
 
-    def rx_stream(self, link: LinkDraw, snr_db: float) -> ComplexSignal:
-        """The 1 MHz rx stream of a drawn link at snr_db: its unit noise
-        scaled against `p_signal_os` and added to the channel output, then
+    def rx_stream(self, link: LinkDraw, snr_db) -> ComplexSignal:
+        """The 1 MHz rx stream of a drawn link at snr_db (one per row for
+        rows): its unit noise scaled against `p_signal_os`, the transmit
+        signal's mean power over its support (not the realized
+        multipath-convolved power), and added to the channel output, then
         the rx front end."""
         y = link.clean.copy()
-        if math.isfinite(snr_db):
+        if isinstance(snr_db, np.ndarray) or math.isfinite(snr_db):
             if link.noise is None:
                 raise ValueError("a finite snr_db needs a noisy link draw")
             add_noise(y, *link.noise, self.p_signal_os, snr_db)
-        rx = rx_frontend(ComplexSignal(y, self.os_rate), self.rx_cfg)
-        return ComplexSignal(rx.samples[:link.n_rx], rx.sample_rate_hz)
-
-    def receive(self, rng: np.random.Generator, snr_db: float, pre: int,
-                post: int, has_packet: bool = True,
-                span: tuple[int, int] | None = None) -> ComplexSignal:
-        """The 1 MHz rx stream of `pre` samples, the NDP (noise only when
-        has_packet is false) and `post` samples, then the rx filter tail;
-        with span=(lo, hi), only its samples [lo, hi).
-
-        Draws the CFO, then the multipath taps, then the noise from rng;
-        the draws are the same with or without a span.  The SNR is set
-        against `p_signal_os`, the transmit signal's mean power over its
-        support, not against the realized multipath-convolved power.
-        """
-        link = self.draw_link(rng, pre, post, has_packet, span,
-                              noisy=math.isfinite(snr_db))
-        return self.rx_stream(link, snr_db)
+        return rx_frontend(ComplexSignal(y, self.os_rate), self.rx_cfg,
+                           n_out=link.n_rx)
 
     def run_trial(self, link: LinkDraw) -> TrialOutcome:
         """The correlation detector on a drawn trial at the config's SNR."""
@@ -211,12 +223,16 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
 
 
 def summarize(outcomes: list[TrialOutcome]) -> dict:
-    """Miss/false-alarm rates and fine-stage MAE over true positives."""
+    """Miss/false-alarm rates and fine-stage MAE over true positives.
+
+    A rate or MAE with nothing to average over (no packet trials, no
+    packet-free trials, no true positives) is None, not 0.
+    """
     with_pkt = [o for o in outcomes if o.has_packet]
     without = [o for o in outcomes if not o.has_packet]
     tp = [o for o in with_pkt if o.detected]
-    miss = (len(with_pkt) - len(tp)) / len(with_pkt) if with_pkt else 0.0
-    false = sum(o.detected for o in without) / len(without) if without else 0.0
+    miss = (len(with_pkt) - len(tp)) / len(with_pkt) if with_pkt else None
+    false = sum(o.detected for o in without) / len(without) if without else None
     mae = (float(np.mean([abs(o.fine_start - o.true_start) for o in tp]))
            if tp else None)
     return {"miss_rate": miss, "false_alarm_rate": false, "mae": mae,

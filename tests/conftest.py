@@ -179,3 +179,53 @@ def oracle_evaluate_conventional(trial_cfg, n_trials, seed=0,
                                      res.detected, res.start_sample, fine,
                                      snr))
     return outcomes
+
+
+def receive(sim, rng, snr_db, pre, post, has_packet=True, span=None):
+    """One stream of sim's link at one SNR, drawn and received in one step:
+    the rx stream of `pre` samples, the NDP (noise only when has_packet is
+    false) and `post` samples, then the rx filter tail; with span=(lo, hi),
+    only its samples [lo, hi).  Noise is drawn iff snr_db is finite."""
+    link = sim.draw_link(rng, pre, post, has_packet, span,
+                         noisy=bool(np.isfinite(snr_db)))
+    return sim.rx_stream(link, snr_db)
+
+
+def oracle_generate(spec):
+    """The per-block dataset.generate loop that the chunked one replaced,
+    kept as the oracle: each block's stream simulated alone, over the rx
+    samples its kind can read, and the block cut from it."""
+    from pktdetect.dataset import Kind, record_dtype
+    from pktdetect.preamble import PREAMBLE_LEN
+    from pktdetect.streams import StreamSimulator, StreamTrialConfig
+
+    sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
+    b = spec.block_len
+    lo_snr, hi_snr = spec.snr_range_db
+    blocks = np.zeros(spec.n_blocks, dtype=record_dtype(b))
+    for i in range(spec.n_blocks):
+        rng = np.random.default_rng((spec.seed, i))
+        snr = float(rng.uniform(lo_snr, hi_snr))
+        if rng.uniform() < spec.frac_no_start:
+            kind = (Kind.NOISE_ONLY
+                    if rng.uniform() < spec.frac_noise_within_no_start
+                    else Kind.MID_TAIL)
+        else:
+            kind = Kind.START
+        if kind == Kind.NOISE_ONLY:
+            sigma2 = sim.noise_sigma2(snr)
+            w = np.sqrt(sigma2 / 2) * (rng.standard_normal(b)
+                                       + 1j * rng.standard_normal(b))
+            blocks[i] = (np.abs(w), -1.0, snr, kind)
+            continue
+        # tau, drawn after the stream, puts a START block anywhere in [1, 2b)
+        lo, hi = ((1, 2 * b) if kind == Kind.START
+                  else (b + 1, 2 * b + PREAMBLE_LEN))
+        y = receive(sim, rng, snr, pre=b, post=b + 16, span=(lo, hi)).samples
+        if kind == Kind.START:
+            tau = int(rng.integers(0, b))
+            w0, label = b - tau, tau
+        else:
+            w0, label = int(rng.integers(b + 1, b + PREAMBLE_LEN + 1)), -1.0
+        blocks[i] = (np.abs(y[w0 - lo:w0 - lo + b]), label, snr, kind)
+    return blocks

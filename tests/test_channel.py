@@ -3,7 +3,8 @@ import pytest
 
 from conftest import oracle_apply_channel
 from pktdetect.channel import (ChannelConfig, ChannelTemplate, RxFrontendConfig,
-                               apply_channel, draw_model_b_taps, rx_frontend)
+                               add_noise, apply_channel, draw_model_b_taps,
+                               rx_frontend)
 from pktdetect.preamble import (BASE_RATE_HZ, ComplexSignal, build_preamble,
                                 design_interp_filter, upsample_filter)
 
@@ -167,6 +168,57 @@ class TestApplyChannel:
                           rng=np.random.default_rng(0), span=(0, 5))
 
 
+class TestRows:
+    """Rows of channels on one input: each row is its channel applied alone,
+    value for value (a zero may differ in sign; adding noise removes it)."""
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    @pytest.mark.parametrize("n_taps", [1, 3])
+    def test_rows_equal_single_rows(self, offset, n_taps):
+        x = _padded(30, 50, 40, 21)
+        rng = np.random.default_rng(22)
+        rows = 5
+        taps = (rng.standard_normal((rows, n_taps))
+                + 1j * rng.standard_normal((rows, n_taps)))
+        cfo = rng.uniform(-20e3, 20e3, rows)
+        # spans before, across and after the support, and at both ends
+        n_out = len(x) + n_taps - 1
+        lo = np.array([0, 12, 35, 60, n_out - 26])
+        got = apply_channel(x, ChannelConfig(taps=taps, cfo_hz=cfo,
+                                             timing_offset_samples=offset),
+                            span=(lo, lo + 26)).samples
+        assert got.shape == (rows, 26)
+        for r in range(rows):
+            one = apply_channel(x, ChannelConfig(taps=taps[r], cfo_hz=cfo[r],
+                                                 timing_offset_samples=offset),
+                                span=(int(lo[r]), int(lo[r]) + 26)).samples
+            np.testing.assert_array_equal(got[r], one)
+
+    def test_rows_checked(self):
+        x = _rand_signal(10, 23)
+        taps = np.ones((2, 1))
+        with pytest.raises(ValueError):  # rows of unequal length
+            apply_channel(x, ChannelConfig(taps=taps), span=([0, 1], [5, 5]))
+        with pytest.raises(ValueError):
+            apply_channel(x, ChannelConfig(taps=taps), span=([0, 6], [5, 11]))
+        with pytest.raises(ValueError):  # rows are noiseless
+            apply_channel(x, ChannelConfig(taps=taps, snr_db=5.0),
+                          rng=np.random.default_rng(0), signal_power=1.0)
+        with pytest.raises(ValueError):
+            ChannelConfig(taps=np.array([[1.0], [0.0]]))
+
+    def test_add_noise_per_row(self):
+        rng = np.random.default_rng(24)
+        re, im = rng.standard_normal((2, 3, 8))
+        snrs = [0.0, 7.5, 20.0]
+        rows = np.zeros((3, 8), dtype=np.complex128)
+        add_noise(rows, re, im, 2.0, np.array(snrs))
+        for r, snr in enumerate(snrs):
+            one = np.zeros(8, dtype=np.complex128)
+            add_noise(one, re[r], im[r], 2.0, snr)
+            assert rows[r].tobytes() == one.tobytes()
+
+
 def _padded(n_pre, n_body, n_post, seed):
     body = _rand_signal(n_body, seed, rate=4 * BASE_RATE_HZ)
     x = np.zeros(n_pre + n_body + n_post, dtype=np.complex128)
@@ -327,3 +379,19 @@ class TestRxFrontend:
         assert len(rx) == len(expected)
         np.testing.assert_allclose(rx, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("n_out", [1, 2, 7, 25, 30])
+    def test_rows_and_n_out(self, n_out):
+        # rows of a 2-D input are filtered on their own, and n_out keeps
+        # the first outputs; past the input's 25 windows they read zeros
+        os, taps = 4, design_interp_filter(4)
+        x = np.stack([_rand_signal(100, seed, rate=4 * BASE_RATE_HZ).samples
+                      for seed in (25, 26, 27)])
+        cfg = RxFrontendConfig(taps, os)
+        whole = [rx_frontend(ComplexSignal(row, 4 * BASE_RATE_HZ), cfg).samples
+                 for row in x]
+        rows = rx_frontend(ComplexSignal(x, 4 * BASE_RATE_HZ), cfg, n_out=n_out).samples
+        assert rows.shape == (3, n_out)
+        for r in range(3):
+            assert rows[r, :25].tobytes() == whole[r][:n_out].tobytes()
+            assert not rows[r, 25:].any()

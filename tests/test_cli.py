@@ -131,6 +131,14 @@ class TestEval:
                      "--packets", "20", "--out", str(out)]) == 0
         assert _read_csv(out)[0] == ["snr_bin_lo", "snr_bin_hi", "mae", "n"]
 
+    def test_one_trial_prints_missing_rate_as_none(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        assert main(["eval", "--conventional", "--packets", "1",
+                     "--out", str(out)]) == 0
+        assert "None" in capsys.readouterr().out.split("mae")[0]
+        summary = _read_csv(tmp_path / "conv_summary.csv")
+        assert "" in summary[1]
+
     def test_requires_model_or_conventional(self, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -219,6 +227,20 @@ class TestSweep:
 
     def test_requires_detector(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("seed, empty, other", [
+        (0, "miss_rate", "false_alarm_rate"),   # the trial has no packet
+        (2, "false_alarm_rate", "miss_rate")])  # the trial has one
+    def test_one_trial_leaves_missing_rate_empty(self, tmp_path, seed, empty,
+                                                 other):
+        # the rate without a denominator is an empty cell, like an MAE
+        # without true positives, not a perfect 0.0
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--conventional", "--snrs", "20",
+                     "--packets", "1", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        row = dict(zip(*_read_csv(out)))
+        assert row[empty] == "" and row[other] in ("0.0", "1.0")
 
     def test_points_scored_on_shared_trials(self, tmp_path):
         # a repeated point sees the same trials, so its row repeats; inf is

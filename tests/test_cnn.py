@@ -165,6 +165,15 @@ class TestEvaluate:
         assert m.mae is None
         assert len(m.per_snr) == 5
 
+    @pytest.mark.parametrize("labeled_fraction", [0.0, 1.0])
+    def test_empty_denominators_are_none(self, labeled_fraction):
+        model = build_model(CnnDetectorConfig(block_len=40), seed=0)
+        m = evaluate(model, _blocks(50, 40, labeled_fraction=labeled_fraction))
+        if labeled_fraction == 0.0:  # no START block: no miss rate
+            assert m.miss_rate is None and m.false_alarm_rate == 0.0
+        else:  # no block free of a start: no false-alarm rate
+            assert m.miss_rate == 1.0 and m.false_alarm_rate is None
+
     def test_empty_rejected(self):
         model = build_model(CnnDetectorConfig(block_len=40))
         with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import oracle_generate
 from pktdetect.channel import ChannelTemplate
-from pktdetect.dataset import (DatasetError, DatasetSpec, Kind, generate, load,
-                               record_dtype, save, split)
+from pktdetect.dataset import (CHUNK_BLOCKS, DatasetError, DatasetSpec, Kind,
+                               generate, load, record_dtype, save, split)
 from pktdetect.preamble import PREAMBLE_LEN
 from pktdetect.streams import StreamSimulator, StreamTrialConfig
 
@@ -169,6 +170,74 @@ class TestGenerate:
             before = np.mean(blk["amp"][:tau] ** 2)
             after = np.mean(blk["amp"][tau:] ** 2)
             assert after > 10 * before
+
+
+C = CHUNK_BLOCKS
+
+
+class TestChunks:
+    """generate computes CHUNK_BLOCKS blocks at a time; the per-block loop
+    it replaced (one stream simulated per block) is the oracle, byte for
+    byte."""
+
+    @pytest.mark.parametrize("n_blocks", [1, C - 1, C, C + 1, 3 * C + 5])
+    def test_chunk_boundaries(self, n_blocks):
+        spec = DatasetSpec(block_len=40, n_blocks=n_blocks, seed=3)
+        assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
+
+    @pytest.mark.parametrize("frac_no_start, frac_noise", [
+        (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.5, 1.0)],
+        ids=["all-start", "all-mid-tail", "all-noise", "no-mid-tail"])
+    def test_chunks_of_one_kind(self, frac_no_start, frac_noise):
+        # chunks with no link row, and chunks with no noise-only row
+        spec = DatasetSpec(block_len=40, n_blocks=C + 9, seed=4,
+                           frac_no_start=frac_no_start,
+                           frac_noise_within_no_start=frac_noise)
+        blocks = generate(spec)
+        assert blocks.tobytes() == oracle_generate(spec).tobytes()
+        if frac_noise == 1.0 and frac_no_start == 1.0:
+            assert (blocks["kind"] == Kind.NOISE_ONLY).all()
+
+    @pytest.mark.parametrize("channel", [
+        ChannelTemplate(multipath=False, cfo_max_hz=0.0),
+        ChannelTemplate(multipath=False),
+        ChannelTemplate(fractional_timing_offset=0.5)],
+        ids=["awgn", "cfo-only", "offset-0.5"])
+    @pytest.mark.parametrize("block_len", [40, 160])
+    def test_channels(self, channel, block_len):
+        spec = DatasetSpec(block_len=block_len, n_blocks=C + 3, seed=9001,
+                           channel=channel)
+        assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
+
+    def test_one_snr_point(self):
+        # the spec that sweep --model builds for each point
+        spec = DatasetSpec(block_len=40, n_blocks=C + 2, seed=5,
+                           snr_range_db=(7.5, 7.5))
+        blocks = generate(spec)
+        assert (blocks["snr"] == np.float32(7.5)).all()
+        assert blocks.tobytes() == oracle_generate(spec).tobytes()
+
+    @pytest.mark.parametrize("block_len, seed, index", [(40, 17, 19),
+                                                        (160, 7, 24)])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_last_mid_tail_window(self, block_len, seed, index, offset):
+        # block `index` is a MID_TAIL window at the largest w0, b + 560: its
+        # last rx sample reads the channel output next to the stream's end
+        channel = ChannelTemplate(fractional_timing_offset=offset)
+        sim = StreamSimulator(StreamTrialConfig(channel=channel))
+        rng = np.random.default_rng((seed, index))
+        rng.uniform(), rng.uniform(), rng.uniform()
+        _, taps = sim.draw_channel(rng)
+        n_os = len(sim.tx_stream(block_len, block_len + 16)) + len(taps) - 1
+        rng.standard_normal(n_os), rng.standard_normal(n_os)
+        w0 = int(rng.integers(block_len + 1, block_len + PREAMBLE_LEN + 1))
+        assert w0 == block_len + PREAMBLE_LEN
+        spec = DatasetSpec(block_len=block_len, n_blocks=index + 1, seed=seed,
+                           frac_no_start=1.0, frac_noise_within_no_start=0.0,
+                           channel=channel)
+        blocks = generate(spec)
+        assert blocks.tobytes() == oracle_generate(spec).tobytes()
+        assert blocks["kind"][index] == Kind.MID_TAIL
 
 
 class TestSplit:

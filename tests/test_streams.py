@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (oracle_apply_channel, oracle_evaluate_conventional,
-                      oracle_receive)
+                      oracle_receive, receive)
 from pktdetect import streams
 from pktdetect.channel import ChannelTemplate
 from pktdetect.preamble import PREAMBLE_LEN
@@ -23,7 +23,7 @@ class TestReceive:
     def test_clean_stream_geometry(self, awgn_sim, preamble, pre, post):
         # the preamble sits at sample `pre` of a pre + NDP + post stream,
         # followed only by the rx filter tail
-        y = awgn_sim.receive(np.random.default_rng(0), np.inf, pre, post).samples
+        y = receive(awgn_sim, np.random.default_rng(0), np.inf, pre, post).samples
         n = pre + PREAMBLE_LEN + post
         os = awgn_sim.cfg.channel.os_factor
         assert n < len(y) <= n + len(awgn_sim.taps) // os
@@ -46,8 +46,8 @@ class TestReceive:
                                            span):
         sim = StreamSimulator(StreamTrialConfig(channel=channel))
         rng_full, rng_span = np.random.default_rng(5), np.random.default_rng(5)
-        full = sim.receive(rng_full, snr_db, pre, post).samples
-        part = sim.receive(rng_span, snr_db, pre, post, span=span).samples
+        full = receive(sim, rng_full, snr_db, pre, post).samples
+        part = receive(sim, rng_span, snr_db, pre, post, span=span).samples
         lo, hi = span
         assert len(part) == hi - lo
         np.testing.assert_allclose(part, full[lo:hi], rtol=1e-12,
@@ -69,8 +69,8 @@ class TestReceive:
                  for snr in (3.0, 17.0, np.inf) for span in spans]
 
         def amplitudes():
-            return [np.abs(sim.receive(np.random.default_rng(seed), snr, b,
-                                       b + 16, span=span).samples)
+            return [np.abs(receive(sim, np.random.default_rng(seed), snr, b,
+                                   b + 16, span=span).samples)
                     .astype(np.float32) for seed, snr, span in cases]
 
         fast = amplitudes()
@@ -79,11 +79,11 @@ class TestReceive:
             np.testing.assert_array_equal(new, old)
 
     def test_span_checked(self, awgn_sim):
-        n = len(awgn_sim.receive(np.random.default_rng(0), 20.0, 40, 56))
+        n = len(receive(awgn_sim, np.random.default_rng(0), 20.0, 40, 56))
         for span in ((0, n + 1), (5, 5), (-1, 3)):
             with pytest.raises(ValueError):
-                awgn_sim.receive(np.random.default_rng(0), 20.0, 40, 56,
-                                 span=span)
+                receive(awgn_sim, np.random.default_rng(0), 20.0, 40, 56,
+                        span=span)
 
 
 class TestRunTrial:
@@ -150,6 +150,14 @@ class TestEvaluate:
         s = summarize([TrialOutcome(True, 100, False, -1, -1, 20.0)])
         assert s["mae"] is None
 
+    def test_summary_empty_denominators_are_none(self):
+        # no packet trial: no miss rate; no packet-free trial: no false
+        # alarm rate (0.0 would read as a perfect detector)
+        s = summarize([TrialOutcome(False, -1, True, 5, 5, 20.0)])
+        assert s["miss_rate"] is None and s["false_alarm_rate"] == 1.0
+        s = summarize([TrialOutcome(True, 100, True, 100, 100, 20.0)])
+        assert s["miss_rate"] == 0.0 and s["false_alarm_rate"] is None
+
     def test_per_trial_snr_range(self):
         cfg = StreamTrialConfig()
         outcomes, = evaluate_conventional(cfg, 8, seed=4,
@@ -199,7 +207,7 @@ class TestSharedSweep:
                 rng = np.random.default_rng((seed, i))
                 has_packet = bool(rng.uniform() < 0.5)
                 pre = int(rng.integers(*cfg.pre_pad_range))
-                y = sim.receive(rng, snr, pre, cfg.post_pad, has_packet)
+                y = receive(sim, rng, snr, pre, cfg.post_pad, has_packet)
                 assert seen[i * len(POINTS) + k] == y.samples.tobytes()
                 if i == 0:  # and, within rounding, the one-step oracle link
                     rng = np.random.default_rng((seed, i))
