@@ -1,9 +1,9 @@
 """Channel impairments and receiver front end.
 
-Applies multipath convolution, carrier frequency offset, a timing offset
-and AWGN at a target SNR to the oversampled transmit stream, then undoes the
-pulse shaping (matched filter + decimation) to recover the 1 MHz stream the
-detectors operate on.
+Applies multipath convolution, carrier frequency offset and a fractional
+timing offset to the oversampled transmit stream (apply_channel), adds
+white noise at an SNR (add_noise), then undoes the pulse shaping (matched
+filter + decimation) to recover the 1 MHz stream the detectors operate on.
 """
 from __future__ import annotations
 
@@ -45,11 +45,12 @@ class ChannelConfig:
 
     One channel, or rows of channels (see apply_channel): taps of shape
     (rows, n_taps), each row normalized on its own, and cfo_hz one value
-    or one per row.
+    or one per row.  The timing offset is a fraction of an oversampled
+    sample, in [0, 1); a stream delays its packet by whole samples through
+    the packet's position in it.
     """
 
     taps: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=np.complex128))
-    snr_db: float = np.inf
     cfo_hz: float | np.ndarray = 0.0
     timing_offset_samples: float = 0.0
 
@@ -59,8 +60,8 @@ class ChannelConfig:
         if not power.all():
             raise ValueError("channel taps must carry nonzero power")
         self.taps = taps / np.sqrt(power)
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if not 0 <= self.timing_offset_samples < 1:
+            raise ValueError("timing_offset_samples must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -109,58 +110,41 @@ def _model_b_tap_scale(os_rate_hz: float, rms_delay_spread_ns: float) -> np.ndar
 
 
 def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
-                  rng: np.random.Generator | None = None,
-                  signal_power: float | None = None,
                   span: tuple | None = None) -> ComplexSignal:
-    """Multipath + CFO + timing offset + AWGN, in that order.
+    """Multipath + CFO + fractional timing offset, in that order; noiseless.
 
     The channel is applied as a *linear* convolution with tail retention
-    (a streaming receiver never sees the block-circular idealization).
-    Noise variance is set against `signal_power` when one is given (the
-    link passes the transmit signal's power, see StreamSimulator.draw_link);
-    otherwise against the mean power of the clean convolved signal over its
-    nonzero support, measured before the timing offset.  Either way the
-    zero-padded stretches, the delay prefix included, carry pure white noise
-    of the same variance.  A finite snr_db needs rng.
+    (a streaming receiver never sees the block-circular idealization).  The
+    link adds its noise to this output (add_noise, called from
+    StreamSimulator.rx_stream).
 
     Only the convolved support of the nonzero input samples is convolved
-    and rotated: the zero stretches around it give exactly zero before the
-    noise, so they carry noise only, and a zero input skips the convolution
-    and the CFO altogether.  The convolution is one shifted multiply-add per
-    tap, in tap order; against a complex np.convolve it agrees to 1e-15
-    relative in float64 with multipath and bit for bit with a single tap.
+    and rotated: the zero stretches around it stay exactly zero, and a zero
+    input skips the convolution and the CFO altogether.  The convolution is
+    one shifted multiply-add per tap, in tap order; against a complex
+    np.convolve it agrees to 1e-15 relative in float64 with multipath and
+    bit for bit with a single tap.
 
     With span=(lo, hi), only output samples [lo, hi) are computed, from the
-    input samples they depend on.  The noise is still drawn for the whole
-    output, so the result equals that slice of the output without a span
-    and rng is left in the same state.  A span needs signal_power.
+    input samples they depend on; the result equals that slice of the
+    output without a span.
 
     Rows: with taps of shape (rows, n_taps) (see ChannelConfig), each row
     is the channel of its own taps and CFO applied to the same input, and
     the output has one row per row.  lo and hi may then be one per row, the
-    same hi - lo for every row.  Rows are noiseless (snr_db infinite).  The
-    work is done for all rows at once, over the union of their spans'
-    convolved support, and each row gets the values it would get alone: a
-    zero outside its own support may differ in sign, which adding noise
-    (add_noise) removes.
+    same hi - lo for every row.  The work is done for all rows at once,
+    over the union of their spans' convolved support, and each row gets the
+    values it would get alone: a zero outside its own support may differ in
+    sign, which adding noise (add_noise) removes.
     """
     x, taps = sig.samples, cfg.taps
     if len(x) == 0:
         raise ValueError("signal must be non-empty")
-    if cfg.timing_offset_samples < 0:
-        raise ValueError("timing_offset_samples must be non-negative")
-    noisy = math.isfinite(cfg.snr_db)
-    if noisy and rng is None:
-        raise ValueError("a finite snr_db needs rng")
-    if noisy and taps.ndim > 1:
-        raise ValueError("rows of channels are noiseless")
     taps = taps.reshape(-1, taps.shape[-1])  # one row per channel
     rows, n_taps = taps.shape
-    n0 = math.floor(cfg.timing_offset_samples)
-    frac = cfg.timing_offset_samples - n0
+    frac = cfg.timing_offset_samples
     delay = int(frac > 0)  # the fractional delay reads one earlier sample
-    n_conv = len(x) + n_taps - 1
-    n_out = n_conv + n0
+    n_out = len(x) + n_taps - 1
     lo, hi = (0, n_out) if span is None else span
     lo = np.zeros(rows, dtype=np.int64) + lo  # one start per row
     widths = (hi - lo).tolist()
@@ -168,26 +152,24 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
     if lo_min < 0 or lo_max + m > n_out or m < 0 or min(widths) != max(widths):
         raise ValueError(f"span must lie within [0, {n_out}], "
                          "one length for all rows")
-    if span is not None and signal_power is None and noisy:
-        raise ValueError("a span needs an explicit signal_power")
-    # convolved sample c feeds output c + n0 (and c + n0 + 1 when
-    # fractionally delayed); a row's outputs [lo, hi) read convolved
+    # convolved sample c feeds output c (and c + 1 when fractionally
+    # delayed); a row's outputs [lo, hi) read convolved
     # [first, first + m + delay), here columns [0, m + delay)
-    first = lo - (n0 + delay)
+    first = lo - delay
     nonzero = x != 0
     head = int(nonzero.argmax())
     j0 = j1 = 0  # the columns of the convolved support of the nonzero input
     if nonzero[head]:
         end = len(x) - int(nonzero[::-1].argmax()) + n_taps - 1
-        j0 = max(head - (lo_max - n0 - delay), 0)
-        j1 = min(end - (lo_min - n0 - delay), m + delay)
+        j0 = max(head - (lo_max - delay), 0)
+        j1 = min(end - (lo_min - delay), m + delay)
     out = np.zeros((rows, m), dtype=np.complex128)
     if j1 > j0:
         # each row's input samples [s, s + width) feed its columns [j0, j1),
         # zero outside x
         width = j1 - j0 + n_taps - 1
-        s_min = lo_min - n0 - delay + j0 - (n_taps - 1)
-        s_end = lo_max - n0 - delay + j0 - (n_taps - 1) + width
+        s_min = lo_min - delay + j0 - (n_taps - 1)
+        s_end = lo_max - delay + j0 - (n_taps - 1) + width
         xp, pad = x, 0
         if s_min < 0 or s_end > len(x):
             pad = max(-s_min, 0)
@@ -212,9 +194,6 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
             rot = np.empty(phase.shape, dtype=np.complex128)
             rot.real, rot.imag = np.cos(phase), np.sin(phase)
             z *= rot
-        if signal_power is None and noisy:
-            z_abs = np.abs(z)
-            signal_power = float(np.mean(z_abs[z_abs > 0] ** 2))
         if delay:
             # first-order fractional delay; adequate on the oversampled grid
             padded = np.zeros((rows, z.shape[1] + 2), dtype=np.complex128)
@@ -225,12 +204,6 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
         out[:, c0:c1] = z[:, c0 - j0 + delay:c1 - j0 + delay]
     if cfg.taps.ndim == 1:
         out = out[0]
-    if noisy:
-        # full-length draws keep every pinned dataset byte-identical
-        re, im = rng.standard_normal(n_out), rng.standard_normal(n_out)
-        # an all-zero input without signal_power has no reference: 0 noise
-        add_noise(out, re[lo_min:lo_min + m], im[lo_min:lo_min + m],
-                  signal_power or 0.0, cfg.snr_db)
     return ComplexSignal(out, sig.sample_rate_hz)
 
 

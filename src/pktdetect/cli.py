@@ -300,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the CNN detector")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--block-len", type=int, required=True)
-    p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--batch-size", type=int, default=80)
+    p.add_argument("--epochs", type=positive_int, default=400)
+    p.add_argument("--batch-size", type=positive_int, default=80)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.set_defaults(func=cmd_train)

@@ -13,20 +13,18 @@ import numpy as np
 
 from .preamble import ComplexSignal, LTS_CORE_OFFSETS
 
+L_STF = 160              # STF field length
+TRIGGER_THRESHOLD = 0.5
+TRIGGER_DWELL = 8        # consecutive above-threshold samples required
+PLATEAU_FRACTION = 0.9
+FINE_SEARCH_SPAN = 12
+
 
 @dataclass(frozen=True)
 class CorrDetectorConfig:
     l_window: int = 80          # correlation lag and window length (half STF)
-    l_stf: int = 160            # STF field length
-    trigger_threshold: float = 0.5
-    trigger_dwell: int = 8      # consecutive above-threshold samples required
-    plateau_fraction: float = 0.9
-    fine_search_span: int = 12
-    lts_offsets: tuple = LTS_CORE_OFFSETS  # LTS copy positions within the preamble
 
     def __post_init__(self):
-        if not 0 < self.plateau_fraction < 1:
-            raise ValueError("plateau_fraction must lie in (0, 1)")
         if self.l_window < 1:
             raise ValueError("l_window must be positive")
 
@@ -102,28 +100,26 @@ def plateau_refine(metric: np.ndarray, peak: int, fraction: float) -> int:
 def coarse_detect(y: ComplexSignal, cfg: CorrDetectorConfig) -> DetectionResult:
     """Threshold-triggered argmax of the timing metric with plateau refinement.
 
-    The trigger requires M(tau) >= trigger_threshold for `trigger_dwell`
+    The trigger requires M(tau) >= TRIGGER_THRESHOLD for TRIGGER_DWELL
     consecutive samples; the peak search then covers the following
-    2 * l_stf samples.
+    2 * L_STF samples.
     """
     m = metric_trace(y, cfg.l_window)
-    dwell = max(1, cfg.trigger_dwell)
-    if len(m) < dwell:
+    if len(m) < TRIGGER_DWELL:
         return DetectionResult(False, -1, 0.0)
-    above = (m >= cfg.trigger_threshold).astype(np.float64)
-    runs = np.convolve(above, np.ones(dwell), mode="valid")
-    hits = np.nonzero(runs >= dwell - 0.5)[0]
+    above = (m >= TRIGGER_THRESHOLD).astype(np.float64)
+    runs = np.convolve(above, np.ones(TRIGGER_DWELL), mode="valid")
+    hits = np.nonzero(runs >= TRIGGER_DWELL - 0.5)[0]
     if hits.size == 0:
         return DetectionResult(False, -1, 0.0)
     t0 = int(hits[0])
-    region = m[t0:t0 + 2 * cfg.l_stf]
+    region = m[t0:t0 + 2 * L_STF]
     peak = t0 + int(np.argmax(region))
-    start = plateau_refine(m, peak, cfg.plateau_fraction)
+    start = plateau_refine(m, peak, PLATEAU_FRACTION)
     return DetectionResult(True, start, float(m[peak]))
 
 
-def fine_detect(y: ComplexSignal, coarse: int, lts_ref: ComplexSignal,
-                cfg: CorrDetectorConfig) -> int:
+def fine_detect(y: ComplexSignal, coarse: int, lts_ref: ComplexSignal) -> int:
     """Cross-correlation fine timing against the known LTS.
 
     Finds the strongest LTS correlation peak near the coarse estimate and
@@ -135,12 +131,13 @@ def fine_detect(y: ComplexSignal, coarse: int, lts_ref: ComplexSignal,
     if len(ref) == 0 or not np.any(np.abs(ref) > 0):
         return int(coarse)
     s = y.samples
-    ltf_extent = max(cfg.lts_offsets) + len(ref) - min(cfg.lts_offsets)
-    lo = max(0, coarse + min(cfg.lts_offsets) - cfg.fine_search_span)
-    hi = min(len(s), coarse + min(cfg.lts_offsets) + ltf_extent + cfg.fine_search_span)
+    offsets = LTS_CORE_OFFSETS  # LTS copy positions within the preamble
+    ltf_extent = max(offsets) + len(ref) - min(offsets)
+    lo = max(0, coarse + min(offsets) - FINE_SEARCH_SPAN)
+    hi = min(len(s), coarse + min(offsets) + ltf_extent + FINE_SEARCH_SPAN)
     if hi - lo < len(ref):
         return int(coarse)
     corr = np.abs(np.correlate(s[lo:hi], ref, mode="valid"))
     peak_pos = lo + int(np.argmax(corr))
-    candidates = np.array([peak_pos - off for off in cfg.lts_offsets])
+    candidates = np.array([peak_pos - off for off in offsets])
     return int(candidates[np.argmin(np.abs(candidates - coarse))])

@@ -121,9 +121,9 @@ def conventional_flops_recursive(cfg: CorrDetectorConfig | None = None,
     Each slide adds one new term and removes one old term from both running
     sums: 2 complex multiplies + 2 complex adds for the correlation, 2
     magnitude-squares + 2 adds (complex-add convention) for the power, plus
-    the 5 metric ops.
+    the 5 metric ops.  None of that depends on the window, so cfg is not
+    read; it is taken for the same call form as conventional_flops.
     """
-    cfg = cfg or CorrDetectorConfig()
     layers = (
         LayerCost("autocorr_update", 8, 8),
         LayerCost("window_power_update", 4, 6),

@@ -178,7 +178,7 @@ class StreamSimulator:
         snr_db = self.cfg.snr_db
         y = self.rx_stream(link, snr_db)
         res = coarse_detect(y, DETECTOR)
-        fine = (fine_detect(y, res.start_sample, self.lts, DETECTOR)
+        fine = (fine_detect(y, res.start_sample, self.lts)
                 if res.detected else -1)
         return TrialOutcome(link.has_packet,
                             link.pre if link.has_packet else -1,

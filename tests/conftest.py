@@ -95,35 +95,32 @@ def finite_diff_grads(fn, params, h=1e-6):
     return grads
 
 
-def oracle_apply_channel(sig, cfg, rng=None, signal_power=None, span=None):
+def oracle_apply_channel(sig, cfg, snr_db=np.inf, rng=None,
+                         signal_power=None, span=None):
     """The apply_channel that the support-only form replaced, kept as the
     oracle: a complex np.convolve over the whole span and the CFO phasor as
-    a complex exp."""
+    a complex exp, then (at a finite snr_db) the noise that form drew and
+    added itself."""
     x, taps = sig.samples, cfg.taps
-    n0 = int(np.floor(cfg.timing_offset_samples))
-    frac = cfg.timing_offset_samples - n0
-    n_conv = len(x) + len(taps) - 1
-    n_out = n_conv + n0
+    frac = cfg.timing_offset_samples
+    n_out = len(x) + len(taps) - 1
     lo, hi = (0, n_out) if span is None else span
-    first = lo - n0 - (frac > 0)
+    first = lo - (frac > 0)
     a = max(first, 0)
-    b = min(max(hi - n0, a), n_conv)
+    b = min(max(hi, a), n_out)
     s = max(a - len(taps) + 1, 0)
     out = (np.convolve(x[s:b], taps)[a - s:b - s] if b > a
            else np.zeros(0, dtype=np.complex128))
     if cfg.cfo_hz != 0.0:
         n = np.arange(a, b)
         out = out * np.exp(2j * np.pi * cfg.cfo_hz * n / sig.sample_rate_hz)
-    if signal_power is None and np.isfinite(cfg.snr_db):
-        support = np.abs(out) > 0
-        signal_power = float(np.mean(np.abs(out[support]) ** 2)) if support.any() else 0.0
     if a > first:
         out = np.concatenate([np.zeros(a - first, dtype=np.complex128),
-                              out])[:hi - first - n0]
+                              out])[:hi - first]
     if frac > 0:
         out = (1 - frac) * out[1:] + frac * out[:-1]
-    if np.isfinite(cfg.snr_db):
-        sigma2 = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
+    if np.isfinite(snr_db):
+        sigma2 = signal_power * 10.0 ** (-snr_db / 10.0)
         re, im = rng.standard_normal(n_out), rng.standard_normal(n_out)
         out = out + np.sqrt(sigma2 / 2) * (re[lo:hi] + 1j * im[lo:hi])
     return ComplexSignal(out, sig.sample_rate_hz)
@@ -146,11 +143,11 @@ def oracle_receive(sim, rng, snr_db, pre, post, has_packet=True):
            if tpl.cfo_max_hz else 0.0)
     taps = (draw_model_b_taps(rng, sim.os_rate, tpl.rms_delay_spread_ns)
             if tpl.multipath else np.ones(1))
-    ch = ChannelConfig(taps=taps, snr_db=snr_db, cfo_hz=cfo,
+    ch = ChannelConfig(taps=taps, cfo_hz=cfo,
                        timing_offset_samples=tpl.fractional_timing_offset)
     n_rx = -(-(len(buf) + len(taps) - 1) // os)
-    y_os = oracle_apply_channel(ComplexSignal(buf, sim.os_rate), ch, rng=rng,
-                                signal_power=sim.p_signal_os)
+    y_os = oracle_apply_channel(ComplexSignal(buf, sim.os_rate), ch, snr_db,
+                                rng=rng, signal_power=sim.p_signal_os)
     rx = rx_frontend(y_os, sim.rx_cfg)
     return ComplexSignal(rx.samples[:n_rx], rx.sample_rate_hz)
 
@@ -173,7 +170,7 @@ def oracle_evaluate_conventional(trial_cfg, n_trials, seed=0,
         pre = int(rng.integers(*trial_cfg.pre_pad_range))
         y = oracle_receive(sim, rng, snr, pre, trial_cfg.post_pad, has_packet)
         res = coarse_detect(y, DETECTOR)
-        fine = (fine_detect(y, res.start_sample, sim.lts, DETECTOR)
+        fine = (fine_detect(y, res.start_sample, sim.lts)
                 if res.detected else -1)
         outcomes.append(TrialOutcome(has_packet, pre if has_packet else -1,
                                      res.detected, res.start_sample, fine,

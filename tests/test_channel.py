@@ -15,6 +15,19 @@ def _rand_signal(n, seed, rate=BASE_RATE_HZ):
                          rate)
 
 
+def _noisy(sig, cfg, snr_db, rng, signal_power, span=None):
+    """apply_channel plus noise as the link adds it: two full-length
+    unit-normal vectors drawn from rng, the span's slice of them scaled
+    and added by add_noise; nothing drawn at an infinite snr_db."""
+    out = apply_channel(sig, cfg, span=span).samples
+    if np.isfinite(snr_db):
+        n_out = len(sig) + cfg.taps.shape[-1] - 1
+        lo, hi = (0, n_out) if span is None else span
+        re, im = rng.standard_normal(n_out), rng.standard_normal(n_out)
+        add_noise(out, re[lo:hi], im[lo:hi], signal_power, snr_db)
+    return out
+
+
 class TestChannelConfig:
     def test_taps_power_normalized(self):
         cfg = ChannelConfig(taps=np.array([3.0, 4.0]))
@@ -24,9 +37,10 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig(taps=np.zeros(3))
 
-    def test_nan_snr_rejected(self):
+    @pytest.mark.parametrize("offset", [1.0, 2.25, np.nan])
+    def test_offset_outside_unit_interval_rejected(self, offset):
         with pytest.raises(ValueError):
-            ChannelConfig(snr_db=np.nan)
+            ChannelConfig(timing_offset_samples=offset)
 
 
 class TestChannelTemplate:
@@ -81,29 +95,12 @@ class TestApplyChannel:
     def test_snr_calibration(self):
         sig = _rand_signal(200_000, 3)
         target = 10.0
-        out = apply_channel(sig, ChannelConfig(snr_db=target),
-                            rng=np.random.default_rng(4))
-        noise = out.samples - sig.samples
-        measured = 10 * np.log10(np.mean(np.abs(sig.samples) ** 2)
-                                 / np.mean(np.abs(noise) ** 2))
+        power = np.mean(np.abs(sig.samples) ** 2)
+        out = _noisy(sig, ChannelConfig(), target, np.random.default_rng(4),
+                     power)
+        noise = out - sig.samples
+        measured = 10 * np.log10(power / np.mean(np.abs(noise) ** 2))
         assert measured == pytest.approx(target, abs=0.1)
-
-    def test_snr_reference_over_support_only(self):
-        # zero padding must not dilute the signal-power estimate
-        body = _rand_signal(5_000, 5).samples
-        padded = np.concatenate([np.zeros(5_000), body, np.zeros(5_000)])
-        out = apply_channel(ComplexSignal(padded, BASE_RATE_HZ),
-                            ChannelConfig(snr_db=20.0),
-                            rng=np.random.default_rng(6))
-        noise_var = np.mean(np.abs(out.samples[:5_000]) ** 2)
-        expected = np.mean(np.abs(body) ** 2) * 10 ** (-2.0)
-        assert noise_var == pytest.approx(expected, rel=0.1)
-
-    def test_integer_timing_offset(self):
-        sig = _rand_signal(50, 7)
-        out = apply_channel(sig, ChannelConfig(timing_offset_samples=3))
-        np.testing.assert_array_equal(out.samples[:3], 0)
-        np.testing.assert_allclose(out.samples[3:], sig.samples, atol=1e-15)
 
     def test_fractional_timing_offset(self):
         sig = _rand_signal(50, 8)
@@ -112,18 +109,12 @@ class TestApplyChannel:
         expected = 0.75 * s + 0.25 * np.concatenate([[0.0], s[:-1]])
         np.testing.assert_allclose(out.samples, expected, atol=1e-14)
 
-    def test_timing_offset_prefix_carries_noise(self):
-        sig = _rand_signal(50, 12)
-        out = apply_channel(sig, ChannelConfig(snr_db=10.0, timing_offset_samples=3),
-                            rng=np.random.default_rng(13))
-        assert np.all(out.samples[:3] != 0)
-
     def test_fractional_offset_keeps_noise_white(self):
         # the delay acts on the signal only; noise is added afterwards
         sig = ComplexSignal(np.zeros(200_000, dtype=np.complex128), BASE_RATE_HZ)
-        out = apply_channel(sig, ChannelConfig(snr_db=0.0, timing_offset_samples=0.5),
-                            rng=np.random.default_rng(14), signal_power=1.0)
-        assert np.var(out.samples) == pytest.approx(1.0, rel=0.05)
+        out = _noisy(sig, ChannelConfig(timing_offset_samples=0.5), 0.0,
+                     np.random.default_rng(14), 1.0)
+        assert np.var(out) == pytest.approx(1.0, rel=0.05)
 
     def test_negative_offset_rejected(self):
         sig = _rand_signal(10, 9)
@@ -132,30 +123,28 @@ class TestApplyChannel:
 
     def test_seeded_noise_deterministic(self):
         sig = _rand_signal(100, 10)
-        cfg = ChannelConfig(snr_db=5.0)
-        a = apply_channel(sig, cfg, rng=np.random.default_rng(77)).samples
-        b = apply_channel(sig, cfg, rng=np.random.default_rng(77)).samples
+        a = _noisy(sig, ChannelConfig(), 5.0, np.random.default_rng(77), 1.0)
+        b = _noisy(sig, ChannelConfig(), 5.0, np.random.default_rng(77), 1.0)
         np.testing.assert_array_equal(a, b)
 
-    def test_noise_needs_rng(self):
-        with pytest.raises(ValueError):
-            apply_channel(_rand_signal(10, 10), ChannelConfig(snr_db=5.0))
-
-    @pytest.mark.parametrize("offset", [0.0, 0.5, 3.0, 2.25])
+    @pytest.mark.parametrize("delay", [0.0, 0.5, 3.0, 2.25])
     @pytest.mark.parametrize("span", [(0, 10), (1, 40), (37, 103), (100, 106),
                                       (0, 0), (1, 2)])
-    def test_span_is_slice_of_whole_output(self, offset, span):
-        sig = _rand_signal(100, 15)
-        cfg = ChannelConfig(taps=np.array([1.0, 0.3j, 0.1]), snr_db=8.0,
-                            cfo_hz=20_000.0, timing_offset_samples=offset)
+    def test_span_is_slice_of_whole_output(self, delay, span):
+        # the whole samples of a delay are zeros ahead of the signal (on the
+        # link, the packet's position in its stream); the channel's timing
+        # offset delays the fraction
+        n0, frac = divmod(delay, 1.0)
+        sig = ComplexSignal(np.concatenate([np.zeros(int(n0)),
+                                            _rand_signal(100, 15).samples]),
+                            BASE_RATE_HZ)
+        cfg = ChannelConfig(taps=np.array([1.0, 0.3j, 0.1]), cfo_hz=20_000.0,
+                            timing_offset_samples=frac)
         lo, hi = span
-        hi = min(hi, len(sig) + 2 + int(offset))
-        rng_full, rng_span = np.random.default_rng(16), np.random.default_rng(16)
-        full = apply_channel(sig, cfg, rng=rng_full, signal_power=2.0).samples
-        part = apply_channel(sig, cfg, rng=rng_span, signal_power=2.0,
-                             span=(lo, hi)).samples
+        hi = min(hi, len(sig) + 2)
+        full = apply_channel(sig, cfg).samples
+        part = apply_channel(sig, cfg, span=(lo, hi)).samples
         np.testing.assert_array_equal(part, full[lo:hi])
-        assert rng_span.standard_normal() == rng_full.standard_normal()
 
     def test_span_checks(self):
         sig = _rand_signal(10, 17)
@@ -163,9 +152,6 @@ class TestApplyChannel:
             apply_channel(sig, ChannelConfig(), span=(0, 11))
         with pytest.raises(ValueError):
             apply_channel(sig, ChannelConfig(), span=(5, 4))
-        with pytest.raises(ValueError):  # no reference power for the noise
-            apply_channel(sig, ChannelConfig(snr_db=10.0),
-                          rng=np.random.default_rng(0), span=(0, 5))
 
 
 class TestRows:
@@ -201,9 +187,6 @@ class TestRows:
             apply_channel(x, ChannelConfig(taps=taps), span=([0, 1], [5, 5]))
         with pytest.raises(ValueError):
             apply_channel(x, ChannelConfig(taps=taps), span=([0, 6], [5, 11]))
-        with pytest.raises(ValueError):  # rows are noiseless
-            apply_channel(x, ChannelConfig(taps=taps, snr_db=5.0),
-                          rng=np.random.default_rng(0), signal_power=1.0)
         with pytest.raises(ValueError):
             ChannelConfig(taps=np.array([[1.0], [0.0]]))
 
@@ -235,23 +218,21 @@ class TestAgainstOracle:
         "offset-0.5": dict(taps=draw_model_b_taps(4, 4e6), cfo_hz=9_000.0,
                            timing_offset_samples=0.5),
         "long-multipath": dict(taps=draw_model_b_taps(5, 40e6), cfo_hz=17e3,
-                               timing_offset_samples=2.25),
+                               timing_offset_samples=0.25),
     }
 
     @staticmethod
-    def _both(sig, cfg, signal_power, span):
+    def _both(sig, cfg, snr_db, signal_power, span):
         rng_new, rng_old = np.random.default_rng(21), np.random.default_rng(21)
-        new = apply_channel(sig, cfg, rng=rng_new, signal_power=signal_power,
-                            span=span).samples
-        old = oracle_apply_channel(sig, cfg, rng=rng_old,
-                                   signal_power=signal_power,
-                                   span=span).samples
+        new = _noisy(sig, cfg, snr_db, rng_new, signal_power, span)
+        old = oracle_apply_channel(sig, cfg, snr_db, rng_old, signal_power,
+                                   span).samples
         assert rng_new.standard_normal() == rng_old.standard_normal()
         return new, old
 
     @staticmethod
     def _n_out(sig, cfg):
-        return len(sig) + len(cfg.taps) - 1 + int(cfg.timing_offset_samples)
+        return len(sig) + len(cfg.taps) - 1
 
     @pytest.mark.parametrize("channel", CHANNELS)
     @pytest.mark.parametrize("snr_db", [6.0, np.inf])
@@ -260,36 +241,36 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("n_pre, n_post", [(60, 40), (0, 0)])
     def test_float64_agreement(self, channel, snr_db, span, n_pre, n_post):
         sig = _padded(n_pre, 200, n_post, 22)
-        cfg = ChannelConfig(snr_db=snr_db, **self.CHANNELS[channel])
+        cfg = ChannelConfig(**self.CHANNELS[channel])
         n_out = self._n_out(sig, cfg)
         if span is not None:
             span = (min(span[0], n_out), min(span[1], n_out))
-        power = None if span is None else 1.5
-        new, old = self._both(sig, cfg, power, span)
+        new, old = self._both(sig, cfg, snr_db, 1.5, span)
         assert len(new) == len(old)
         if len(old):
             np.testing.assert_allclose(new, old, rtol=0,
                                        atol=1e-15 * np.abs(old).max())
 
     @pytest.mark.parametrize("cfo_hz", [0.0, 18e3, -7_777.7])
-    @pytest.mark.parametrize("offset", [0.0, 0.5, 3.0, 1.75])
+    @pytest.mark.parametrize("delay", [0.0, 0.5, 3.0, 1.75])
     @pytest.mark.parametrize("snr_db", [3.0, np.inf])
-    def test_single_tap_bit_identical(self, cfo_hz, offset, snr_db):
-        sig = _padded(37, 500, 11, 23)
-        cfg = ChannelConfig(snr_db=snr_db, cfo_hz=cfo_hz,
-                            timing_offset_samples=offset)
+    def test_single_tap_bit_identical(self, cfo_hz, delay, snr_db):
+        # whole samples of the delay are zeros ahead of the packet, the
+        # fraction is the channel's timing offset
+        n0, frac = divmod(delay, 1.0)
+        sig = _padded(37 + int(n0), 500, 11, 23)
+        cfg = ChannelConfig(cfo_hz=cfo_hz, timing_offset_samples=frac)
         for span in (None, (30, 400)):
-            new, old = self._both(sig, cfg, 2.0, span)
+            new, old = self._both(sig, cfg, snr_db, 2.0, span)
             np.testing.assert_array_equal(new, old)
 
     @pytest.mark.parametrize("channel", CHANNELS)
     @pytest.mark.parametrize("span", [None, (5, 80)])
     def test_zero_input_is_scaled_noise(self, channel, span):
         sig = ComplexSignal(np.zeros(100, dtype=np.complex128), 4e6)
-        cfg = ChannelConfig(snr_db=4.0, **self.CHANNELS[channel])
+        cfg = ChannelConfig(**self.CHANNELS[channel])
         rng = np.random.default_rng(24)
-        out = apply_channel(sig, cfg, rng=np.random.default_rng(24),
-                            signal_power=3.0, span=span).samples
+        out = _noisy(sig, cfg, 4.0, np.random.default_rng(24), 3.0, span)
         n_out = self._n_out(sig, cfg)
         lo, hi = (0, n_out) if span is None else span
         g = np.sqrt(3.0 * 10 ** -0.4 / 2)

@@ -112,6 +112,13 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path), "--block-len", "40",
                      "--epochs", "1", "--out", str(tmp_path / "m.ckpt")]) == 3
 
+    @pytest.mark.parametrize("arg", ["--epochs", "--batch-size"])
+    def test_zero_epochs_or_batch_rejected(self, workspace, tmp_path, arg):
+        out = tmp_path / "out" / "m.ckpt"
+        assert main(["train", "--data", str(workspace / "data"),
+                     "--block-len", "40", arg, "0", "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
 
 class TestEval:
     def test_model_mode(self, workspace, tmp_path):

@@ -86,6 +86,25 @@ class TestReceive:
                         span=span)
 
 
+    @pytest.mark.parametrize("channel", [
+        ChannelTemplate(multipath=False, cfo_max_hz=0.0), ChannelTemplate()],
+        ids=["awgn", "multipath-cfo"])
+    def test_noise_level_is_noise_sigma2(self, channel):
+        # one noise floor: the rx samples of noise-only streams carry the
+        # variance that dataset NOISE_ONLY blocks are scaled to
+        sim = StreamSimulator(StreamTrialConfig(channel=channel))
+        os, power = channel.os_factor, []
+        for seed in range(200):
+            link = sim.draw_link(np.random.default_rng(seed), 123, 100,
+                                 has_packet=False)
+            y = sim.rx_stream(link, 10.0).samples
+            # rx sample m reads channel output [m*os, m*os + len(taps))
+            inside = (len(link.clean) - len(sim.taps)) // os + 1
+            power.append(np.abs(y[:inside]) ** 2)
+        assert np.mean(np.concatenate(power)) == pytest.approx(
+            sim.noise_sigma2(10.0), rel=0.05)
+
+
 class TestRunTrial:
     def test_packet_trial_fields(self, awgn_sim):
         link = awgn_sim.draw_link(np.random.default_rng(0), 123, 100)
