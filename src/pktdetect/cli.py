@@ -113,15 +113,23 @@ def _load_split(data_dir: Path, block_len: int):
     prefix = _find_dataset(data_dir, block_len)
     blocks, manifest = dataset.load(prefix)
     spec_doc = manifest.get("spec") or {}
-    fractions = tuple(spec_doc.get("split", (0.70, 0.15, 0.15)))
+    fractions = tuple(spec_doc.get("split", dataset.SPLIT))
     seed = spec_doc.get("seed", 0)
     return dataset.split(blocks, fractions, seed), manifest
 
 
+def _cnn_config(block_len: int) -> CnnDetectorConfig:
+    """The network for --block-len, or a usage error naming why it has none."""
+    try:
+        return CnnDetectorConfig(block_len=block_len)
+    except ValueError as exc:
+        raise UsageError(f"--block-len: {exc}") from exc
+
+
 def cmd_train(args) -> int:
+    model_cfg = _cnn_config(args.block_len)
     (train_blocks, val_blocks, _), _ = _load_split(Path(args.data), args.block_len)
-    model = cnn.build_model(CnnDetectorConfig(block_len=args.block_len),
-                            seed=args.seed)
+    model = cnn.build_model(model_cfg, seed=args.seed)
     cfg = nn.TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                          seed=args.seed)
     history = cnn.train_detector(model, train_blocks, val_blocks, cfg)
@@ -205,7 +213,7 @@ def cmd_flops(args) -> int:
     elif args.conventional:
         reports = [flops.conventional_flops()]
     elif args.block_len:
-        reports = [flops.model_flops(CnnDetectorConfig(block_len=args.block_len))]
+        reports = [flops.model_flops(_cnn_config(args.block_len))]
     else:
         raise UsageError("flops needs --block-len, --conventional or --all")
     for report in reports:
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the CNN detector")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--block-len", type=int, required=True)
+    p.add_argument("--block-len", type=positive_int, required=True)
     p.add_argument("--epochs", type=positive_int, default=400)
     p.add_argument("--batch-size", type=positive_int, default=80)
     p.add_argument("--seed", type=int, default=0)
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model checkpoint path")
     p.add_argument("--conventional", action="store_true")
     p.add_argument("--data", help="dataset directory (model mode)")
-    p.add_argument("--block-len", type=int, help="dataset block length")
+    p.add_argument("--block-len", type=positive_int, help="dataset block length")
     p.add_argument("--packets", type=positive_int, default=2000)
     p.add_argument("--snr-db", type=snr_db, default=20.0)
     p.add_argument("--snr-range", type=finite_snr_db, nargs=2,
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("flops", help="complexity reports")
-    p.add_argument("--block-len", type=int)
+    p.add_argument("--block-len", type=positive_int)
     p.add_argument("--conventional", action="store_true")
     p.add_argument("--all", action="store_true",
                    help="six CNN block lengths plus the direct and the "

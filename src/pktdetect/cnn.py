@@ -1,11 +1,12 @@
 """1D-CNN packet-start detector.
 
-Fixed architecture for every supported block length: two ReLU convolution
-layers (9 filters of length 8, then 5 filters of length 3), a 3-neuron ReLU
-dense layer and a linear scalar output.  A B-sample amplitude block is
-framed into 4 input channels; the scalar regression output is turned into a
-presence decision by thresholding against the midpoint between the
-no-packet label (-1) and the smallest start label (0).
+One network for every block length B, fixed by the module constants: two
+ReLU convolution layers (9 filters of length 8, then 5 filters of length
+3), a 3-neuron ReLU dense layer and a linear scalar output.  A B-sample
+amplitude block is framed into 4 input channels; the scalar regression
+output is turned into a presence decision by thresholding against the
+midpoint between the no-packet label (-1) and the smallest start label
+(0).  B and the input normalization are the only settings.
 """
 from __future__ import annotations
 
@@ -21,42 +22,46 @@ from . import nn
 
 BLOCK_LENGTHS = (40, 80, 160, 320, 800, 1600)
 
+IN_CHANNELS = 4
+CONV1_FILTERS = 9
+CONV1_FILTER_LEN = 8  # half of the short-training-symbol length
+CONV2_FILTERS = 5
+CONV2_FILTER_LEN = 3
+FC_NEURONS = 3
+NO_PACKET_LABEL = -1.0
+DETECT_THRESHOLD = -0.5
+# the shortest block both valid convolutions leave an output for
+MIN_BLOCK_LEN = IN_CHANNELS * (CONV1_FILTER_LEN + CONV2_FILTER_LEN - 1)
+# indexed by the checkpoint flag: `train` builds "raw", and the acceptance
+# gates train criteria 5 and 6 with "rms"
+NORMALIZE_MODES = ("raw", "rms")
+
 _MAGIC = b"PKTCNN1\0"
 _CKPT_VERSION = 1
+# the architecture fields of a checkpoint header, in header order
+_ARCH = {"in_channels": IN_CHANNELS, "conv1_filters": CONV1_FILTERS,
+         "conv1_filter_len": CONV1_FILTER_LEN, "conv2_filters": CONV2_FILTERS,
+         "conv2_filter_len": CONV2_FILTER_LEN, "fc_neurons": FC_NEURONS}
 
 
 @dataclass(frozen=True)
 class CnnDetectorConfig:
     block_len: int = 160
-    in_channels: int = 4
-    conv1_filters: int = 9
-    conv1_filter_len: int = 8  # half of the short-training-symbol length
-    conv2_filters: int = 5
-    conv2_filter_len: int = 3
-    fc_neurons: int = 3
-    no_packet_label: float = -1.0
-    detect_threshold: float = -0.5
-    # "raw" (what `train` builds) or "rms".  Both stay: the acceptance gates
-    # train criteria 5 and 6 with "rms", so dropping either value would move
-    # a gate or a CLI output, and old checkpoints carry the flag.
     normalize: str = "raw"
 
     def __post_init__(self):
-        if self.block_len % self.in_channels != 0:
-            raise ValueError("block_len must be divisible by in_channels")
-        if self.normalize not in ("rms", "raw"):
+        if self.block_len % IN_CHANNELS or self.block_len < MIN_BLOCK_LEN:
+            raise ValueError(f"block_len must be a multiple of {IN_CHANNELS} "
+                             f"and at least {MIN_BLOCK_LEN}, not {self.block_len}")
+        if self.normalize not in NORMALIZE_MODES:
             raise ValueError("normalize must be 'rms' or 'raw'")
-
-    @property
-    def time_steps(self) -> int:
-        return self.block_len // self.in_channels
 
     def layer_widths(self) -> dict:
         """Valid-convolution width arithmetic (K = T - F + 1) per layer."""
-        t = self.time_steps
-        k1 = t - self.conv1_filter_len + 1
-        k2 = k1 - self.conv2_filter_len + 1
-        return {"T": t, "K1": k1, "K2": k2, "flatten": self.conv2_filters * k2}
+        t = self.block_len // IN_CHANNELS
+        k1 = t - CONV1_FILTER_LEN + 1
+        k2 = k1 - CONV2_FILTER_LEN + 1
+        return {"T": t, "K1": k1, "K2": k2, "flatten": CONV2_FILTERS * k2}
 
 
 @dataclass
@@ -82,22 +87,18 @@ def build_model(cfg: CnnDetectorConfig, seed: int = 0) -> CnnModel:
     predicts "no packet" for every block and the false-alarm rate starts at
     zero rather than one.
     """
-    widths = cfg.layer_widths()
-    if widths["K2"] < 1:
-        raise ValueError(
-            f"block_len {cfg.block_len} is too short for both convolutions")
     rng = np.random.default_rng(seed)
     net = nn.Sequential([
-        nn.Conv1d(cfg.in_channels, cfg.conv1_filters, cfg.conv1_filter_len, rng),
+        nn.Conv1d(IN_CHANNELS, CONV1_FILTERS, CONV1_FILTER_LEN, rng),
         nn.Relu(),
-        nn.Conv1d(cfg.conv1_filters, cfg.conv2_filters, cfg.conv2_filter_len, rng),
+        nn.Conv1d(CONV1_FILTERS, CONV2_FILTERS, CONV2_FILTER_LEN, rng),
         nn.Relu(),
         nn.Flatten(),
-        nn.Dense(widths["flatten"], cfg.fc_neurons, "he", rng),
+        nn.Dense(cfg.layer_widths()["flatten"], FC_NEURONS, "he", rng),
         nn.Relu(),
-        nn.Dense(cfg.fc_neurons, 1, "xavier", rng),
+        nn.Dense(FC_NEURONS, 1, "xavier", rng),
     ])
-    net.layers[-1].b[...] = cfg.no_packet_label
+    net.layers[-1].b[...] = NO_PACKET_LABEL
     return CnnModel(cfg, net)
 
 
@@ -115,7 +116,7 @@ def prepare_inputs(blocks: np.ndarray, cfg: CnnDetectorConfig) -> np.ndarray:
     if cfg.normalize == "rms":
         rms = np.sqrt(np.mean(x ** 2, axis=1, keepdims=True))
         x = np.divide(x, rms, out=x.copy(), where=rms > 0)
-    return block_to_channels(x, cfg.in_channels)
+    return block_to_channels(x, IN_CHANNELS)
 
 
 def predict(model: CnnModel, blocks: np.ndarray) -> np.ndarray:
@@ -162,11 +163,10 @@ def evaluate(model: CnnModel, blocks: np.ndarray) -> EvalMetrics:
     """
     if len(blocks) == 0:
         raise ValueError("block array must be non-empty")
-    cfg = model.cfg
     labels = blocks["label"].astype(np.float64)
     scores = predict(model, blocks["amp"])
-    detected = scores >= cfg.detect_threshold
-    starts = np.rint(np.clip(scores, 0.0, cfg.block_len - 1))
+    detected = scores >= DETECT_THRESHOLD
+    starts = np.rint(np.clip(scores, 0.0, model.cfg.block_len - 1))
 
     has_start = labels >= 0
     miss = float(np.mean(~detected[has_start])) if has_start.any() else None
@@ -195,10 +195,10 @@ def train_detector(model: CnnModel, train_blocks: np.ndarray,
 
 
 # -- checkpoint format ------------------------------------------------------
-# binary: magic (8 bytes), u32 version, 8 x u32 hyperparameters, then the
-# parameter arrays as little-endian float64 blobs in network order
-# (conv1.w, conv1.b, conv2.w, conv2.b, fc.w, fc.b, out.w, out.b).
-# A JSON manifest of shapes is written alongside (<path>.json).
+# binary: magic (8 bytes), then u32 version, block_len, the six _ARCH fields
+# and the NORMALIZE_MODES index, then the parameters as little-endian float64
+# in network order (conv1.w, conv1.b, conv2.w, conv2.b, fc.w, fc.b, out.w,
+# out.b).  A JSON manifest of shapes is written alongside (<path>.json).
 
 
 class CheckpointError(Exception):
@@ -209,18 +209,17 @@ def save_model(model: CnnModel, path: str | Path) -> None:
     path = Path(path)
     cfg = model.cfg
     header = _MAGIC + struct.pack(
-        "<9I", _CKPT_VERSION, cfg.block_len, cfg.in_channels,
-        cfg.conv1_filters, cfg.conv1_filter_len, cfg.conv2_filters,
-        cfg.conv2_filter_len, cfg.fc_neurons, 1 if cfg.normalize == "rms" else 0)
+        "<9I", _CKPT_VERSION, cfg.block_len, *_ARCH.values(),
+        NORMALIZE_MODES.index(cfg.normalize))
     blobs = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes()
                      for p in model.net.params)
     path.write_bytes(header + blobs)
     manifest = {
         "format_version": _CKPT_VERSION,
-        "config": {k: getattr(cfg, k) for k in (
-            "block_len", "in_channels", "conv1_filters", "conv1_filter_len",
-            "conv2_filters", "conv2_filter_len", "fc_neurons",
-            "no_packet_label", "detect_threshold", "normalize")},
+        "config": {"block_len": cfg.block_len, **_ARCH,
+                   "no_packet_label": NO_PACKET_LABEL,
+                   "detect_threshold": DETECT_THRESHOLD,
+                   "normalize": cfg.normalize},
         "param_shapes": [list(p.shape) for p in model.net.params],
         "sha256": hashlib.sha256(blobs).hexdigest(),
     }
@@ -231,14 +230,16 @@ def load_model(path: str | Path) -> CnnModel:
     data = Path(path).read_bytes()
     if len(data) < len(_MAGIC) + 36 or data[:len(_MAGIC)] != _MAGIC:
         raise CheckpointError("not a model checkpoint")
-    fields = struct.unpack_from("<9I", data, len(_MAGIC))
-    if fields[0] != _CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {fields[0]}")
-    cfg = CnnDetectorConfig(
-        block_len=fields[1], in_channels=fields[2], conv1_filters=fields[3],
-        conv1_filter_len=fields[4], conv2_filters=fields[5],
-        conv2_filter_len=fields[6], fc_neurons=fields[7],
-        normalize="rms" if fields[8] else "raw")
+    version, block_len, *arch, flag = struct.unpack_from("<9I", data, len(_MAGIC))
+    if version != _CKPT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    if tuple(arch) != tuple(_ARCH.values()) or flag >= len(NORMALIZE_MODES):
+        raise CheckpointError("checkpoint is for another network: "
+                              f"{dict(zip(_ARCH, arch))}, normalize flag {flag}")
+    try:
+        cfg = CnnDetectorConfig(block_len, NORMALIZE_MODES[flag])
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint header: {exc}") from exc
     model = build_model(cfg)
     offset = len(_MAGIC) + 36
     for p in model.net.params:

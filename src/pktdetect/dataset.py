@@ -37,6 +37,8 @@ FORMAT_VERSION = 1
 # temporaries stays near 350 kB at block_len 160, in cache and off the peak
 # resident size
 CHUNK_BLOCKS = 32
+# train / validation / test fractions of a spec without its own split
+SPLIT = (0.70, 0.15, 0.15)
 
 
 class DatasetError(Exception):
@@ -62,7 +64,7 @@ class DatasetSpec:
     frac_no_start: float = 0.5
     frac_noise_within_no_start: float = 0.5
     snr_range_db: tuple = (0.0, 25.0)
-    split: tuple = (0.70, 0.15, 0.15)
+    split: tuple = SPLIT
     seed: int = 0
     channel: ChannelTemplate = field(default_factory=ChannelTemplate)
     name: str = ""
@@ -95,8 +97,9 @@ class DatasetSpec:
     def from_json(cls, text: str) -> "DatasetSpec":
         doc = json.loads(text)
         channel = ChannelTemplate(**doc.pop("channel", {}))
-        doc["snr_range_db"] = tuple(doc.get("snr_range_db", (0.0, 25.0)))
-        doc["split"] = tuple(doc.get("split", (0.70, 0.15, 0.15)))
+        for key in ("snr_range_db", "split"):  # JSON lists
+            if key in doc:
+                doc[key] = tuple(doc[key])
         return cls(channel=channel, **doc)
 
 
@@ -182,7 +185,7 @@ def generate(spec: DatasetSpec) -> np.ndarray:
     return blocks
 
 
-def split(blocks, fractions=(0.70, 0.15, 0.15), seed: int = 0):
+def split(blocks, fractions=SPLIT, seed: int = 0):
     """Seeded stratified shuffle + contiguous partition into train/val/test.
 
     Blocks with and without a start label are interleaved at proportional

@@ -1,7 +1,7 @@
 """Analytic complexity models for both detectors.
 
-Per-layer multiply/add counts for the CNN, FLOPS-per-second at a given
-sample rate (the CNN consumes non-overlapping B-sample blocks, so it
+Per-layer multiply/add counts for the CNN, FLOPS-per-second at the 1 MHz
+base rate (the CNN consumes non-overlapping B-sample blocks, so it
 processes rate/B blocks per second), and the sliding-window cost of the
 conventional correlator (one new window per incoming sample).
 
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnn import CnnDetectorConfig
+from . import cnn
 from .corrsync import CorrDetectorConfig
+from .preamble import BASE_RATE_HZ
 
 COMPLEX_OP_CONVENTION = "cmul=6, cadd=2, magsq=3 real FLOPs"
 
@@ -75,23 +76,22 @@ def fc_cost(n_in: int, n_out: int, name: str = "fc") -> LayerCost:
     return LayerCost(name, n_in * n_out, (n_in + 1) * n_out)
 
 
-def model_flops(cfg: CnnDetectorConfig, sample_rate_hz: float = 1e6) -> FlopsReport:
+def model_flops(cfg: cnn.CnnDetectorConfig) -> FlopsReport:
     """Cost of the CNN detector over non-overlapping consecutive blocks."""
     w = cfg.layer_widths()
     layers = (
-        conv1d_cost(cfg.conv1_filter_len, cfg.in_channels, cfg.conv1_filters,
+        conv1d_cost(cnn.CONV1_FILTER_LEN, cnn.IN_CHANNELS, cnn.CONV1_FILTERS,
                     w["K1"], "conv1"),
-        conv1d_cost(cfg.conv2_filter_len, cfg.conv1_filters, cfg.conv2_filters,
+        conv1d_cost(cnn.CONV2_FILTER_LEN, cnn.CONV1_FILTERS, cnn.CONV2_FILTERS,
                     w["K2"], "conv2"),
-        fc_cost(w["flatten"], cfg.fc_neurons, "fc"),
-        fc_cost(cfg.fc_neurons, 1, "output"),
+        fc_cost(w["flatten"], cnn.FC_NEURONS, "fc"),
+        fc_cost(cnn.FC_NEURONS, 1, "output"),
     )
     return FlopsReport(f"cnn-B{cfg.block_len}", layers,
-                       sample_rate_hz / cfg.block_len)
+                       BASE_RATE_HZ / cfg.block_len)
 
 
-def conventional_flops(cfg: CorrDetectorConfig | None = None,
-                       sample_rate_hz: float = 1e6) -> FlopsReport:
+def conventional_flops(cfg: CorrDetectorConfig | None = None) -> FlopsReport:
     """Direct (non-recursive) per-slide cost of the coarse correlator.
 
     Per slide over a window of L samples: L complex multiplies and L-1
@@ -108,11 +108,11 @@ def conventional_flops(cfg: CorrDetectorConfig | None = None,
         LayerCost("window_power", 2 * L, L + 2 * (L - 1)),
         LayerCost("metric", 4, 1),
     )
-    return FlopsReport("conventional", layers, sample_rate_hz)
+    return FlopsReport("conventional", layers, BASE_RATE_HZ)
 
 
-def conventional_flops_recursive(cfg: CorrDetectorConfig | None = None,
-                                 sample_rate_hz: float = 1e6) -> FlopsReport:
+def conventional_flops_recursive(cfg: CorrDetectorConfig | None = None
+                                 ) -> FlopsReport:
     """Running-sum cost of the coarse correlator: the form
     `corrsync.metric_trace` runs, 31 real FLOPs per incoming sample.
     `flops --all` reports it next to the direct per-slide model, which
@@ -129,7 +129,7 @@ def conventional_flops_recursive(cfg: CorrDetectorConfig | None = None,
         LayerCost("window_power_update", 4, 6),
         LayerCost("metric", 4, 1),
     )
-    return FlopsReport("conventional-recursive", layers, sample_rate_hz)
+    return FlopsReport("conventional-recursive", layers, BASE_RATE_HZ)
 
 
 def report_rows(report: FlopsReport) -> list[tuple]:

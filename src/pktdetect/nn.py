@@ -265,9 +265,6 @@ class TrainConfig:
     batch_size: int = 80
     epochs: int = 400
     alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -287,7 +284,7 @@ def train(model: Sequential, inputs: np.ndarray, targets: np.ndarray,
     if n == 0:
         raise ValueError("dataset must be non-empty")
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(model.params, cfg.alpha, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam(model.params, cfg.alpha)
     history = {"train_loss": [], "val_loss": []}
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)

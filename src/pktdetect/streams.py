@@ -7,11 +7,13 @@ trials score the correlation detector, always at `DETECTOR`, on them:
 start-sample error, miss rate and false-alarm rate.
 
 A stream is made in two steps.  `draw_link` makes the link's random draws
-(CFO, multipath taps, unit noise) and the noiseless channel output;
-`rx_stream` scales the unit noise to an SNR, adds it and runs the rx front
-end.  Both steps also take rows of streams of one geometry (a leading row
-axis, one SNR per row), which is how `dataset.generate` runs a chunk of
-blocks at once; a single stream is the one-row case of the same code.
+(CFO, multipath taps, unit noise) and the noiseless channel output of the
+whole stream; `rx_stream` scales the unit noise to an SNR, adds it and runs
+the rx front end.  `rx_stream` also takes rows of streams of one geometry (a
+leading row axis, one SNR per row): `dataset.generate` makes its draws
+itself, computes only the window each block keeps through `channel`, and
+receives a chunk of blocks at once; a single stream is the one-row case of
+the same code.
 No draw of a trial (packet or not, its position, the link draws)
 depends on the SNR, so an SNR sweep draws each trial once and scores it at
 every point: one link simulation per trial plus one rx front end and
@@ -38,14 +40,14 @@ from .channel import (ChannelConfig, ChannelTemplate, RxFrontendConfig,
 from .corrsync import CorrDetectorConfig, coarse_detect, fine_detect
 
 DETECTOR = CorrDetectorConfig()
+PRE_PAD_RANGE = (100, 300)  # uniform packet position of a trial, base samples
+POST_PAD = 100
 
 
 @dataclass(frozen=True)
 class StreamTrialConfig:
     snr_db: float = 20.0
     channel: ChannelTemplate = ChannelTemplate(multipath=False, cfo_max_hz=0.0)
-    pre_pad_range: tuple = (100, 300)  # uniform packet position, base samples
-    post_pad: int = 100
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class LinkDraw(NamedTuple):
     noise scale, which is all that depends on the SNR."""
     pre: int
     has_packet: bool
-    clean: np.ndarray   # noiseless oversampled channel output over the span
+    clean: np.ndarray   # noiseless oversampled channel output
     noise: tuple | None  # unit-normal (re, im) over the same samples
     n_rx: int           # rx samples kept
 
@@ -134,30 +136,19 @@ class StreamSimulator:
                              span=(lo, hi)).samples
 
     def draw_link(self, rng: np.random.Generator, pre: int, post: int,
-                  has_packet: bool = True, span: tuple[int, int] | None = None,
-                  noisy: bool = True) -> LinkDraw:
-        """One stream's link: the CFO, then the multipath taps, the
+                  has_packet: bool = True, noisy: bool = True) -> LinkDraw:
+        """One whole stream's link: the CFO, then the multipath taps, the
         noiseless channel output, then (when noisy) the two unit-normal
-        noise vectors, drawn from rng in that order.  With span=(lo, hi),
-        only rx samples [lo, hi) are kept; the draws are the same."""
-        os = self.cfg.channel.os_factor
+        noise vectors, drawn from rng in that order."""
         tx = self.tx_stream(pre, post, has_packet)
         cfo, taps = self.draw_channel(rng)
         # channel output length: the timing offset is below one sample
         n_os = len(tx) + len(taps) - 1
-        n_rx = -(-n_os // os)
-        lo, hi = (0, n_rx) if span is None else span
-        if not 0 <= lo < hi <= n_rx:
-            raise ValueError(f"span must lie within [0, {n_rx}]")
-        # rx sample m reads channel output samples [m*os, m*os + rx taps)
-        os_lo, os_hi = lo * os, min((hi - 1) * os + len(self.taps), n_os)
-        clean = self.channel(tx, cfo, taps, os_lo, os_hi)
-        noise = None
-        if noisy:
-            # full-length draws keep every pinned output byte-identical
-            re, im = rng.standard_normal(n_os), rng.standard_normal(n_os)
-            noise = (re[os_lo:os_hi], im[os_lo:os_hi])
-        return LinkDraw(pre, has_packet, clean, noise, hi - lo)
+        clean = self.channel(tx, cfo, taps, 0, n_os)
+        noise = ((rng.standard_normal(n_os), rng.standard_normal(n_os))
+                 if noisy else None)
+        return LinkDraw(pre, has_packet, clean, noise,
+                        -(-n_os // self.cfg.channel.os_factor))
 
     def rx_stream(self, link: LinkDraw, snr_db) -> ComplexSignal:
         """The 1 MHz rx stream of a drawn link at snr_db (one per row for
@@ -214,9 +205,8 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
         if snr_range_db is not None:
             points = [sim.at_snr(float(rng.uniform(*snr_range_db)))]
         has_packet = bool(rng.uniform() < packet_fraction)
-        pre = int(rng.integers(*trial_cfg.pre_pad_range))
-        link = sim.draw_link(rng, pre, trial_cfg.post_pad, has_packet,
-                             noisy=noisy)
+        pre = int(rng.integers(*PRE_PAD_RANGE))
+        link = sim.draw_link(rng, pre, POST_PAD, has_packet, noisy=noisy)
         for point, out in zip(points, outcomes):
             out.append(point.run_trial(link))
     return outcomes

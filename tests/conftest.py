@@ -1,5 +1,6 @@
 """Shared fixtures and oracle helpers for the test suite."""
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ def instrumented_forward(net: nn.Sequential, x: np.ndarray):
         else:  # pragma: no cover - no other layer types exist
             raise TypeError(f"unknown layer {type(layer).__name__}")
     return x, muls
+
+
+# the u32 fields after a checkpoint's 8-byte magic, in order
+CHECKPOINT_HEADER = ("version", "block_len", "in_channels", "conv1_filters",
+                     "conv1_filter_len", "conv2_filters", "conv2_filter_len",
+                     "fc_neurons", "normalize")
+
+
+def tamper_checkpoint(path, field, value):
+    """Overwrite one u32 header field of the checkpoint at path."""
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 8 + 4 * CHECKPOINT_HEADER.index(field), value)
+    path.write_bytes(bytes(data))
 
 
 def finite_diff_grads(fn, params, h=1e-6):
@@ -158,7 +172,8 @@ def oracle_evaluate_conventional(trial_cfg, n_trials, seed=0,
     oracle: every trial simulated afresh at trial_cfg.snr_db (or at its own
     SNR drawn from snr_range_db)."""
     from pktdetect.corrsync import coarse_detect, fine_detect
-    from pktdetect.streams import DETECTOR, StreamSimulator, TrialOutcome
+    from pktdetect.streams import (DETECTOR, POST_PAD, PRE_PAD_RANGE,
+                                   StreamSimulator, TrialOutcome)
 
     sim = StreamSimulator(trial_cfg)
     outcomes = []
@@ -167,8 +182,8 @@ def oracle_evaluate_conventional(trial_cfg, n_trials, seed=0,
         snr = (float(rng.uniform(*snr_range_db)) if snr_range_db is not None
                else trial_cfg.snr_db)
         has_packet = bool(rng.uniform() < packet_fraction)
-        pre = int(rng.integers(*trial_cfg.pre_pad_range))
-        y = oracle_receive(sim, rng, snr, pre, trial_cfg.post_pad, has_packet)
+        pre = int(rng.integers(*PRE_PAD_RANGE))
+        y = oracle_receive(sim, rng, snr, pre, POST_PAD, has_packet)
         res = coarse_detect(y, DETECTOR)
         fine = (fine_detect(y, res.start_sample, sim.lts)
                 if res.detected else -1)
@@ -178,20 +193,20 @@ def oracle_evaluate_conventional(trial_cfg, n_trials, seed=0,
     return outcomes
 
 
-def receive(sim, rng, snr_db, pre, post, has_packet=True, span=None):
+def receive(sim, rng, snr_db, pre, post, has_packet=True):
     """One stream of sim's link at one SNR, drawn and received in one step:
     the rx stream of `pre` samples, the NDP (noise only when has_packet is
-    false) and `post` samples, then the rx filter tail; with span=(lo, hi),
-    only its samples [lo, hi).  Noise is drawn iff snr_db is finite."""
-    link = sim.draw_link(rng, pre, post, has_packet, span,
+    false) and `post` samples, then the rx filter tail.  Noise is drawn iff
+    snr_db is finite."""
+    link = sim.draw_link(rng, pre, post, has_packet,
                          noisy=bool(np.isfinite(snr_db)))
     return sim.rx_stream(link, snr_db)
 
 
 def oracle_generate(spec):
     """The per-block dataset.generate loop that the chunked one replaced,
-    kept as the oracle: each block's stream simulated alone, over the rx
-    samples its kind can read, and the block cut from it."""
+    kept as the oracle: each block's whole stream simulated alone and the
+    block cut from it."""
     from pktdetect.dataset import Kind, record_dtype
     from pktdetect.preamble import PREAMBLE_LEN
     from pktdetect.streams import StreamSimulator, StreamTrialConfig
@@ -215,14 +230,11 @@ def oracle_generate(spec):
                                        + 1j * rng.standard_normal(b))
             blocks[i] = (np.abs(w), -1.0, snr, kind)
             continue
-        # tau, drawn after the stream, puts a START block anywhere in [1, 2b)
-        lo, hi = ((1, 2 * b) if kind == Kind.START
-                  else (b + 1, 2 * b + PREAMBLE_LEN))
-        y = receive(sim, rng, snr, pre=b, post=b + 16, span=(lo, hi)).samples
+        y = receive(sim, rng, snr, pre=b, post=b + 16).samples
         if kind == Kind.START:
             tau = int(rng.integers(0, b))
             w0, label = b - tau, tau
         else:
             w0, label = int(rng.integers(b + 1, b + PREAMBLE_LEN + 1)), -1.0
-        blocks[i] = (np.abs(y[w0 - lo:w0 - lo + b]), label, snr, kind)
+        blocks[i] = (np.abs(y[w0:w0 + b]), label, snr, kind)
     return blocks

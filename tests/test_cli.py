@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import tamper_checkpoint
 from pktdetect import cli, cnn, dataset
 from pktdetect.cli import main
 from pktdetect.channel import ChannelTemplate
@@ -119,6 +120,14 @@ class TestTrain:
                      "--block-len", "40", arg, "0", "--out", str(out)]) == 2
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("block_len", ["0", "-4", "36"])
+    def test_bad_block_len_rejected(self, workspace, tmp_path, block_len):
+        # checked before the dataset is looked up, which has no such length
+        out = tmp_path / "out" / "m.ckpt"
+        assert main(["train", "--data", str(workspace / "data"),
+                     f"--block-len={block_len}", "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
 
 class TestEval:
     def test_model_mode(self, workspace, tmp_path):
@@ -178,6 +187,21 @@ class TestEval:
                      "--data", str(workspace / "data"), "--block-len", "40",
                      "--out", str(tmp_path / "x.csv")]) == 3
 
+    def test_checkpoint_of_another_network(self, workspace, tmp_path):
+        other = tmp_path / "other.ckpt"
+        other.write_bytes((workspace / "model.ckpt").read_bytes())
+        tamper_checkpoint(other, "conv1_filters", 0)
+        assert main(["eval", "--model", str(other),
+                     "--data", str(workspace / "data"), "--block-len", "40",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+
+    def test_nonpositive_block_len_rejected(self, workspace, tmp_path):
+        out = tmp_path / "out" / "x.csv"
+        assert main(["eval", "--model", str(workspace / "model.ckpt"),
+                     "--data", str(workspace / "data"), "--block-len", "-40",
+                     "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
 
 class TestFlops:
     def test_all_with_csv(self, tmp_path, capsys):
@@ -210,6 +234,15 @@ class TestFlops:
 
     def test_requires_selection(self):
         assert main(["flops"]) == 2
+
+    @pytest.mark.parametrize("block_len, reason", [
+        ("0", "invalid positive_int"), ("-1", "invalid positive_int"),
+        ("42", "a multiple of 4 and at least 40"),
+        ("36", "a multiple of 4 and at least 40")])
+    def test_block_len_the_network_cannot_take(self, capsys, block_len,
+                                               reason):
+        assert main(["flops", f"--block-len={block_len}"]) == 2
+        assert reason in capsys.readouterr().err
 
 
 class TestSweep:

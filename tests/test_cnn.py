@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tamper_checkpoint
 from pktdetect import cnn, dataset, nn
 from pktdetect.cnn import (BLOCK_LENGTHS, CheckpointError, CnnDetectorConfig,
                            block_to_channels, build_model, evaluate,
@@ -71,9 +74,9 @@ class TestModel:
         model = build_model(CnnDetectorConfig(block_len=40), seed=0)
         rng = np.random.default_rng(0)
         blocks = np.abs(rng.standard_normal((5, 40)))
-        assert np.all(predict(model, blocks) < model.cfg.detect_threshold)
+        assert np.all(predict(model, blocks) < cnn.DETECT_THRESHOLD)
         # output bias initialized at the no-packet label
-        assert model.net.layers[-1].b[0] == model.cfg.no_packet_label
+        assert model.net.layers[-1].b[0] == cnn.NO_PACKET_LABEL
 
     def test_build_deterministic(self):
         a = build_model(CnnDetectorConfig(block_len=160), seed=5)
@@ -247,3 +250,32 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
             load_model(path)
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("conv1_filters", 0, "another network"),
+        ("in_channels", 2, "another network"),
+        ("block_len", 42, "multiple of 4 and at least 40"),
+        ("block_len", 8, "multiple of 4 and at least 40"),
+        ("normalize", 7, "another network")])
+    def test_tampered_header_rejected(self, tmp_path, field, value, reason):
+        path = tmp_path / "model.ckpt"
+        save_model(build_model(CnnDetectorConfig(block_len=40), seed=0), path)
+        tamper_checkpoint(path, field, value)
+        with pytest.raises(CheckpointError, match=reason):
+            load_model(path)
+
+    @pytest.mark.parametrize("cfg, ckpt_sha256, sidecar_sha256", [
+        (CnnDetectorConfig(40),
+         "5389c69ecf511cb1a72a76babbab6cca2522008a9cdf57312d0d0032de2bcb41",
+         "5b41e66568fba833307dc618c230ac8abe09aa0a860b9a84a78eaa071f4c8d3e"),
+        (CnnDetectorConfig(160, normalize="rms"),
+         "f97dde079bd4b884dfe344a033ab2de48eeffd4b3802f33016693c83617305ec",
+         "66d0110eaad6b6be9a6c762f145ecfa6f1d51a61fa31399b643eddabeca0eb91")],
+        ids=["b40-raw", "b160-rms"])
+    def test_checkpoint_bytes_pinned(self, tmp_path, cfg, ckpt_sha256,
+                                     sidecar_sha256):
+        path = tmp_path / "model.ckpt"
+        save_model(build_model(cfg, seed=3), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha256
+        sidecar = tmp_path / "model.ckpt.json"
+        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == sidecar_sha256

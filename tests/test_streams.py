@@ -44,15 +44,26 @@ class TestReceive:
              "trial-head", "trial-tail"])
     def test_span_is_slice_of_whole_stream(self, channel, snr_db, pre, post,
                                            span):
+        # the path dataset.generate runs: the channel output under rx
+        # samples [lo, hi) alone, with that slice of the unit noise
         sim = StreamSimulator(StreamTrialConfig(channel=channel))
-        rng_full, rng_span = np.random.default_rng(5), np.random.default_rng(5)
-        full = receive(sim, rng_full, snr_db, pre, post).samples
-        part = receive(sim, rng_span, snr_db, pre, post, span=span).samples
+        link = sim.draw_link(np.random.default_rng(5), pre, post,
+                             noisy=bool(np.isfinite(snr_db)))
+        full = sim.rx_stream(link, snr_db).samples
         lo, hi = span
+        # rx sample m reads channel output samples [m*os, m*os + rx taps)
+        os = channel.os_factor
+        os_lo = lo * os
+        os_hi = min((hi - 1) * os + len(sim.taps), len(link.clean))
+        cfo, taps = sim.draw_channel(np.random.default_rng(5))
+        clean = sim.channel(sim.tx_stream(pre, post), cfo, taps, os_lo, os_hi)
+        noise = (None if link.noise is None
+                 else tuple(n[os_lo:os_hi] for n in link.noise))
+        part = sim.rx_stream(streams.LinkDraw(pre, True, clean, noise, hi - lo),
+                             snr_db).samples
         assert len(part) == hi - lo
         np.testing.assert_allclose(part, full[lo:hi], rtol=1e-12,
                                    atol=1e-12 * np.abs(full).max())
-        assert rng_span.standard_normal() == rng_full.standard_normal()
 
     @pytest.mark.parametrize("channel", [
         ChannelTemplate(multipath=False, cfo_max_hz=0.0), ChannelTemplate(),
@@ -61,30 +72,20 @@ class TestReceive:
     @pytest.mark.parametrize("b", [40, 160])
     def test_float32_amplitudes_match_oracle_link(self, channel, b,
                                                   monkeypatch):
-        # the START and MID_TAIL windows dataset.generate cuts, as it stores
-        # them: |y| in float32
+        # the rx samples START and MID_TAIL windows of dataset.generate can
+        # read, as it stores them: |y| in float32
         sim = StreamSimulator(StreamTrialConfig(channel=channel))
-        spans = [(1, 2 * b), (b + 1, 2 * b + PREAMBLE_LEN)]
-        cases = [(seed, snr, span) for seed in range(4)
-                 for snr in (3.0, 17.0, np.inf) for span in spans]
+        cases = [(seed, snr) for seed in range(4) for snr in (3.0, 17.0, np.inf)]
 
         def amplitudes():
             return [np.abs(receive(sim, np.random.default_rng(seed), snr, b,
-                                   b + 16, span=span).samples)
-                    .astype(np.float32) for seed, snr, span in cases]
+                                   b + 16).samples[1:2 * b + PREAMBLE_LEN])
+                    .astype(np.float32) for seed, snr in cases]
 
         fast = amplitudes()
         monkeypatch.setattr(streams, "apply_channel", oracle_apply_channel)
         for new, old in zip(fast, amplitudes()):
             np.testing.assert_array_equal(new, old)
-
-    def test_span_checked(self, awgn_sim):
-        n = len(receive(awgn_sim, np.random.default_rng(0), 20.0, 40, 56))
-        for span in ((0, n + 1), (5, 5), (-1, 3)):
-            with pytest.raises(ValueError):
-                receive(awgn_sim, np.random.default_rng(0), 20.0, 40, 56,
-                        span=span)
-
 
     @pytest.mark.parametrize("channel", [
         ChannelTemplate(multipath=False, cfo_max_hz=0.0), ChannelTemplate()],
@@ -225,13 +226,13 @@ class TestSharedSweep:
             for k, snr in enumerate(POINTS):
                 rng = np.random.default_rng((seed, i))
                 has_packet = bool(rng.uniform() < 0.5)
-                pre = int(rng.integers(*cfg.pre_pad_range))
-                y = receive(sim, rng, snr, pre, cfg.post_pad, has_packet)
+                pre = int(rng.integers(*streams.PRE_PAD_RANGE))
+                y = receive(sim, rng, snr, pre, streams.POST_PAD, has_packet)
                 assert seen[i * len(POINTS) + k] == y.samples.tobytes()
                 if i == 0:  # and, within rounding, the one-step oracle link
                     rng = np.random.default_rng((seed, i))
-                    rng.uniform(), rng.integers(*cfg.pre_pad_range)
-                    ref = oracle_receive(sim, rng, snr, pre, cfg.post_pad,
+                    rng.uniform(), rng.integers(*streams.PRE_PAD_RANGE)
+                    ref = oracle_receive(sim, rng, snr, pre, streams.POST_PAD,
                                          has_packet).samples
                     np.testing.assert_allclose(y.samples, ref, rtol=0,
                                                atol=1e-12)
