@@ -9,12 +9,26 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .preamble import ComplexSignal
+
+
+def set_int_fields(obj, minimums: dict) -> None:
+    """Check that each named field of the frozen dataclass obj is an integer
+    (a numpy one too, but not a bool) of at least its minimum, and store it
+    as a Python int; ValueError otherwise."""
+    for name, minimum in minimums.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, not {value}")
+        object.__setattr__(obj, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -29,8 +43,7 @@ class ChannelTemplate:
     fractional_timing_offset: float = 0.0  # in oversampled samples, [0, 1)
 
     def __post_init__(self):
-        if self.os_factor < 1 or self.filter_taps < 1:
-            raise ValueError("os_factor and filter_taps must be at least 1")
+        set_int_fields(self, {"os_factor": 1, "filter_taps": 1})
         if not self.cfo_max_hz >= 0:
             raise ValueError("cfo_max_hz must be non-negative")
         if self.multipath and not self.rms_delay_spread_ns > 0:
@@ -85,21 +98,33 @@ def draw_model_b_taps(seed: int | np.random.Generator, os_rate_hz: float,
 
     Exponentially decaying power-delay profile with the given RMS delay
     spread, truncated at TRUNCATION_FACTOR times the spread, Rayleigh
-    (circularly-symmetric Gaussian) taps, power-normalized to 1.
+    (circularly-symmetric Gaussian) taps, power-normalized to 1: the
+    model_b_taps of the real, then the imaginary unit normals drawn from
+    seed.
     """
     if os_rate_hz < 1e6:
         raise ValueError("os_rate_hz must be at least 1 MHz")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    scale = _model_b_tap_scale(os_rate_hz, rms_delay_spread_ns)
-    h = scale * (rng.standard_normal(len(scale))
-                 + 1j * rng.standard_normal(len(scale)))
-    return h / np.sqrt((np.abs(h) ** 2).sum())
+    n_taps = len(model_b_tap_scale(os_rate_hz, rms_delay_spread_ns))
+    return model_b_taps(rng.standard_normal((2, n_taps)), os_rate_hz,
+                        rms_delay_spread_ns)
+
+
+def model_b_taps(normals: np.ndarray, os_rate_hz: float,
+                 rms_delay_spread_ns: float = 80.0) -> np.ndarray:
+    """The model-B taps shaped from unit normals of shape (2, n_taps) (real
+    parts, then imaginary parts), or from rows of them (rows, 2, n_taps):
+    each row is scaled by the power-delay profile and power-normalized on
+    its own, with the arithmetic of a lone row."""
+    scale = model_b_tap_scale(os_rate_hz, rms_delay_spread_ns)
+    h = scale * (normals[..., 0, :] + 1j * normals[..., 1, :])
+    return h / np.sqrt((np.abs(h) ** 2).sum(axis=-1, keepdims=True))
 
 
 @functools.lru_cache(maxsize=16)
-def _model_b_tap_scale(os_rate_hz: float, rms_delay_spread_ns: float) -> np.ndarray:
+def model_b_tap_scale(os_rate_hz: float, rms_delay_spread_ns: float) -> np.ndarray:
     """Per-tap amplitude sqrt(profile / 2) of the normalized power-delay
-    profile (read-only: it is shared between calls)."""
+    profile (read-only: it is shared between calls and threads)."""
     dt_ns = 1e9 / os_rate_hz
     delays = np.arange(0.0, TRUNCATION_FACTOR * rms_delay_spread_ns + 1e-9, dt_ns)
     profile = np.exp(-delays / rms_delay_spread_ns)

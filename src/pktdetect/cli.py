@@ -45,7 +45,10 @@ def build_versions() -> dict:
             "blas": blas.get("name"), "blas_version": blas.get("version")}
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict) -> None:
+def _write_manifest(out_dir: Path, command: str, args: dict,
+                    **extra) -> None:
+    """<command>.manifest.json: the arguments, the versions and any extra
+    top-level fields."""
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "command": command,
@@ -56,6 +59,7 @@ def _write_manifest(out_dir: Path, command: str, args: dict) -> None:
             "dataset_format": dataset.FORMAT_VERSION,
             **build_versions(),
         },
+        **extra,
     }
     (out_dir / f"{command}.manifest.json").write_text(json.dumps(doc, indent=1))
 
@@ -104,7 +108,8 @@ def cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset.save(blocks, out_dir / spec.name, spec)
     _write_manifest(out_dir, "gen", {"spec": args.spec, "out": args.out,
-                                     "seed": spec.seed, "name": spec.name})
+                                     "seed": spec.seed, "name": spec.name},
+                    workers=dataset.worker_count(spec))
     print(f"wrote {len(blocks)} blocks to {out_dir / spec.name}.blocks.bin")
     return 0
 
@@ -293,6 +298,13 @@ def positive_int(text: str) -> int:
     return n
 
 
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"{n} is negative")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pktdetect",
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-len", type=positive_int, required=True)
     p.add_argument("--epochs", type=positive_int, default=400)
     p.add_argument("--batch-size", type=positive_int, default=80)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.set_defaults(func=cmd_train)
 
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-range", type=finite_snr_db, nargs=2,
                    metavar=("LO", "HI"))
     p.add_argument("--awgn-only", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="per-SNR-bin MAE CSV path")
     p.set_defaults(func=cmd_eval)
 
@@ -345,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--packets", type=positive_int, default=500,
                    help="trials (or blocks) per SNR point")
     p.add_argument("--awgn-only", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -63,6 +63,13 @@ class CnnDetectorConfig:
         k2 = k1 - CONV2_FILTER_LEN + 1
         return {"T": t, "K1": k1, "K2": k2, "flatten": CONV2_FILTERS * k2}
 
+    def n_params(self) -> int:
+        """Weights plus biases of the network, layer by layer."""
+        return (CONV1_FILTERS * (IN_CHANNELS * CONV1_FILTER_LEN + 1)
+                + CONV2_FILTERS * (CONV1_FILTERS * CONV2_FILTER_LEN + 1)
+                + FC_NEURONS * (self.layer_widths()["flatten"] + 1)
+                + FC_NEURONS + 1)
+
 
 @dataclass
 class CnnModel:
@@ -240,15 +247,17 @@ def load_model(path: str | Path) -> CnnModel:
         cfg = CnnDetectorConfig(block_len, NORMALIZE_MODES[flag])
     except ValueError as exc:
         raise CheckpointError(f"checkpoint header: {exc}") from exc
-    model = build_model(cfg)
+    # the length check comes first, so that a tampered block_len cannot
+    # make build_model allocate a dense layer the file does not hold
     offset = len(_MAGIC) + 36
+    size = offset + 8 * cfg.n_params()
+    if len(data) < size:
+        raise CheckpointError("checkpoint truncated")
+    if len(data) > size:
+        raise CheckpointError("checkpoint has trailing bytes")
+    model = build_model(cfg)
     for p in model.net.params:
-        nbytes = p.size * 8
-        if offset + nbytes > len(data):
-            raise CheckpointError("checkpoint truncated")
         p[...] = np.frombuffer(data, dtype="<f8", count=p.size,
                                offset=offset).reshape(p.shape)
-        offset += nbytes
-    if offset != len(data):
-        raise CheckpointError("checkpoint has trailing bytes")
+        offset += p.size * 8
     return model

@@ -9,7 +9,8 @@ mid-or-tail).  Generation is deterministic given the spec seed: every block
 draws from its own (seed, index) substream.  It runs CHUNK_BLOCKS blocks
 at a time: first each block makes its draws, then the chunk's blocks are
 computed together as rows of 2-D arrays, each for only the samples it
-keeps (see `generate`).
+keeps.  Long blocks are made on up to one thread per usable CPU, and the
+bytes do not depend on the thread count (see `generate`).
 """
 from __future__ import annotations
 
@@ -17,13 +18,16 @@ import enum
 import hashlib
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .preamble import PREAMBLE_LEN
-from .channel import ChannelTemplate
+from .channel import (ChannelTemplate, model_b_tap_scale, model_b_taps,
+                      set_int_fields)
 from .streams import LinkDraw, StreamSimulator, StreamTrialConfig
 # Unused here, kept because the benchmark's tracer (bench/tracing.py) swaps
 # these four names in this module's namespace and fails if one is missing;
@@ -37,6 +41,15 @@ FORMAT_VERSION = 1
 # temporaries stays near 350 kB at block_len 160, in cache and off the peak
 # resident size
 CHUNK_BLOCKS = 32
+# generate's threads at most, and the shortest block length it threads.  A
+# block holds the GIL for about half its time (the unit-noise fills release
+# it), and the shorter the block the larger that half.  On a 2-vCPU host
+# two threads made 0.68-0.88x the blocks/s of one at block_len 40,
+# 0.85-0.93x at 80 and 120, 0.93-1.13x at 160 and 1.04x at 240 in-process,
+# and the benchmark's gen at 160 on two threads ran 1.476x the one-thread
+# parent (BENCH_12.json); more than two threads was never measured
+MAX_WORKERS = 2
+MIN_THREADED_BLOCK_LEN = 160
 # train / validation / test fractions of a spec without its own split
 SPLIT = (0.70, 0.15, 0.15)
 
@@ -75,8 +88,7 @@ class DatasetSpec:
         for f in (self.frac_no_start, self.frac_noise_within_no_start, *self.split):
             if not 0.0 <= f <= 1.0:
                 raise ValueError("fractions must lie in [0, 1]")
-        if self.block_len < 1 or self.n_blocks < 1:
-            raise ValueError("block_len and n_blocks must be positive")
+        set_int_fields(self, {"block_len": 1, "n_blocks": 1, "seed": 0})
         if (len(self.snr_range_db) != 2
                 or not all(map(math.isfinite, self.snr_range_db))):
             raise ValueError("snr_range_db must be two finite values in dB")
@@ -103,44 +115,117 @@ class DatasetSpec:
         return cls(channel=channel, **doc)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def worker_count(spec: DatasetSpec) -> int:
+    """The number of threads `generate` makes spec's blocks on: one below
+    MIN_THREADED_BLOCK_LEN, else one per usable CPU, at most MAX_WORKERS
+    and at most one per chunk."""
+    if spec.block_len < MIN_THREADED_BLOCK_LEN:
+        return 1
+    return min(MAX_WORKERS, usable_cpus(), -(-spec.n_blocks // CHUNK_BLOCKS))
+
+
 def generate(spec: DatasetSpec) -> np.ndarray:
     """Generate the labeled blocks for one dataset spec.
 
     Each block is cut from one link stream: `block_len` samples of noise,
     the NDP, then `block_len + 16` more.  Blocks are made CHUNK_BLOCKS at a
-    time, in two phases:
+    time (see `_Chunker`), on `worker_count` threads: the calling thread
+    and, with more than one usable CPU and blocks of at least
+    MIN_THREADED_BLOCK_LEN samples, worker threads, each taking the next
+    chunk not yet taken and writing its own slice of the result.  The
+    unit-noise draws, about half of a block's time, release the GIL, so the
+    threads overlap there.  Every block draws from its own (seed, index)
+    substream and a row's arithmetic is that of its stream simulated alone,
+    so the bytes depend neither on the chunking nor on the thread count.
+    The first exception raised in any thread is re-raised once every thread
+    has stopped.
+    """
+    sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
+    blocks = np.zeros(spec.n_blocks, dtype=record_dtype(spec.block_len))
+    chunks = iter(range(0, spec.n_blocks, CHUNK_BLOCKS))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        try:
+            chunker = _Chunker(spec, sim)  # this thread's buffers
+            while not errors:
+                with lock:
+                    c0 = next(chunks, None)
+                if c0 is None:
+                    return
+                chunker.fill(blocks[c0:c0 + CHUNK_BLOCKS], c0)
+        except BaseException as exc:  # stops the others after their chunk
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work)
+               for _ in range(1, worker_count(spec))]
+    try:
+        for t in threads:
+            t.start()
+        work()
+    finally:
+        for t in threads:
+            if t.is_alive():
+                t.join()
+    if errors:
+        raise errors[0]
+    return blocks
+
+
+class _Chunker:
+    """`generate`'s work on one chunk, with one thread's reusable buffers.
+
+    A chunk is made in two phases:
 
     - draws: each block draws from its own (seed, index) substream, in the
       order of a whole-stream simulation: SNR, kind, then for a START or
-      MID_TAIL block the CFO, the multipath taps, the two full-length
-      unit-noise vectors and the window position (tau or w0), for a
-      NOISE_ONLY block two block-length unit-noise vectors;
-    - compute: the chunk's START and MID_TAIL blocks run through the channel
-      and the rx front end together, one row each, for only the block_len
-      rx samples each keeps (the channel output under them and that slice
-      of its noise), and the NOISE_ONLY blocks are scaled together.
-
-    A row's arithmetic is that of its stream simulated alone, so the bytes
-    do not depend on the chunking.
+      MID_TAIL block the CFO, the multipath tap normals, the two
+      full-length unit-noise vectors (one fill of a (2, n) buffer, the same
+      stream as two) and the window position (tau or w0), for a NOISE_ONLY
+      block two block-length unit-noise vectors;
+    - compute: the chunk's taps are shaped together (channel.model_b_taps),
+      its START and MID_TAIL blocks run through the channel and the rx
+      front end together, one row each, for only the block_len rx samples
+      each keeps (the channel output under them and that slice of its
+      noise), and the NOISE_ONLY blocks are scaled together.
     """
-    sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
-    b, os = spec.block_len, spec.channel.os_factor
-    # plain ints: an enum member lookup costs microseconds per block
-    START, NOISE_ONLY, MID_TAIL = map(int, (Kind.START, Kind.NOISE_ONLY,
-                                            Kind.MID_TAIL))
-    tx = sim.tx_stream(pre=b, post=b + 16)
-    # channel output samples under b rx samples, from the window's first
-    width = (b - 1) * os + len(sim.taps)
-    blocks = np.zeros(spec.n_blocks, dtype=record_dtype(b))
-    unit = np.empty((CHUNK_BLOCKS, 2, width))  # unit noise under each window
-    unit_noise = np.empty((CHUNK_BLOCKS, 2, b))  # that of NOISE_ONLY blocks
-    full = None  # one stream's two full-length noise vectors, reused
-    for c0 in range(0, spec.n_blocks, CHUNK_BLOCKS):
-        chunk = blocks[c0:c0 + CHUNK_BLOCKS]
+
+    def __init__(self, spec: DatasetSpec, sim: StreamSimulator):
+        self.spec, self.sim = spec, sim
+        tpl, b = spec.channel, spec.block_len
+        self.tx = sim.tx_stream(pre=b, post=b + 16)
+        n_taps = (len(model_b_tap_scale(sim.os_rate, tpl.rms_delay_spread_ns))
+                  if tpl.multipath else 1)
+        # channel output samples under b rx samples, from the window's first
+        self.width = (b - 1) * tpl.os_factor + len(sim.taps)
+        self.unit = np.empty((CHUNK_BLOCKS, 2, self.width))  # under each window
+        self.unit_noise = np.empty((CHUNK_BLOCKS, 2, b))  # of NOISE_ONLY blocks
+        self.normals = np.empty((CHUNK_BLOCKS, 2, n_taps))  # raw tap normals
+        self.cfo = np.zeros(CHUNK_BLOCKS)
+        # one stream's two full-length noise vectors
+        self.full = np.empty((2, len(self.tx) + n_taps - 1))
+
+    def fill(self, chunk: np.ndarray, c0: int) -> None:
+        """Make blocks c0, c0 + 1, ... into the record array chunk."""
+        spec, sim, tpl = self.spec, self.sim, self.spec.channel
+        b, osf, width = spec.block_len, tpl.os_factor, self.width
+        unit, unit_noise, full = self.unit, self.unit_noise, self.full
+        # plain ints: an enum member lookup costs microseconds per block
+        START, NOISE_ONLY, MID_TAIL = map(int, (Kind.START, Kind.NOISE_ONLY,
+                                                Kind.MID_TAIL))
         n = len(chunk)
         snr, label = np.empty(n), np.full(n, -1.0)
         kind = np.empty(n, dtype=np.uint8)
-        cfo, taps, lo = [], [], []  # per link block, in chunk order
+        lo = []  # window start per link block, in chunk order
         g_noise = []  # noise scale per NOISE_ONLY block, in chunk order
         for r in range(n):
             rng = np.random.default_rng((spec.seed, c0 + r))
@@ -152,28 +237,26 @@ def generate(spec: DatasetSpec) -> np.ndarray:
                 k = START
             kind[r] = k
             if k == NOISE_ONLY:
-                rng.standard_normal(out=unit_noise[len(g_noise), 0])
-                rng.standard_normal(out=unit_noise[len(g_noise), 1])
+                rng.standard_normal(out=unit_noise[len(g_noise)])
                 g_noise.append(np.sqrt(sim.noise_sigma2(s) / 2))
                 continue
-            f, t = sim.draw_channel(rng)
-            if full is None:
-                full = np.empty((2, len(tx) + len(t) - 1))
-            rng.standard_normal(out=full[0])
-            rng.standard_normal(out=full[1])
+            j = len(lo)
+            self.cfo[j], _ = sim.draw_channel(rng, self.normals[j])
+            rng.standard_normal(out=full)
             if k == START:
                 tau = int(rng.integers(0, b))
                 w0, label[r] = b - tau, tau
             else:
                 w0 = int(rng.integers(b + 1, b + PREAMBLE_LEN + 1))
-            unit[len(lo)] = full[:, w0 * os:w0 * os + width]
-            cfo.append(f)
-            taps.append(t)
-            lo.append(w0 * os)
+            unit[j] = full[:, w0 * osf:w0 * osf + width]
+            lo.append(w0 * osf)
         noise_only = kind == NOISE_ONLY
         if lo:
             lo, m = np.array(lo), len(lo)
-            clean = sim.channel(tx, np.array(cfo), np.stack(taps), lo, lo + width)
+            taps = (model_b_taps(self.normals[:m], sim.os_rate,
+                                 tpl.rms_delay_spread_ns)
+                    if tpl.multipath else np.ones((m, 1)))
+            clean = sim.channel(self.tx, self.cfo[:m], taps, lo, lo + width)
             link = LinkDraw(b, True, clean, (unit[:m, 0], unit[:m, 1]), b)
             rx = sim.rx_stream(link, snr[~noise_only])
             chunk["amp"][~noise_only] = np.abs(rx.samples)
@@ -182,7 +265,6 @@ def generate(spec: DatasetSpec) -> np.ndarray:
             w = np.array(g_noise)[:, None] * (re + 1j * im)
             chunk["amp"][noise_only] = np.abs(w)
         chunk["label"], chunk["snr"], chunk["kind"] = label, snr, kind
-    return blocks
 
 
 def split(blocks, fractions=SPLIT, seed: int = 0):

@@ -115,15 +115,21 @@ class StreamSimulator:
             buf[pre * os:pre * os + len(self.x_os)] = self.x_os
         return buf
 
-    def draw_channel(self, rng: np.random.Generator) -> tuple:
+    def draw_channel(self, rng: np.random.Generator,
+                     tap_normals: np.ndarray | None = None) -> tuple:
         """(CFO in Hz, multipath taps) of one stream, drawn from rng in that
-        order."""
+        order.  Given a (2, n_taps) buffer tap_normals, a multipath channel
+        draws its taps' unit normals into it, left for channel.model_b_taps
+        to shape, and returns None for the taps."""
         tpl = self.cfg.channel
         cfo = (float(rng.uniform(-tpl.cfo_max_hz, tpl.cfo_max_hz))
                if tpl.cfo_max_hz else 0.0)
-        taps = (draw_model_b_taps(rng, self.os_rate, tpl.rms_delay_spread_ns)
-                if tpl.multipath else np.ones(1))
-        return cfo, taps
+        if not tpl.multipath:
+            return cfo, np.ones(1)
+        if tap_normals is not None:
+            rng.standard_normal(out=tap_normals)
+            return cfo, None
+        return cfo, draw_model_b_taps(rng, self.os_rate, tpl.rms_delay_spread_ns)
 
     def channel(self, tx: np.ndarray, cfo, taps: np.ndarray, lo,
                 hi) -> np.ndarray:

@@ -100,6 +100,41 @@ class TestGen:
         assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", -1), ("seed", 1.5), ("n_blocks", 5.5), ("block_len", 40.0),
+        ("channel.os_factor", 4.5), ("channel.filter_taps", 48.0)])
+    def test_non_integer_spec_field_rejected(self, tmp_path, monkeypatch,
+                                             key, value):
+        doc = json.loads(DatasetSpec(block_len=40, n_blocks=20).to_json())
+        *parents, field = key.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[field] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+
+        def no_generate(spec):
+            raise AssertionError("generate called")
+
+        monkeypatch.setattr(dataset, "generate", no_generate)
+        out = tmp_path / "out"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_manifest_records_workers(self, workspace):
+        doc = json.loads((workspace / "data" / "gen.manifest.json").read_text())
+        assert doc["workers"] == 1  # block_len 40 is made on one thread
+
+    def test_manifest_records_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+        spec_path = tmp_path / "spec.json"
+        _write_spec(spec_path, block_len=160, n_blocks=2 * dataset.CHUNK_BLOCKS)
+        out = tmp_path / "data"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 0
+        doc = json.loads((out / "gen.manifest.json").read_text())
+        assert doc["workers"] == 2
+
 
 class TestTrain:
     def test_outputs(self, workspace):
@@ -118,6 +153,13 @@ class TestTrain:
         out = tmp_path / "out" / "m.ckpt"
         assert main(["train", "--data", str(workspace / "data"),
                      "--block-len", "40", arg, "0", "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    def test_negative_seed_rejected(self, workspace, tmp_path):
+        out = tmp_path / "out" / "m.ckpt"
+        assert main(["train", "--data", str(workspace / "data"),
+                     "--block-len", "40", "--epochs", "1", "--seed", "-1",
+                     "--out", str(out)]) == 2
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("block_len", ["0", "-4", "36"])
@@ -164,6 +206,12 @@ class TestEval:
         out = tmp_path / "out" / "conv.csv"
         assert main(["eval", "--conventional", "--packets", packets,
                      "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    def test_conventional_negative_seed_rejected(self, tmp_path):
+        out = tmp_path / "out" / "conv.csv"
+        assert main(["eval", "--conventional", "--packets", "5",
+                     "--seed", "-1", "--out", str(out)]) == 2
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("snr", [["--snr-db", "nan"],
@@ -304,6 +352,12 @@ class TestSweep:
         out = tmp_path / "out" / "sweep.csv"
         assert main(["sweep", "--conventional", "--snrs", "20",
                      "--packets", packets, "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    def test_negative_seed_rejected(self, tmp_path):
+        out = tmp_path / "out" / "sweep.csv"
+        assert main(["sweep", "--conventional", "--snrs", "20",
+                     "--packets", "5", "--seed", "-1", "--out", str(out)]) == 2
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("snrs", ["5,,10", "nan", "10,NaN", "abc",

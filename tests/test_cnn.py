@@ -264,6 +264,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=reason):
             load_model(path)
 
+    @pytest.mark.parametrize("saved, header, reason", [
+        (40, 4_000_000, "checkpoint truncated"),
+        (160, 40, "checkpoint has trailing bytes")])
+    def test_length_checked_before_build(self, tmp_path, monkeypatch, saved,
+                                         header, reason):
+        path = tmp_path / "model.ckpt"
+        save_model(build_model(CnnDetectorConfig(block_len=saved), seed=0), path)
+        tamper_checkpoint(path, "block_len", header)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_model called")
+
+        monkeypatch.setattr(cnn, "build_model", no_build)
+        with pytest.raises(CheckpointError, match=reason):
+            load_model(path)
+
+    @pytest.mark.parametrize("block_len", BLOCK_LENGTHS)
+    def test_n_params_counts_the_built_network(self, block_len):
+        cfg = CnnDetectorConfig(block_len)
+        assert cfg.n_params() == sum(p.size for p in build_model(cfg).net.params)
+
     @pytest.mark.parametrize("cfg, ckpt_sha256, sidecar_sha256", [
         (CnnDetectorConfig(40),
          "5389c69ecf511cb1a72a76babbab6cca2522008a9cdf57312d0d0032de2bcb41",

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import oracle_generate
+from pktdetect import dataset
 from pktdetect.channel import ChannelTemplate
 from pktdetect.dataset import (CHUNK_BLOCKS, DatasetError, DatasetSpec, Kind,
                                generate, load, record_dtype, save, split)
@@ -104,6 +106,27 @@ class TestDatasetSpec:
 
     def test_default_name(self):
         assert DatasetSpec(block_len=80, n_blocks=10).name == "blocks80"
+
+    @pytest.mark.parametrize("field, value", [
+        ("block_len", 40.0), ("n_blocks", 5.5), ("seed", 1.5), ("seed", -1),
+        ("seed", True), ("n_blocks", 0)])
+    def test_integer_fields_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DatasetSpec(**{"block_len": 40, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("os_factor", 4.5), ("filter_taps", 48.0), ("os_factor", False)])
+    def test_channel_integer_fields_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChannelTemplate(**{field: value})
+
+    def test_numpy_integers_stored_as_ints(self):
+        spec = DatasetSpec(block_len=np.int64(40), n_blocks=np.int32(10),
+                           seed=np.uint64(3),
+                           channel=ChannelTemplate(os_factor=np.int16(4)))
+        assert type(spec.block_len) is int and type(spec.seed) is int
+        assert type(spec.channel.os_factor) is int
+        assert DatasetSpec.from_json(spec.to_json()) == spec
 
     def test_json_round_trip(self):
         spec = DatasetSpec(block_len=160, n_blocks=500, seed=3,
@@ -238,6 +261,97 @@ class TestChunks:
         blocks = generate(spec)
         assert blocks.tobytes() == oracle_generate(spec).tobytes()
         assert blocks["kind"][index] == Kind.MID_TAIL
+
+
+class TestThreads:
+    """generate makes its chunks on worker_count threads; these tests force
+    the count through the CPU count it reads (lifting the cap and the block
+    length threshold, which only bound the speed), and the bytes must not
+    depend on it."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def force(n):
+            monkeypatch.setattr(dataset, "usable_cpus", lambda: n)
+            monkeypatch.setattr(dataset, "MAX_WORKERS", 64)
+            monkeypatch.setattr(dataset, "MIN_THREADED_BLOCK_LEN", 1)
+        return force
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("channel", [_FAST, ChannelTemplate()],
+                             ids=["awgn", "multipath-cfo"])
+    @pytest.mark.parametrize("block_len", [40, 160])
+    def test_bytes_independent_of_thread_count(self, cpus, workers, channel,
+                                               block_len):
+        cpus(workers)
+        spec = DatasetSpec(block_len=block_len, n_blocks=3 * C + 5, seed=12,
+                           channel=channel)
+        assert dataset.worker_count(spec) == workers
+        assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
+
+    @pytest.mark.parametrize("n_cpus, block_len, n_blocks, workers", [
+        (1, 160, 10 * C, 1), (2, 160, 10 * C, 2), (64, 160, 10 * C, 2),
+        (2, 160, C, 1), (2, 160, C + 1, 2), (64, 400, 10 * C, 2),
+        (2, 159, 10 * C, 1), (64, 40, 10 * C, 1)])
+    def test_worker_count(self, monkeypatch, n_cpus, block_len, n_blocks,
+                          workers):
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: n_cpus)
+        spec = DatasetSpec(block_len=block_len, n_blocks=n_blocks)
+        assert dataset.worker_count(spec) == workers
+
+    def test_threads_started_per_extra_worker(self, cpus, monkeypatch):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        cpus(3)
+        generate(DatasetSpec(block_len=40, n_blocks=3 * C, seed=1,
+                             channel=_FAST))
+        assert len(started) == 2
+        assert not any(t.is_alive() for t in started)
+
+    def test_one_cpu_starts_no_thread(self, cpus, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was made")
+
+        spec = DatasetSpec(block_len=40, n_blocks=3 * C + 5, seed=13,
+                           channel=_FAST)
+        cpus(2)
+        threaded = generate(spec)
+        cpus(1)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert generate(spec).tobytes() == threaded.tobytes()
+
+    def test_short_blocks_start_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was made")
+
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        generate(DatasetSpec(block_len=dataset.MIN_THREADED_BLOCK_LEN - 1,
+                             n_blocks=3 * C, seed=1, channel=_FAST))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_chunk_error_raised_after_threads_stop(self, cpus, monkeypatch,
+                                                   workers):
+        cpus(workers)
+        fill = dataset._Chunker.fill
+
+        def failing(self, chunk, c0):
+            if c0 == 2 * C:
+                raise RuntimeError("planted chunk failure")
+            fill(self, chunk, c0)
+
+        monkeypatch.setattr(dataset._Chunker, "fill", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="planted chunk failure"):
+            generate(DatasetSpec(block_len=40, n_blocks=8 * C, seed=1,
+                                 channel=_FAST))
+        assert set(threading.enumerate()) == before
 
 
 class TestSplit:
