@@ -8,6 +8,7 @@ in the same commit and says so.  The digests hold for one numpy/BLAS build
 """
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -55,10 +56,24 @@ SWEEP_DIGESTS = {
     "awgn": "6d8791486eb698f97ceee549dca61cd94566e918fee0c3ad83f9a6da7e3e9f22",
     "multipath-cfo": "d765b4bf4409d17a2e08f96da28b78a363e3d7f89da906dd28f0a23b0a377912",
 }
+# evaluate_conventional's other two paths, on the multipath-cfo channel: a
+# noiseless point alone, and each trial at its own SNR drawn from a range
+# (eval --conventional --snr-range)
+MODE_DIGESTS = {
+    "inf": "4955c793fa1329a4bf272a0295385820471ee28efb6d5da9318dcb8d3dc94a25",
+    "range": "cf9f18374a901d132ff0d8b6e329e28fa71def724529528f34d0ca768b6e47a1",
+}
+MODES = {"inf": {"snrs_db": (math.inf,)},
+         "range": {"snr_range_db": (0.0, 25.0)}}
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _outcomes_digest(points) -> str:
+    outcomes = [[dataclasses.astuple(o) for o in point] for point in points]
+    return _sha256(repr(outcomes).encode())
 
 
 @pytest.mark.parametrize("channel", sorted(CHANNELS))
@@ -76,5 +91,12 @@ def test_generate_bytes_pinned(block_len, seed, channel):
 def test_sweep_outcomes_pinned(channel):
     points = evaluate_conventional(StreamTrialConfig(channel=CHANNELS[channel]),
                                    SWEEP_TRIALS, seed=1, snrs_db=SWEEP_SNRS)
-    outcomes = [[dataclasses.astuple(o) for o in point] for point in points]
-    assert _sha256(repr(outcomes).encode()) == SWEEP_DIGESTS[channel]
+    assert _outcomes_digest(points) == SWEEP_DIGESTS[channel]
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_conventional_mode_outcomes_pinned(mode):
+    points = evaluate_conventional(
+        StreamTrialConfig(channel=CHANNELS["multipath-cfo"]), SWEEP_TRIALS,
+        seed=1, **MODES[mode])
+    assert _outcomes_digest(points) == MODE_DIGESTS[mode]
