@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .preamble import (ComplexSignal, PreambleSpec, build_preamble,
                        default_preamble_spec, ofdm_symbol, upsample_filter,
                        design_interp_filter)
-from .channel import (ChannelConfig, RxFrontendConfig, apply_channel,
-                      draw_model_b_taps, rx_frontend)
+from .channel import (ChannelConfig, apply_channel, draw_model_b_taps,
+                      rx_frontend)
 from .corrsync import (CorrDetectorConfig, DetectionResult, autocorr,
                        coarse_detect, fine_detect, plateau_refine,
                        timing_metric, window_power)

@@ -77,18 +77,6 @@ class ChannelConfig:
             raise ValueError("timing_offset_samples must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class RxFrontendConfig:
-    """Matched filter (same taps as the transmit filter) + decimation."""
-
-    matched_taps: np.ndarray
-    os_factor: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "matched_taps",
-                           np.asarray(self.matched_taps, dtype=np.float64))
-
-
 TRUNCATION_FACTOR = 5.0  # model-B profile length, in RMS delay spreads
 
 
@@ -253,13 +241,14 @@ def add_noise(out: np.ndarray, re: np.ndarray, im: np.ndarray,
     out.imag += g * im
 
 
-def rx_frontend(sig: ComplexSignal, cfg: RxFrontendConfig,
+def rx_frontend(sig: ComplexSignal, taps: np.ndarray, os_factor: int,
                 n_out: int | None = None) -> ComplexSignal:
-    """Matched filter, group-delay compensation, decimation to the base rate.
+    """Matched filter, group-delay compensation, decimation by os_factor to
+    the base rate.
 
-    Assumes the transmit interpolation filter had the same length and taps
-    as `matched_taps` (DC gain = os_factor), so the combined tx+rx group
-    delay is len(taps)-1 oversampled samples and the loopback output aligns
+    The matched filter is `taps`, the transmit interpolation filter's own
+    taps (DC gain = os_factor), so the combined tx+rx group delay is
+    len(taps)-1 oversampled samples and the loopback output aligns
     sample-for-sample with the base-rate transmit stream.
 
     Polyphase decimation (Crochiere & Rabiner, *Multirate DSP*, 1983): only
@@ -269,7 +258,7 @@ def rx_frontend(sig: ComplexSignal, cfg: RxFrontendConfig,
     every one whose window starts inside the input.  A 2-D input is rows of
     streams (time along the last axis), each filtered on its own.
     """
-    h, os = cfg.matched_taps, cfg.os_factor
+    h, os = taps, os_factor
     x = sig.samples
     n = -(-x.shape[-1] // os) if n_out is None else n_out
     # at least two outputs: numpy's matmul sends a single one to BLAS dot,

@@ -33,7 +33,6 @@ class CorrDetectorConfig:
 class DetectionResult:
     detected: bool
     start_sample: int
-    score: float
 
     def __post_init__(self):
         if not self.detected and self.start_sample != -1:
@@ -106,17 +105,17 @@ def coarse_detect(y: ComplexSignal, cfg: CorrDetectorConfig) -> DetectionResult:
     """
     m = metric_trace(y, cfg.l_window)
     if len(m) < TRIGGER_DWELL:
-        return DetectionResult(False, -1, 0.0)
+        return DetectionResult(False, -1)
     above = (m >= TRIGGER_THRESHOLD).astype(np.float64)
     runs = np.convolve(above, np.ones(TRIGGER_DWELL), mode="valid")
     hits = np.nonzero(runs >= TRIGGER_DWELL - 0.5)[0]
     if hits.size == 0:
-        return DetectionResult(False, -1, 0.0)
+        return DetectionResult(False, -1)
     t0 = int(hits[0])
     region = m[t0:t0 + 2 * L_STF]
     peak = t0 + int(np.argmax(region))
     start = plateau_refine(m, peak, PLATEAU_FRACTION)
-    return DetectionResult(True, start, float(m[peak]))
+    return DetectionResult(True, start)
 
 
 def fine_detect(y: ComplexSignal, coarse: int, lts_ref: ComplexSignal) -> int:

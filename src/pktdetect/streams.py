@@ -25,7 +25,6 @@ comparison.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -34,9 +33,8 @@ import numpy as np
 from .preamble import (BASE_RATE_HZ, ComplexSignal, PREAMBLE_LEN,
                        build_preamble, default_preamble_spec,
                        design_interp_filter, lts_core, upsample_filter)
-from .channel import (ChannelConfig, ChannelTemplate, RxFrontendConfig,
-                      add_noise, apply_channel, draw_model_b_taps,
-                      rx_frontend)
+from .channel import (ChannelConfig, ChannelTemplate, add_noise,
+                      apply_channel, draw_model_b_taps, rx_frontend)
 from .corrsync import CorrDetectorConfig, coarse_detect, fine_detect
 
 DETECTOR = CorrDetectorConfig()
@@ -67,7 +65,7 @@ class LinkDraw(NamedTuple):
     pre: int
     has_packet: bool
     clean: np.ndarray   # noiseless oversampled channel output
-    noise: tuple | None  # unit-normal (re, im) over the same samples
+    noise: tuple        # unit-normal (re, im) over the same samples
     n_rx: int           # rx samples kept
 
 
@@ -80,7 +78,6 @@ class StreamSimulator:
         tpl = cfg.channel
         spec = default_preamble_spec()
         self.taps = design_interp_filter(tpl.os_factor, tpl.filter_taps)
-        self.rx_cfg = RxFrontendConfig(self.taps, tpl.os_factor)
         x = build_preamble(spec)
         self.x_os = upsample_filter(x, tpl.os_factor, self.taps).samples
         self.os_rate = BASE_RATE_HZ * tpl.os_factor
@@ -142,17 +139,16 @@ class StreamSimulator:
                              span=(lo, hi)).samples
 
     def draw_link(self, rng: np.random.Generator, pre: int, post: int,
-                  has_packet: bool = True, noisy: bool = True) -> LinkDraw:
+                  has_packet: bool = True) -> LinkDraw:
         """One whole stream's link: the CFO, then the multipath taps, the
-        noiseless channel output, then (when noisy) the two unit-normal
-        noise vectors, drawn from rng in that order."""
+        noiseless channel output, then the two unit-normal noise vectors,
+        drawn from rng in that order."""
         tx = self.tx_stream(pre, post, has_packet)
         cfo, taps = self.draw_channel(rng)
         # channel output length: the timing offset is below one sample
         n_os = len(tx) + len(taps) - 1
         clean = self.channel(tx, cfo, taps, 0, n_os)
-        noise = ((rng.standard_normal(n_os), rng.standard_normal(n_os))
-                 if noisy else None)
+        noise = rng.standard_normal(n_os), rng.standard_normal(n_os)
         return LinkDraw(pre, has_packet, clean, noise,
                         -(-n_os // self.cfg.channel.os_factor))
 
@@ -161,14 +157,11 @@ class StreamSimulator:
         rows): its unit noise scaled against `p_signal_os`, the transmit
         signal's mean power over its support (not the realized
         multipath-convolved power), and added to the channel output, then
-        the rx front end."""
+        the rx front end.  A non-finite snr_db adds no noise."""
         y = link.clean.copy()
-        if isinstance(snr_db, np.ndarray) or math.isfinite(snr_db):
-            if link.noise is None:
-                raise ValueError("a finite snr_db needs a noisy link draw")
-            add_noise(y, *link.noise, self.p_signal_os, snr_db)
-        return rx_frontend(ComplexSignal(y, self.os_rate), self.rx_cfg,
-                           n_out=link.n_rx)
+        add_noise(y, *link.noise, self.p_signal_os, snr_db)
+        return rx_frontend(ComplexSignal(y, self.os_rate), self.taps,
+                           self.cfg.channel.os_factor, n_out=link.n_rx)
 
     def run_trial(self, link: LinkDraw) -> TrialOutcome:
         """The correlation detector on a drawn trial at the config's SNR."""
@@ -203,8 +196,6 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     snrs = (trial_cfg.snr_db,) if snrs_db is None else tuple(snrs_db)
     sim = StreamSimulator(trial_cfg)
     points = [sim.at_snr(snr) for snr in snrs]
-    # a non-finite point adds no noise, so draw it only for a finite one
-    noisy = snr_range_db is not None or any(map(math.isfinite, snrs))
     outcomes = [[] for _ in points]
     for i in range(n_trials):
         rng = np.random.default_rng((seed, i))
@@ -212,7 +203,7 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
             points = [sim.at_snr(float(rng.uniform(*snr_range_db)))]
         has_packet = bool(rng.uniform() < packet_fraction)
         pre = int(rng.integers(*PRE_PAD_RANGE))
-        link = sim.draw_link(rng, pre, POST_PAD, has_packet, noisy=noisy)
+        link = sim.draw_link(rng, pre, POST_PAD, has_packet)
         for point, out in zip(points, outcomes):
             out.append(point.run_trial(link))
     return outcomes

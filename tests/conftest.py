@@ -162,7 +162,7 @@ def oracle_receive(sim, rng, snr_db, pre, post, has_packet=True):
     n_rx = -(-(len(buf) + len(taps) - 1) // os)
     y_os = oracle_apply_channel(ComplexSignal(buf, sim.os_rate), ch, snr_db,
                                 rng=rng, signal_power=sim.p_signal_os)
-    rx = rx_frontend(y_os, sim.rx_cfg)
+    rx = rx_frontend(y_os, sim.taps, os)
     return ComplexSignal(rx.samples[:n_rx], rx.sample_rate_hz)
 
 
@@ -196,10 +196,9 @@ def oracle_evaluate_conventional(trial_cfg, n_trials, seed=0,
 def receive(sim, rng, snr_db, pre, post, has_packet=True):
     """One stream of sim's link at one SNR, drawn and received in one step:
     the rx stream of `pre` samples, the NDP (noise only when has_packet is
-    false) and `post` samples, then the rx filter tail.  Noise is drawn iff
-    snr_db is finite."""
-    link = sim.draw_link(rng, pre, post, has_packet,
-                         noisy=bool(np.isfinite(snr_db)))
+    false) and `post` samples, then the rx filter tail.  The unit noise is
+    drawn at every snr_db; a non-finite one adds none of it."""
+    link = sim.draw_link(rng, pre, post, has_packet)
     return sim.rx_stream(link, snr_db)
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import oracle_apply_channel
-from pktdetect.channel import (ChannelConfig, ChannelTemplate, RxFrontendConfig,
-                               add_noise, apply_channel, draw_model_b_taps,
-                               rx_frontend)
+from pktdetect.channel import (ChannelConfig, ChannelTemplate, add_noise,
+                               apply_channel, draw_model_b_taps, rx_frontend)
 from pktdetect.preamble import (BASE_RATE_HZ, ComplexSignal, build_preamble,
                                 design_interp_filter, upsample_filter)
 
@@ -335,7 +334,7 @@ class TestRxFrontend:
         os = 4
         taps = design_interp_filter(os)
         tx = upsample_filter(preamble, os, taps)
-        rx = rx_frontend(tx, RxFrontendConfig(taps, os))
+        rx = rx_frontend(tx, taps, os)
         err = np.abs(rx.samples[:len(preamble)] - preamble.samples)
         assert err.max() < 10 ** (-40 / 20)  # -40 dB against unit power
 
@@ -343,8 +342,7 @@ class TestRxFrontend:
         sig = _rand_signal(25, 11)
         os = 4
         taps = design_interp_filter(os)
-        rx = rx_frontend(upsample_filter(sig, os, taps),
-                         RxFrontendConfig(taps, os))
+        rx = rx_frontend(upsample_filter(sig, os, taps), taps, os)
         assert rx.sample_rate_hz == BASE_RATE_HZ
         assert len(rx) >= len(sig)
 
@@ -356,7 +354,7 @@ class TestRxFrontend:
         taps = design_interp_filter(os, n_taps)
         sig = _rand_signal(n, 19, rate=os * BASE_RATE_HZ)
         expected = (np.convolve(sig.samples, taps) / os)[len(taps) - 1::os]
-        rx = rx_frontend(sig, RxFrontendConfig(taps, os)).samples
+        rx = rx_frontend(sig, taps, os).samples
         assert len(rx) == len(expected)
         np.testing.assert_allclose(rx, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
@@ -368,10 +366,10 @@ class TestRxFrontend:
         os, taps = 4, design_interp_filter(4)
         x = np.stack([_rand_signal(100, seed, rate=4 * BASE_RATE_HZ).samples
                       for seed in (25, 26, 27)])
-        cfg = RxFrontendConfig(taps, os)
-        whole = [rx_frontend(ComplexSignal(row, 4 * BASE_RATE_HZ), cfg).samples
-                 for row in x]
-        rows = rx_frontend(ComplexSignal(x, 4 * BASE_RATE_HZ), cfg, n_out=n_out).samples
+        whole = [rx_frontend(ComplexSignal(row, 4 * BASE_RATE_HZ), taps,
+                             os).samples for row in x]
+        rows = rx_frontend(ComplexSignal(x, 4 * BASE_RATE_HZ), taps, os,
+                           n_out=n_out).samples
         assert rows.shape == (3, n_out)
         for r in range(3):
             assert rows[r, :25].tobytes() == whole[r][:n_out].tobytes()

@@ -128,7 +128,7 @@ class TestPlateauRefine:
 class TestDetection:
     def test_result_invariant(self):
         with pytest.raises(ValueError):
-            DetectionResult(False, 5, 0.0)
+            DetectionResult(False, 5)
 
     def test_clean_packet_exact_start(self, preamble, preamble_spec):
         y = _padded_packet(preamble, pre=200)

@@ -47,8 +47,7 @@ class TestReceive:
         # the path dataset.generate runs: the channel output under rx
         # samples [lo, hi) alone, with that slice of the unit noise
         sim = StreamSimulator(StreamTrialConfig(channel=channel))
-        link = sim.draw_link(np.random.default_rng(5), pre, post,
-                             noisy=bool(np.isfinite(snr_db)))
+        link = sim.draw_link(np.random.default_rng(5), pre, post)
         full = sim.rx_stream(link, snr_db).samples
         lo, hi = span
         # rx sample m reads channel output samples [m*os, m*os + rx taps)
@@ -57,8 +56,7 @@ class TestReceive:
         os_hi = min((hi - 1) * os + len(sim.taps), len(link.clean))
         cfo, taps = sim.draw_channel(np.random.default_rng(5))
         clean = sim.channel(sim.tx_stream(pre, post), cfo, taps, os_lo, os_hi)
-        noise = (None if link.noise is None
-                 else tuple(n[os_lo:os_hi] for n in link.noise))
+        noise = tuple(n[os_lo:os_hi] for n in link.noise)
         part = sim.rx_stream(streams.LinkDraw(pre, True, clean, noise, hi - lo),
                              snr_db).samples
         assert len(part) == hi - lo
@@ -130,14 +128,6 @@ class TestRunTrial:
             if out.detected and abs(out.fine_start - out.true_start) <= 2:
                 hits += 1
         assert hits >= 19
-
-    def test_finite_snr_needs_noisy_draw(self, awgn_sim):
-        link = awgn_sim.draw_link(np.random.default_rng(0), 123, 100,
-                                  noisy=False)
-        assert link.noise is None
-        assert awgn_sim.at_snr(np.inf).run_trial(link).detected
-        with pytest.raises(ValueError):
-            awgn_sim.run_trial(link)
 
     def test_at_snr_shares_transmit_side(self, awgn_sim):
         sim = awgn_sim.at_snr(3.0)
