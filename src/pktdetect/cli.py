@@ -90,7 +90,7 @@ def _find_dataset(data_dir: Path, block_len: int) -> Path:
             doc = json.loads(man.read_text())
         except (OSError, json.JSONDecodeError):
             continue
-        if doc.get("block_len") == block_len:
+        if isinstance(doc, dict) and doc.get("block_len") == block_len:
             return Path(str(man)[: -len(".manifest.json")])
     raise dataset.DatasetError(
         f"no dataset with block_len {block_len} found in {data_dir}")
@@ -115,12 +115,16 @@ def cmd_gen(args) -> int:
 
 
 def _load_split(data_dir: Path, block_len: int):
+    """The train / validation / test parts of the dataset of block_len in
+    data_dir, split as the spec in its manifest says, and the manifest."""
     prefix = _find_dataset(data_dir, block_len)
     blocks, manifest = dataset.load(prefix)
-    spec_doc = manifest.get("spec") or {}
-    fractions = tuple(spec_doc.get("split", dataset.SPLIT))
-    seed = spec_doc.get("seed", 0)
-    return dataset.split(blocks, fractions, seed), manifest
+    try:
+        spec = dataset.DatasetSpec.from_json(json.dumps(manifest.get("spec")))
+    except (TypeError, ValueError) as exc:
+        raise dataset.DatasetError(
+            f"invalid dataset spec in the manifest of {prefix}: {exc}") from exc
+    return dataset.split(blocks, spec.split, spec.seed), manifest
 
 
 def _cnn_config(block_len: int) -> CnnDetectorConfig:
@@ -192,6 +196,10 @@ def cmd_eval(args) -> int:
     else:
         if not args.model:
             raise UsageError("eval needs --model or --conventional")
+        for flag, value in (("--data", args.data),
+                            ("--block-len", args.block_len)):
+            if value is None:
+                raise UsageError(f"eval --model needs {flag}")
         (_, _, test_blocks), manifest = _load_split(Path(args.data), args.block_len)
         model = cnn.load_model(args.model)
         if model.cfg.block_len != manifest["block_len"]:

@@ -50,8 +50,6 @@ CHUNK_BLOCKS = 32
 # parent (BENCH_12.json); more than two threads was never measured
 MAX_WORKERS = 2
 MIN_THREADED_BLOCK_LEN = 160
-# train / validation / test fractions of a spec without its own split
-SPLIT = (0.70, 0.15, 0.15)
 
 
 class DatasetError(Exception):
@@ -77,14 +75,13 @@ class DatasetSpec:
     frac_no_start: float = 0.5
     frac_noise_within_no_start: float = 0.5
     snr_range_db: tuple = (0.0, 25.0)
-    split: tuple = SPLIT
+    split: tuple = (0.70, 0.15, 0.15)  # train / validation / test
     seed: int = 0
     channel: ChannelTemplate = field(default_factory=ChannelTemplate)
     name: str = ""
 
     def __post_init__(self):
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+        _check_split(self.split)
         for f in (self.frac_no_start, self.frac_noise_within_no_start, *self.split):
             if not 0.0 <= f <= 1.0:
                 raise ValueError("fractions must lie in [0, 1]")
@@ -107,7 +104,11 @@ class DatasetSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetSpec":
+        """The spec of a JSON object; TypeError or ValueError when the text
+        is not one of a valid spec."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError("a dataset spec is a JSON object")
         channel = ChannelTemplate(**doc.pop("channel", {}))
         for key in ("snr_range_db", "split"):  # JSON lists
             if key in doc:
@@ -267,14 +268,20 @@ class _Chunker:
         chunk["label"], chunk["snr"], chunk["kind"] = label, snr, kind
 
 
-def split(blocks, fractions=SPLIT, seed: int = 0):
+def _check_split(fractions) -> None:
+    """ValueError unless fractions are three (train / validation / test)
+    that sum to 1."""
+    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError("split must be three fractions that sum to 1")
+
+
+def split(blocks, fractions, seed: int):
     """Seeded stratified shuffle + contiguous partition into train/val/test.
 
     Blocks with and without a start label are interleaved at proportional
     positions, so each partition's class balance tracks the global balance.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+    _check_split(fractions)
     n = len(blocks)
     rng = np.random.default_rng(seed)
     has_start = blocks["label"] >= 0
@@ -297,11 +304,11 @@ def split(blocks, fractions=SPLIT, seed: int = 0):
 # <name>.blocks.bin: the record array's bytes (record_dtype: little-endian,
 # fixed stride, no padding).
 # <name>.manifest.json: format version, block_len, record count, per-kind
-# counts and the sha256 of the binary file.
+# counts, the sha256 of the binary file and the spec it was generated from.
 
 
 def save(blocks: np.ndarray, path_prefix: str | Path,
-         spec: DatasetSpec | None = None) -> None:
+         spec: DatasetSpec) -> None:
     path_prefix = Path(path_prefix)
     payload = blocks.tobytes()
     bin_path = path_prefix.with_name(path_prefix.name + ".blocks.bin")
@@ -313,7 +320,7 @@ def save(blocks: np.ndarray, path_prefix: str | Path,
         "n_records": len(blocks),
         "kind_counts": {k.name: int(counts[k]) for k in Kind},
         "sha256": hashlib.sha256(payload).hexdigest(),
-        "spec": json.loads(spec.to_json()) if spec else None,
+        "spec": json.loads(spec.to_json()),
     }
     path_prefix.with_name(path_prefix.name + ".manifest.json").write_text(
         json.dumps(manifest, indent=1))
@@ -340,8 +347,12 @@ def load(path_prefix: str | Path):
         manifest = json.loads(man_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetError(f"cannot read manifest {man_path}: {exc}") from exc
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if (not isinstance(manifest, dict)
+            or manifest.get("format_version") != FORMAT_VERSION):
         raise DatasetError("unsupported dataset format version")
+    missing = {"block_len", "n_records", "sha256"} - manifest.keys()
+    if missing:
+        raise DatasetError(f"manifest {man_path} lacks {sorted(missing)}")
     try:
         payload = bin_path.read_bytes()
     except OSError as exc:

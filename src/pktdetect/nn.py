@@ -218,20 +218,22 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.sum(diff ** 2) / n), 2.0 * diff / n
 
 
+ADAM_BETA1 = 0.9     # first-moment decay
+ADAM_BETA2 = 0.999   # second-moment decay
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    """Adam with bias correction; parameters updated in place.
+    """Adam with bias correction (decays ADAM_BETA1 and ADAM_BETA2, ADAM_EPS
+    in the denominator); parameters updated in place.
 
     The moments of all parameters are kept as one flat vector each, so a
     step is a handful of vector operations whatever the number of arrays.
     """
 
-    def __init__(self, params: list[np.ndarray], alpha: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], alpha: float = 0.001):
         self.params = params
         self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         size = sum(p.size for p in params)
         self.m = np.zeros(size)
@@ -246,14 +248,14 @@ class Adam:
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient: step rejected")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1 - self.beta1) * g
-        v *= self.beta2
-        v += (1 - self.beta2) * g ** 2
-        update = self.alpha * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g ** 2
+        update = self.alpha * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         lo = 0
         for p in self.params:
             p -= update[lo:lo + p.size].reshape(p.shape)

@@ -24,6 +24,25 @@ def _read_csv(path: Path):
         return list(csv.reader(fh))
 
 
+def _with_spec(**fields):
+    """A manifest edit that sets fields of its spec."""
+    return lambda doc: {**doc, "spec": {**doc["spec"], **fields}}
+
+
+# edits that leave a dataset manifest valid JSON but not the documented object
+BAD_MANIFESTS = {
+    "no-sha256": lambda doc: {k: v for k, v in doc.items() if k != "sha256"},
+    "no-n-records": lambda doc: {k: v for k, v in doc.items()
+                                 if k != "n_records"},
+    "array": lambda doc: [doc],
+    "no-spec": lambda doc: {k: v for k, v in doc.items() if k != "spec"},
+    "seed-x": _with_spec(seed="x"),
+    "split-abc": _with_spec(split="abc"),
+    "split-sum-1.5": _with_spec(split=[0.5, 0.5, 0.5]),
+    "split-one": _with_spec(split=[1.0]),
+}
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A generated dataset plus a 1-epoch model checkpoint."""
@@ -102,7 +121,8 @@ class TestGen:
 
     @pytest.mark.parametrize("key, value", [
         ("seed", -1), ("seed", 1.5), ("n_blocks", 5.5), ("block_len", 40.0),
-        ("channel.os_factor", 4.5), ("channel.filter_taps", 48.0)])
+        ("channel.os_factor", 4.5), ("channel.filter_taps", 48.0),
+        ("split", [1.0])])
     def test_non_integer_spec_field_rejected(self, tmp_path, monkeypatch,
                                              key, value):
         doc = json.loads(DatasetSpec(block_len=40, n_blocks=20).to_json())
@@ -147,6 +167,20 @@ class TestTrain:
     def test_missing_dataset(self, tmp_path):
         assert main(["train", "--data", str(tmp_path), "--block-len", "40",
                      "--epochs", "1", "--out", str(tmp_path / "m.ckpt")]) == 3
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_bad_manifest_is_a_data_error(self, workspace, tmp_path, case):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("blocks40.blocks.bin", "blocks40.manifest.json"):
+            (data / name).write_bytes((workspace / "data" / name).read_bytes())
+        man = data / "blocks40.manifest.json"
+        man.write_text(json.dumps(BAD_MANIFESTS[case](
+            json.loads(man.read_text()))))
+        out = tmp_path / "out" / "m.ckpt"
+        assert main(["train", "--data", str(data), "--block-len", "40",
+                     "--epochs", "1", "--out", str(out)]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("arg", ["--epochs", "--batch-size"])
     def test_zero_epochs_or_batch_rejected(self, workspace, tmp_path, arg):
@@ -199,6 +233,24 @@ class TestEval:
 
     def test_requires_model_or_conventional(self, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("missing", ["--data", "--block-len"])
+    def test_model_mode_needs_data_and_block_len(self, workspace, tmp_path,
+                                                 monkeypatch, capsys,
+                                                 missing):
+        def no_load(*args):
+            raise AssertionError("loaded before the usage check")
+
+        monkeypatch.setattr(cnn, "load_model", no_load)
+        monkeypatch.setattr(dataset, "load", no_load)
+        flags = {"--model": str(workspace / "model.ckpt"),
+                 "--data": str(workspace / "data"), "--block-len": "40"}
+        del flags[missing]
+        out = tmp_path / "out" / "x.csv"
+        assert main(["eval", *(a for kv in flags.items() for a in kv),
+                     "--out", str(out)]) == 2
+        assert missing in capsys.readouterr().err
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("packets", ["0", "-3"])
     def test_conventional_nonpositive_packets_rejected(self, tmp_path,

@@ -15,18 +15,19 @@ from pktdetect.streams import StreamSimulator, StreamTrialConfig
 
 # small, fast channel template for unit tests (no multipath, no CFO)
 _FAST = ChannelTemplate(multipath=False, cfo_max_hz=0.0)
+# the spec of small_blocks, which save writes into its manifest
+_SMALL = DatasetSpec(block_len=40, n_blocks=300, seed=1, channel=_FAST)
 
 
 @pytest.fixture(scope="module")
 def small_blocks():
-    spec = DatasetSpec(block_len=40, n_blocks=300, seed=1, channel=_FAST)
-    return generate(spec)
+    return generate(_SMALL)
 
 
 def _tampered(blocks, prefix, edit):
     """Save blocks, apply edit(records) to the file and re-sign the manifest,
     so only the record check in load can catch the planted fault."""
-    save(blocks, prefix)
+    save(blocks, prefix, _SMALL)
     bin_path = prefix.with_name(prefix.name + ".blocks.bin")
     rec = np.frombuffer(bin_path.read_bytes(), record_dtype(40)).copy()
     edit(rec)
@@ -93,6 +94,12 @@ class TestDatasetSpec:
     def test_split_must_sum_to_one(self):
         with pytest.raises(ValueError):
             DatasetSpec(block_len=40, split=(0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("fractions", [(1.0,), (0.5, 0.5),
+                                           (0.7, 0.1, 0.1, 0.1)])
+    def test_split_must_be_three_fractions(self, fractions):
+        with pytest.raises(ValueError):
+            DatasetSpec(block_len=40, split=fractions)
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -361,8 +368,8 @@ class TestSplit:
         assert len(tr) + len(va) + len(te) == len(small_blocks)
 
     def test_deterministic(self, small_blocks):
-        a = split(small_blocks, seed=3)
-        b = split(small_blocks, seed=3)
+        a = split(small_blocks, (0.7, 0.15, 0.15), seed=3)
+        b = split(small_blocks, (0.7, 0.15, 0.15), seed=3)
         for pa, pb in zip(a, b):
             assert pa.tobytes() == pb.tobytes()
 
@@ -374,26 +381,31 @@ class TestSplit:
 
     def test_bad_fractions(self, small_blocks):
         with pytest.raises(ValueError):
-            split(small_blocks, (0.6, 0.3, 0.3))
+            split(small_blocks, (0.6, 0.3, 0.3), seed=0)
+
+    @pytest.mark.parametrize("fractions", [(1.0,), (0.5, 0.5)])
+    def test_fractions_must_be_three(self, small_blocks, fractions):
+        with pytest.raises(ValueError):
+            split(small_blocks, fractions, seed=0)
 
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, small_blocks, tmp_path):
-        spec = DatasetSpec(block_len=40, n_blocks=300, seed=1, channel=_FAST)
-        save(small_blocks, tmp_path / "ds", spec)
+        save(small_blocks, tmp_path / "ds", _SMALL)
         loaded, manifest = load(tmp_path / "ds")
         assert manifest["n_records"] == len(small_blocks)
         assert manifest["block_len"] == 40
+        assert DatasetSpec.from_json(json.dumps(manifest["spec"])) == _SMALL
         assert loaded.tobytes() == small_blocks.tobytes()
 
     def test_save_is_deterministic(self, small_blocks, tmp_path):
-        save(small_blocks, tmp_path / "a")
-        save(small_blocks, tmp_path / "b")
+        save(small_blocks, tmp_path / "a", _SMALL)
+        save(small_blocks, tmp_path / "b", _SMALL)
         assert ((tmp_path / "a.blocks.bin").read_bytes()
                 == (tmp_path / "b.blocks.bin").read_bytes())
 
     def test_checksum_detects_corruption(self, small_blocks, tmp_path):
-        save(small_blocks, tmp_path / "ds")
+        save(small_blocks, tmp_path / "ds", _SMALL)
         bin_path = tmp_path / "ds.blocks.bin"
         data = bytearray(bin_path.read_bytes())
         data[100] ^= 0xFF
@@ -406,7 +418,7 @@ class TestPersistence:
             load(tmp_path / "absent")
 
     def test_version_mismatch(self, small_blocks, tmp_path):
-        save(small_blocks, tmp_path / "ds")
+        save(small_blocks, tmp_path / "ds", _SMALL)
         man_path = tmp_path / "ds.manifest.json"
         doc = json.loads(man_path.read_text())
         doc["format_version"] = 99
@@ -415,7 +427,7 @@ class TestPersistence:
             load(tmp_path / "ds")
 
     def test_truncated_payload(self, small_blocks, tmp_path):
-        save(small_blocks, tmp_path / "ds")
+        save(small_blocks, tmp_path / "ds", _SMALL)
         bin_path = tmp_path / "ds.blocks.bin"
         bin_path.write_bytes(bin_path.read_bytes()[:-17])
         with pytest.raises(DatasetError):
