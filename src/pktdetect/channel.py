@@ -243,8 +243,7 @@ def add_noise(out: np.ndarray, re: np.ndarray, im: np.ndarray,
 
 def rx_frontend(sig: ComplexSignal, taps: np.ndarray, os_factor: int,
                 n_out: int | None = None) -> ComplexSignal:
-    """Matched filter, group-delay compensation, decimation by os_factor to
-    the base rate.
+    """Matched filter, group-delay compensation, decimation to the base rate.
 
     The matched filter is `taps`, the transmit interpolation filter's own
     taps (DC gain = os_factor), so the combined tx+rx group delay is

@@ -115,15 +115,15 @@ def cmd_gen(args) -> int:
 
 
 def _load_split(data_dir: Path, block_len: int):
-    """The train / validation / test parts of the dataset of block_len in
-    data_dir, split as the spec in its manifest says, and the manifest."""
+    """The dataset of block_len in data_dir, split as its manifest's spec
+    says, and the manifest."""
     prefix = _find_dataset(data_dir, block_len)
     blocks, manifest = dataset.load(prefix)
     try:
         spec = dataset.DatasetSpec.from_json(json.dumps(manifest.get("spec")))
     except (TypeError, ValueError) as exc:
         raise dataset.DatasetError(
-            f"invalid dataset spec in the manifest of {prefix}: {exc}") from exc
+            f"invalid spec in the manifest of {prefix}: {exc}") from exc
     return dataset.split(blocks, spec.split, spec.seed), manifest
 
 
@@ -196,10 +196,10 @@ def cmd_eval(args) -> int:
     else:
         if not args.model:
             raise UsageError("eval needs --model or --conventional")
-        for flag, value in (("--data", args.data),
-                            ("--block-len", args.block_len)):
-            if value is None:
-                raise UsageError(f"eval --model needs {flag}")
+        for flag in ("data", "block_len"):
+            if getattr(args, flag) is None:
+                flag = flag.replace("_", "-")
+                raise UsageError(f"eval --model needs --{flag}")
         (_, _, test_blocks), manifest = _load_split(Path(args.data), args.block_len)
         model = cnn.load_model(args.model)
         if model.cfg.block_len != manifest["block_len"]:

@@ -104,8 +104,6 @@ class DatasetSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetSpec":
-        """The spec of a JSON object; TypeError or ValueError when the text
-        is not one of a valid spec."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise TypeError("a dataset spec is a JSON object")
@@ -269,8 +267,7 @@ class _Chunker:
 
 
 def _check_split(fractions) -> None:
-    """ValueError unless fractions are three (train / validation / test)
-    that sum to 1."""
+    """ValueError unless fractions are three that sum to 1."""
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("split must be three fractions that sum to 1")
 
@@ -348,11 +345,10 @@ def load(path_prefix: str | Path):
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetError(f"cannot read manifest {man_path}: {exc}") from exc
     if (not isinstance(manifest, dict)
-            or manifest.get("format_version") != FORMAT_VERSION):
-        raise DatasetError("unsupported dataset format version")
-    missing = {"block_len", "n_records", "sha256"} - manifest.keys()
-    if missing:
-        raise DatasetError(f"manifest {man_path} lacks {sorted(missing)}")
+            or manifest.get("format_version") != FORMAT_VERSION
+            or not {"block_len", "n_records", "sha256"} <= manifest.keys()):
+        raise DatasetError(f"{man_path} is not a dataset manifest of format "
+                           f"version {FORMAT_VERSION}")
     try:
         payload = bin_path.read_bytes()
     except OSError as exc:

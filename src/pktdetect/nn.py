@@ -224,8 +224,7 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with bias correction (decays ADAM_BETA1 and ADAM_BETA2, ADAM_EPS
-    in the denominator); parameters updated in place.
+    """Adam with bias correction; parameters updated in place.
 
     The moments of all parameters are kept as one flat vector each, so a
     step is a handful of vector operations whatever the number of arrays.
