@@ -196,10 +196,10 @@ def cmd_eval(args) -> int:
     else:
         if not args.model:
             raise UsageError("eval needs --model or --conventional")
-        for flag in ("data", "block_len"):
-            if getattr(args, flag) is None:
-                flag = flag.replace("_", "-")
-                raise UsageError(f"eval --model needs --{flag}")
+        for flag, value in (("--data", args.data),
+                            ("--block-len", args.block_len)):
+            if value is None:
+                raise UsageError(f"eval --model needs {flag}")
         (_, _, test_blocks), manifest = _load_split(Path(args.data), args.block_len)
         model = cnn.load_model(args.model)
         if model.cfg.block_len != manifest["block_len"]:
