@@ -220,23 +220,31 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
     return ComplexSignal(out, sig.sample_rate_hz)
 
 
+def noise_scale(signal_power: float, snr_db: float) -> float:
+    """The factor of each unit normal of complex white noise at snr_db
+    against signal_power: the noise variance signal_power *
+    10^(-snr_db/10), split evenly between the real and imaginary parts; 0
+    at +inf.  Computed in Python floats, so every caller gets the same
+    bits.  ValueError for a NaN or -inf snr_db, which has no noise level."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number of dB or +inf, not {snr_db}")
+    return math.sqrt(signal_power * 10.0 ** (-snr_db / 10.0) / 2)
+
+
 def add_noise(out: np.ndarray, re: np.ndarray, im: np.ndarray,
               signal_power: float, snr_db) -> None:
     """Add complex white noise at snr_db against signal_power to out, in
-    place, scaled from the unit normals re and im (out's shape each): the
-    noise variance is signal_power * 10^(-snr_db/10), split evenly between
-    the real and imaginary parts.  snr_db is one value, or an array of one
-    finite value per row of a 2-D out.  A non-finite single snr_db adds
-    none."""
-    def scale(snr):  # in Python floats, so a row gets a lone stream's bits
-        return math.sqrt(signal_power * 10.0 ** (-snr / 10.0) / 2)
-
+    place, scaled from the unit normals re and im (out's shape each) by
+    noise_scale.  snr_db is one value, or an array of one finite value per
+    row of a 2-D out.  A single snr_db of +inf adds none; NaN or -inf
+    raise ValueError."""
     if isinstance(snr_db, np.ndarray):
-        g = np.array([[scale(snr)] for snr in snr_db.tolist()])
-    elif math.isfinite(snr_db):
-        g = scale(snr_db)
-    else:
+        g = np.array([[noise_scale(signal_power, snr)]
+                      for snr in snr_db.tolist()])
+    elif snr_db == math.inf:
         return
+    else:
+        g = noise_scale(signal_power, snr_db)
     out.real += g * re
     out.imag += g * im
 

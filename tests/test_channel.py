@@ -3,7 +3,8 @@ import pytest
 
 from conftest import oracle_apply_channel
 from pktdetect.channel import (ChannelConfig, ChannelTemplate, add_noise,
-                               apply_channel, draw_model_b_taps, rx_frontend)
+                               apply_channel, draw_model_b_taps, noise_scale,
+                               rx_frontend)
 from pktdetect.preamble import (BASE_RATE_HZ, ComplexSignal, build_preamble,
                                 design_interp_filter, upsample_filter)
 
@@ -199,6 +200,27 @@ class TestRows:
             one = np.zeros(8, dtype=np.complex128)
             add_noise(one, re[r], im[r], 2.0, snr)
             assert rows[r].tobytes() == one.tobytes()
+
+    def test_add_noise_scale(self):
+        rng = np.random.default_rng(25)
+        re, im = rng.standard_normal((2, 8))
+        out = np.zeros(8, dtype=np.complex128)
+        add_noise(out, re, im, 2.0, 7.5)
+        g = noise_scale(2.0, 7.5)
+        assert g == np.sqrt(2.0 * 10 ** -0.75 / 2)
+        assert out.tobytes() == (g * re + 1j * (g * im)).tobytes()
+        add_noise(out, re, im, 2.0, np.inf)  # a noiseless point adds none
+        assert out.tobytes() == (g * re + 1j * (g * im)).tobytes()
+        assert noise_scale(2.0, np.inf) == 0.0
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_snr_without_a_noise_level_rejected(self, snr_db):
+        out = np.zeros(8, dtype=np.complex128)
+        with pytest.raises(ValueError):
+            add_noise(out, np.ones(8), np.ones(8), 2.0, snr_db)
+        with pytest.raises(ValueError):
+            noise_scale(2.0, snr_db)
+        assert not out.any()
 
 
 def _padded(n_pre, n_body, n_post, seed):

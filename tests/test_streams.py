@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from conftest import (oracle_apply_channel, oracle_evaluate_conventional,
                       oracle_receive, receive)
 from pktdetect import streams
-from pktdetect.channel import ChannelTemplate
-from pktdetect.preamble import PREAMBLE_LEN
+from pktdetect.channel import ChannelTemplate, rx_frontend
+from pktdetect.preamble import PREAMBLE_LEN, ComplexSignal
 from pktdetect.streams import (StreamSimulator, StreamTrialConfig,
                                TrialOutcome, evaluate_conventional, summarize)
 
@@ -198,6 +199,10 @@ class TestSharedSweep:
                 replace(cfg, snr_db=snr), 40, seed=seed)
 
     def test_rx_streams_equal_receive(self, channel, seed, monkeypatch):
+        # several points filter the clean and noise rows once and scale-add
+        # per point: byte for byte that, built here from rx_frontend, and
+        # within rounding the add-then-filter stream of receive.  An inf
+        # point, and a lone point, are receive's stream byte for byte
         cfg = StreamTrialConfig(channel=channel)
         seen = []
         coarse = streams.coarse_detect
@@ -209,30 +214,59 @@ class TestSharedSweep:
         monkeypatch.setattr(streams, "coarse_detect", recording)
         n = 6
         evaluate_conventional(cfg, n, seed=seed, snrs_db=POINTS)
+        for snr in POINTS:
+            evaluate_conventional(cfg, n, seed=seed, snrs_db=(snr,))
         monkeypatch.setattr(streams, "coarse_detect", coarse)
-        assert len(seen) == n * len(POINTS)
+        assert len(seen) == 2 * n * len(POINTS)
+        shared, lone = seen[:n * len(POINTS)], seen[n * len(POINTS):]
         sim = StreamSimulator(cfg)
+        os = channel.os_factor
+
+        def trial(i):  # the substream of trial i, up to its link draw
+            rng = np.random.default_rng((seed, i))
+            has_packet = bool(rng.uniform() < 0.5)
+            return rng, has_packet, int(rng.integers(*streams.PRE_PAD_RANGE))
+
+        kinds = set()
         for i in range(n):
+            rng, has_packet, pre = trial(i)
+            kinds.add(has_packet)
+            link = sim.draw_link(rng, pre, streams.POST_PAD, has_packet)
+            clean, noise = (
+                rx_frontend(ComplexSignal(row, sim.os_rate), sim.taps, os,
+                            n_out=link.n_rx).samples
+                for row in (link.clean, link.noise[0] + 1j * link.noise[1]))
+            if not has_packet:  # so the sweep need not filter it
+                assert clean.tobytes() == np.zeros_like(clean).tobytes()
             for k, snr in enumerate(POINTS):
-                rng = np.random.default_rng((seed, i))
-                has_packet = bool(rng.uniform() < 0.5)
-                pre = int(rng.integers(*streams.PRE_PAD_RANGE))
-                y = receive(sim, rng, snr, pre, streams.POST_PAD, has_packet)
-                assert seen[i * len(POINTS) + k] == y.samples.tobytes()
+                rng, _, _ = trial(i)
+                y = receive(sim, rng, snr, pre, streams.POST_PAD,
+                            has_packet).samples
+                assert lone[k * n + i] == y.tobytes()
+                got = np.frombuffer(shared[i * len(POINTS) + k],
+                                    dtype=np.complex128)
+                if snr == np.inf:
+                    assert got.tobytes() == y.tobytes()
+                    assert has_packet or not got.any()
+                    continue
+                g = math.sqrt(sim.p_signal_os * 10.0 ** (-snr / 10.0) / 2)
+                ref = clean + g * noise
+                assert got.tobytes() == ref.tobytes()
+                np.testing.assert_allclose(got, y, rtol=0, atol=1e-12)
                 if i == 0:  # and, within rounding, the one-step oracle link
-                    rng = np.random.default_rng((seed, i))
-                    rng.uniform(), rng.integers(*streams.PRE_PAD_RANGE)
+                    rng, _, _ = trial(i)
                     ref = oracle_receive(sim, rng, snr, pre, streams.POST_PAD,
                                          has_packet).samples
-                    np.testing.assert_allclose(y.samples, ref, rtol=0,
-                                               atol=1e-12)
+                    np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12)
+        assert kinds == {True, False}
 
     def test_run_trial_once_per_trial_and_point(self, channel, seed,
                                                monkeypatch):
-        calls, inits, links = [], [], []
+        calls, inits, links, front_ends = [], [], [], []
         run_trial = StreamSimulator.run_trial
         init = StreamSimulator.__init__
         apply_channel = streams.apply_channel
+        front_end = streams.rx_frontend
 
         def recording_trial(self, *args, **kwargs):
             calls.append(self.cfg.snr_db)
@@ -246,13 +280,18 @@ class TestSharedSweep:
             links.append(1)
             return apply_channel(*args, **kwargs)
 
+        def recording_front_end(*args, **kwargs):
+            front_ends.append(1)
+            return front_end(*args, **kwargs)
+
         monkeypatch.setattr(StreamSimulator, "run_trial", recording_trial)
         monkeypatch.setattr(StreamSimulator, "__init__", recording_init)
         monkeypatch.setattr(streams, "apply_channel", recording_channel)
+        monkeypatch.setattr(streams, "rx_frontend", recording_front_end)
         evaluate_conventional(StreamTrialConfig(channel=channel), 7,
                               seed=seed, snrs_db=POINTS)
         assert calls == list(POINTS) * 7
-        assert len(inits) == 1 and len(links) == 7
+        assert len(inits) == 1 and len(links) == 7 and len(front_ends) == 7
 
     def test_snr_range_matches_per_point_loop(self, channel, seed):
         cfg = StreamTrialConfig(channel=channel)
@@ -266,3 +305,18 @@ def test_points_and_range_exclusive():
     with pytest.raises(ValueError):
         evaluate_conventional(StreamTrialConfig(), 1, snrs_db=(10.0,),
                               snr_range_db=(0.0, 5.0))
+
+
+@pytest.mark.parametrize("snr_db, kwargs", [
+    (np.nan, {}), (-np.inf, {}),
+    (20.0, {"snrs_db": (np.nan,)}), (20.0, {"snrs_db": (10.0, -np.inf)}),
+    (20.0, {"snr_range_db": (0.0, np.nan)}),
+    (20.0, {"snr_range_db": (-np.inf, 10.0)}),
+    (20.0, {"snr_range_db": (0.0, np.inf)})],
+    ids=["config-nan", "config-neg-inf", "point-nan", "point-neg-inf",
+         "range-nan", "range-neg-inf", "range-inf"])
+def test_snr_without_a_noise_level_rejected(snr_db, kwargs):
+    # NaN and -inf have no noise level: they once ran as noiseless points
+    with pytest.raises(ValueError):
+        evaluate_conventional(StreamTrialConfig(snr_db=snr_db), 20, seed=1,
+                              **kwargs)
