@@ -316,7 +316,7 @@ def test_points_and_range_exclusive():
     ids=["config-nan", "config-neg-inf", "point-nan", "point-neg-inf",
          "range-nan", "range-neg-inf", "range-inf"])
 def test_snr_without_a_noise_level_rejected(snr_db, kwargs):
-    # NaN and -inf have no noise level: they once ran as noiseless points
+    # NaN and -inf have no noise level (+inf is a noiseless point)
     with pytest.raises(ValueError):
         evaluate_conventional(StreamTrialConfig(snr_db=snr_db), 20, seed=1,
                               **kwargs)
