@@ -101,7 +101,8 @@ def cmd_gen(args) -> int:
         spec = dataset.DatasetSpec.from_json(Path(args.spec).read_text())
     except OSError as exc:
         raise UsageError(f"cannot read spec file: {exc}") from exc
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, TypeError, ValueError,
+            dataset.DatasetError) as exc:
         raise UsageError(f"invalid dataset spec: {exc}") from exc
     blocks = dataset.generate(spec)
     out_dir = Path(args.out)

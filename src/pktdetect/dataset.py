@@ -9,8 +9,8 @@ mid-or-tail).  Generation is deterministic given the spec seed: every block
 draws from its own (seed, index) substream.  It runs CHUNK_BLOCKS blocks
 at a time: first each block makes its draws, then the chunk's blocks are
 computed together as rows of 2-D arrays, each for only the samples it
-keeps.  Long blocks are made on up to one thread per usable CPU, and the
-bytes do not depend on the thread count (see `generate`).
+keeps.  Chunks are made on up to one thread per usable CPU, and the bytes
+do not depend on the thread count (see `generate`).
 """
 from __future__ import annotations
 
@@ -41,15 +41,12 @@ FORMAT_VERSION = 1
 # temporaries stays near 350 kB at block_len 160, in cache and off the peak
 # resident size
 CHUNK_BLOCKS = 32
-# generate's threads at most, and the shortest block length it threads.  A
-# block holds the GIL for about half its time (the unit-noise fills release
-# it), and the shorter the block the larger that half.  On a 2-vCPU host
-# two threads made 0.68-0.88x the blocks/s of one at block_len 40,
-# 0.85-0.93x at 80 and 120, 0.93-1.13x at 160 and 1.04x at 240 in-process,
-# and the benchmark's gen at 160 on two threads ran 1.476x the one-thread
-# parent (BENCH_12.json); more than two threads was never measured
+# generate's threads at most.  A block holds the GIL for about half its
+# time (the unit-noise fills release it).  On a 2-vCPU host two threads
+# made 1.17-1.32x the blocks/s of one at block_len 40, 1.38-1.56x at 80,
+# 1.13-1.69x at 120 and 1.18-1.56x at 160 in-process, in three series of 8
+# alternating reps (BENCH_15.json); more than two threads was never measured
 MAX_WORKERS = 2
-MIN_THREADED_BLOCK_LEN = 160
 
 
 class DatasetError(Exception):
@@ -123,11 +120,8 @@ def usable_cpus() -> int:
 
 
 def worker_count(spec: DatasetSpec) -> int:
-    """The number of threads `generate` makes spec's blocks on: one below
-    MIN_THREADED_BLOCK_LEN, else one per usable CPU, at most MAX_WORKERS
-    and at most one per chunk."""
-    if spec.block_len < MIN_THREADED_BLOCK_LEN:
-        return 1
+    """The number of threads `generate` makes spec's blocks on: one per
+    usable CPU, at most MAX_WORKERS and at most one per chunk."""
     return min(MAX_WORKERS, usable_cpus(), -(-spec.n_blocks // CHUNK_BLOCKS))
 
 
@@ -137,15 +131,14 @@ def generate(spec: DatasetSpec) -> np.ndarray:
     Each block is cut from one link stream: `block_len` samples of noise,
     the NDP, then `block_len + 16` more.  Blocks are made CHUNK_BLOCKS at a
     time (see `_Chunker`), on `worker_count` threads: the calling thread
-    and, with more than one usable CPU and blocks of at least
-    MIN_THREADED_BLOCK_LEN samples, worker threads, each taking the next
-    chunk not yet taken and writing its own slice of the result.  The
-    unit-noise draws, about half of a block's time, release the GIL, so the
-    threads overlap there.  Every block draws from its own (seed, index)
-    substream and a row's arithmetic is that of its stream simulated alone,
-    so the bytes depend neither on the chunking nor on the thread count.
-    The first exception raised in any thread is re-raised once every thread
-    has stopped.
+    and, with more than one usable CPU and more than one chunk, worker
+    threads, each taking the next chunk not yet taken and writing its own
+    slice of the result.  The unit-noise draws, about half of a block's
+    time, release the GIL, so the threads overlap there.  Every block draws
+    from its own (seed, index) substream and a row's arithmetic is that of
+    its stream simulated alone, so the bytes depend neither on the chunking
+    nor on the thread count.  The first exception raised in any thread is
+    re-raised once every thread has stopped.
     """
     sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
     blocks = np.zeros(spec.n_blocks, dtype=record_dtype(spec.block_len))

@@ -122,7 +122,7 @@ class TestGen:
     @pytest.mark.parametrize("key, value", [
         ("seed", -1), ("seed", 1.5), ("n_blocks", 5.5), ("block_len", 40.0),
         ("channel.os_factor", 4.5), ("channel.filter_taps", 48.0),
-        ("split", [1.0])])
+        ("split", [1.0]), ("block_len", 800)])
     def test_non_integer_spec_field_rejected(self, tmp_path, monkeypatch,
                                              key, value):
         doc = json.loads(DatasetSpec(block_len=40, n_blocks=20).to_json())
@@ -142,18 +142,22 @@ class TestGen:
         assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_manifest_records_workers(self, workspace):
-        doc = json.loads((workspace / "data" / "gen.manifest.json").read_text())
-        assert doc["workers"] == 1  # block_len 40 is made on one thread
-
-    def test_manifest_records_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+    @staticmethod
+    def _workers(tmp_path, monkeypatch, n_cpus):
+        """The workers a B=40 gen of two chunks records on n_cpus CPUs."""
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: n_cpus)
         spec_path = tmp_path / "spec.json"
-        _write_spec(spec_path, block_len=160, n_blocks=2 * dataset.CHUNK_BLOCKS)
+        _write_spec(spec_path, n_blocks=2 * dataset.CHUNK_BLOCKS)
         out = tmp_path / "data"
         assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 0
-        doc = json.loads((out / "gen.manifest.json").read_text())
-        assert doc["workers"] == 2
+        return json.loads((out / "gen.manifest.json").read_text())["workers"]
+
+    def test_manifest_records_workers(self, tmp_path, monkeypatch):
+        assert self._workers(tmp_path, monkeypatch, 1) == 1
+
+    def test_manifest_records_threads(self, tmp_path, monkeypatch):
+        # any block length is made on two threads, 40 included
+        assert self._workers(tmp_path, monkeypatch, 2) == 2
 
 
 class TestTrain:

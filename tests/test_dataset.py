@@ -272,16 +272,14 @@ class TestChunks:
 
 class TestThreads:
     """generate makes its chunks on worker_count threads; these tests force
-    the count through the CPU count it reads (lifting the cap and the block
-    length threshold, which only bound the speed), and the bytes must not
-    depend on it."""
+    the count through the CPU count it reads (lifting the cap, which only
+    bounds the speed), and the bytes must not depend on it."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
         def force(n):
             monkeypatch.setattr(dataset, "usable_cpus", lambda: n)
             monkeypatch.setattr(dataset, "MAX_WORKERS", 64)
-            monkeypatch.setattr(dataset, "MIN_THREADED_BLOCK_LEN", 1)
         return force
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -299,7 +297,7 @@ class TestThreads:
     @pytest.mark.parametrize("n_cpus, block_len, n_blocks, workers", [
         (1, 160, 10 * C, 1), (2, 160, 10 * C, 2), (64, 160, 10 * C, 2),
         (2, 160, C, 1), (2, 160, C + 1, 2), (64, 400, 10 * C, 2),
-        (2, 159, 10 * C, 1), (64, 40, 10 * C, 1)])
+        (2, 159, 10 * C, 2), (64, 40, 10 * C, 2)])
     def test_worker_count(self, monkeypatch, n_cpus, block_len, n_blocks,
                           workers):
         monkeypatch.setattr(dataset, "usable_cpus", lambda: n_cpus)
@@ -332,15 +330,6 @@ class TestThreads:
         cpus(1)
         monkeypatch.setattr(threading, "Thread", no_thread)
         assert generate(spec).tobytes() == threaded.tobytes()
-
-    def test_short_blocks_start_no_thread(self, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was made")
-
-        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(threading, "Thread", no_thread)
-        generate(DatasetSpec(block_len=dataset.MIN_THREADED_BLOCK_LEN - 1,
-                             n_blocks=3 * C, seed=1, channel=_FAST))
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunk_error_raised_after_threads_stop(self, cpus, monkeypatch,
