@@ -9,9 +9,8 @@ from .preamble import (ComplexSignal, PreambleSpec, build_preamble,
                        design_interp_filter)
 from .channel import (ChannelConfig, apply_channel, draw_model_b_taps,
                       rx_frontend)
-from .corrsync import (CorrDetectorConfig, DetectionResult, autocorr,
-                       coarse_detect, fine_detect, plateau_refine,
-                       timing_metric, window_power)
+from .corrsync import (CorrDetectorConfig, DetectionResult, coarse_detect,
+                       fine_detect, plateau_refine)
 from .cnn import (CnnDetectorConfig, CnnModel, block_to_channels, build_model,
                   evaluate, load_model, save_model)
 from .dataset import DatasetSpec, Kind, generate, record_dtype, split

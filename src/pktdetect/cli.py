@@ -169,14 +169,6 @@ def _channel(args) -> ChannelTemplate:
     return ChannelTemplate()
 
 
-def _write_eval_outputs(out: Path, per_snr, miss, false_alarm) -> None:
-    _write_csv(out, ["snr_bin_lo", "snr_bin_hi", "mae", "n"],
-               [(_fmt(lo), _fmt(hi), _fmt(mae), n) for lo, hi, mae, n in per_snr])
-    _write_csv(out.parent / f"{out.stem}_summary.csv",
-               ["miss_rate", "false_alarm_rate"],
-               [(_fmt(miss), _fmt(false_alarm))])
-
-
 def cmd_eval(args) -> int:
     out = Path(args.out)
     if args.conventional:
@@ -185,15 +177,7 @@ def cmd_eval(args) -> int:
         snr_range = tuple(args.snr_range) if args.snr_range else None
         outcomes, = streams.evaluate_conventional(
             trial_cfg, args.packets, seed=args.seed, snr_range_db=snr_range)
-        summary = streams.summarize(outcomes)
-        tp = [o for o in outcomes if o.has_packet and o.detected]
-        per_snr = cnn.mae_by_snr([o.snr_db for o in tp],
-                                 [abs(o.fine_start - o.true_start) for o in tp])
-        _write_eval_outputs(out, per_snr, summary["miss_rate"],
-                            summary["false_alarm_rate"])
-        print(f"conventional: miss {_rate(summary['miss_rate'])}, "
-              f"false alarm {_rate(summary['false_alarm_rate'])}, "
-              f"mae {summary['mae']}")
+        name, metrics = "conventional", streams.summarize(outcomes)
     else:
         if not args.model:
             raise UsageError("eval needs --model or --conventional")
@@ -207,12 +191,15 @@ def cmd_eval(args) -> int:
             raise UsageError(
                 f"model block_len {model.cfg.block_len} does not match "
                 f"dataset block_len {manifest['block_len']}")
-        metrics = cnn.evaluate(model, test_blocks)
-        _write_eval_outputs(out, metrics.per_snr, metrics.miss_rate,
-                            metrics.false_alarm_rate)
-        print(f"cnn: miss {_rate(metrics.miss_rate)}, "
-              f"false alarm {_rate(metrics.false_alarm_rate)}, "
-              f"mae {metrics.mae}")
+        name, metrics = "cnn", cnn.evaluate(model, test_blocks)
+    _write_csv(out, ["snr_bin_lo", "snr_bin_hi", "mae", "n"],
+               [(_fmt(lo), _fmt(hi), _fmt(mae), n)
+                for lo, hi, mae, n in metrics.per_snr])
+    _write_csv(out.parent / f"{out.stem}_summary.csv",
+               ["miss_rate", "false_alarm_rate"],
+               [(_fmt(metrics.miss_rate), _fmt(metrics.false_alarm_rate))])
+    print(f"{name}: miss {_rate(metrics.miss_rate)}, "
+          f"false alarm {_rate(metrics.false_alarm_rate)}, mae {metrics.mae}")
     _write_manifest(out.parent, "eval", vars(args))
     return 0
 
@@ -262,21 +249,18 @@ def cmd_sweep(args) -> int:
         seed=args.seed, snrs_db=snrs) if args.conventional else None)
     rows = []
     for k, snr in enumerate(snrs):
+        scored = []
         if conventional is not None:
-            s = streams.summarize(conventional[k])
-            rows.append(("conventional", _fmt(snr), _fmt(s["mae"]),
-                         _fmt(s["miss_rate"]), _fmt(s["false_alarm_rate"]),
-                         s["n_trials"]))
+            scored.append(("conventional", streams.summarize(conventional[k])))
         if model is not None:
             spec = dataset.DatasetSpec(
                 block_len=model.cfg.block_len, n_blocks=args.packets,
                 snr_range_db=(snr, snr), seed=args.seed,
                 channel=_channel(args))
-            blocks = dataset.generate(spec)
-            m = cnn.evaluate(model, blocks)
-            rows.append((f"cnn-B{model.cfg.block_len}", _fmt(snr), _fmt(m.mae),
-                         _fmt(m.miss_rate), _fmt(m.false_alarm_rate),
-                         len(blocks)))
+            scored.append((f"cnn-B{model.cfg.block_len}",
+                           cnn.evaluate(model, dataset.generate(spec))))
+        rows += [(name, _fmt(snr), _fmt(m.mae), _fmt(m.miss_rate),
+                  _fmt(m.false_alarm_rate), m.n) for name, m in scored]
     out = Path(args.out)
     _write_csv(out, ["detector", "snr_db", "mae", "miss_rate",
                      "false_alarm_rate", "n"], rows)
@@ -329,8 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the CNN detector")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--block-len", type=positive_int, required=True)
-    p.add_argument("--epochs", type=positive_int, default=400)
-    p.add_argument("--batch-size", type=positive_int, default=80)
+    p.add_argument("--epochs", type=positive_int,
+                   default=nn.TrainConfig.epochs)
+    p.add_argument("--batch-size", type=positive_int,
+                   default=nn.TrainConfig.batch_size)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.set_defaults(func=cmd_train)

@@ -134,6 +134,12 @@ def predict(model: CnnModel, blocks: np.ndarray) -> np.ndarray:
 SNR_BIN_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
 
 
+def _mean(x: np.ndarray) -> float | None:
+    """The mean of x, or None when x is empty: a rate or MAE with nothing
+    to average over has no value (0.0 would read as a perfect detector)."""
+    return float(np.mean(x)) if x.size else None
+
+
 def mae_by_snr(snrs: np.ndarray, errors: np.ndarray) -> tuple:
     """Mean |error| per SNR_BIN_EDGES bin: rows of (bin_lo, bin_hi, mae_or_None, n).
 
@@ -148,43 +154,54 @@ def mae_by_snr(snrs: np.ndarray, errors: np.ndarray) -> tuple:
     rows = []
     for k in range(n_bins):
         err = errors[bin_of == k]
-        rows.append((SNR_BIN_EDGES[k], SNR_BIN_EDGES[k + 1],
-                     float(np.mean(err)) if err.size else None, int(err.size)))
+        rows.append((SNR_BIN_EDGES[k], SNR_BIN_EDGES[k + 1], _mean(err),
+                     int(err.size)))
     return tuple(rows)
 
 
 @dataclass(frozen=True)
 class EvalMetrics:
     mae: float | None
-    miss_rate: float | None         # None without START blocks
-    false_alarm_rate: float | None  # None without blocks free of a start
+    miss_rate: float | None         # None without an item holding a start
+    false_alarm_rate: float | None  # None without an item free of one
     per_snr: tuple  # rows of (bin_lo, bin_hi, mae_or_None, n)
+    n: int          # blocks or trials scored
+
+
+def score(has_start, detected, errors, snrs) -> EvalMetrics:
+    """Miss rate, false-alarm rate and MAE of either detector, from its
+    decisions on the blocks (CNN) or stream trials (correlator) it scored.
+
+    Each argument has one entry per item: whether it holds a start, whether
+    the detector fired on it, |estimated - true start| and its SNR tag.  The
+    miss rate is over the items with a start, the false-alarm rate over
+    those without, and the MAE (overall and per SNR_BIN_EDGES bin) over the
+    true positives, the only items whose error is read.  A rate or MAE with
+    nothing to average over is None.
+    """
+    has_start = np.asarray(has_start, dtype=bool)
+    detected = np.asarray(detected, dtype=bool)
+    errors = np.asarray(errors, dtype=np.float64)
+    tp = has_start & detected
+    return EvalMetrics(_mean(errors[tp]), _mean(~detected[has_start]),
+                       _mean(detected[~has_start]),
+                       mae_by_snr(np.asarray(snrs)[tp], errors[tp]),
+                       len(has_start))
 
 
 def evaluate(model: CnnModel, blocks: np.ndarray) -> EvalMetrics:
-    """Miss/false-alarm rates and true-positive MAE, binned by SNR tag.
+    """The CNN's `score` on labeled blocks.
 
     A block is detected when its score reaches the detect threshold; its
     start estimate is the score rounded and clamped to [0, block_len - 1].
-    A rate or MAE with no block to average over is None, not 0.
     """
     if len(blocks) == 0:
         raise ValueError("block array must be non-empty")
     labels = blocks["label"].astype(np.float64)
     scores = predict(model, blocks["amp"])
-    detected = scores >= DETECT_THRESHOLD
     starts = np.rint(np.clip(scores, 0.0, model.cfg.block_len - 1))
-
-    has_start = labels >= 0
-    miss = float(np.mean(~detected[has_start])) if has_start.any() else None
-    false_alarm = (float(np.mean(detected[~has_start]))
-                   if (~has_start).any() else None)
-
-    tp = has_start & detected
-    err = np.abs(starts - labels)
-    mae = float(np.mean(err[tp])) if tp.any() else None
-    return EvalMetrics(mae, miss, false_alarm,
-                       mae_by_snr(blocks["snr"][tp], err[tp]))
+    return score(labels >= 0, scores >= DETECT_THRESHOLD,
+                 np.abs(starts - labels), blocks["snr"])
 
 
 def train_detector(model: CnnModel, train_blocks: np.ndarray,

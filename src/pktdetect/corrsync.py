@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preamble import ComplexSignal, LTS_CORE_OFFSETS
+from .preamble import ComplexSignal, LTS_CORE_OFFSETS, STF_LEN
 
-L_STF = 160              # STF field length
 TRIGGER_THRESHOLD = 0.5
 TRIGGER_DWELL = 8        # consecutive above-threshold samples required
 PLATEAU_FRACTION = 0.9
@@ -37,31 +36,6 @@ class DetectionResult:
     def __post_init__(self):
         if not self.detected and self.start_sample != -1:
             raise ValueError("undetected results must carry start_sample = -1")
-
-
-def autocorr(y: ComplexSignal, tau: int, L: int) -> complex:
-    """Lag-L complex correlation over an L-sample window starting at tau."""
-    s = y.samples
-    if tau < 0 or tau + 2 * L > len(s):
-        raise ValueError("correlation window exceeds signal extent")
-    return complex(np.sum(np.conj(s[tau:tau + L]) * s[tau + L:tau + 2 * L]))
-
-
-def window_power(y: ComplexSignal, tau: int, L: int) -> float:
-    """Energy of the second (lagged) half-window starting at tau."""
-    s = y.samples
-    if tau < 0 or tau + 2 * L > len(s):
-        raise ValueError("power window exceeds signal extent")
-    return float(np.sum(np.abs(s[tau + L:tau + 2 * L]) ** 2))
-
-
-def timing_metric(y: ComplexSignal, tau: int, L: int) -> float:
-    """M(tau) = |corr|^2 / power^2; 0 on degenerate all-zero windows."""
-    p = window_power(y, tau, L)
-    if p == 0.0:
-        return 0.0
-    lam = autocorr(y, tau, L)
-    return float(abs(lam) ** 2 / p ** 2)
 
 
 def metric_trace(y: ComplexSignal, lag: int, window: int | None = None) -> np.ndarray:
@@ -101,7 +75,7 @@ def coarse_detect(y: ComplexSignal, cfg: CorrDetectorConfig) -> DetectionResult:
 
     The trigger requires M(tau) >= TRIGGER_THRESHOLD for TRIGGER_DWELL
     consecutive samples; the peak search then covers the following
-    2 * L_STF samples.
+    2 * STF_LEN samples.
     """
     m = metric_trace(y, cfg.l_window)
     if len(m) < TRIGGER_DWELL:
@@ -112,7 +86,7 @@ def coarse_detect(y: ComplexSignal, cfg: CorrDetectorConfig) -> DetectionResult:
     if hits.size == 0:
         return DetectionResult(False, -1)
     t0 = int(hits[0])
-    region = m[t0:t0 + 2 * L_STF]
+    region = m[t0:t0 + 2 * STF_LEN]
     peak = t0 + int(np.argmax(region))
     start = plateau_refine(m, peak, PLATEAU_FRACTION)
     return DetectionResult(True, start)

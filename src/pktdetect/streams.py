@@ -39,6 +39,7 @@ from .preamble import (BASE_RATE_HZ, ComplexSignal, PREAMBLE_LEN,
 from .channel import (ChannelConfig, ChannelTemplate, add_noise,
                       apply_channel, draw_model_b_taps, noise_scale,
                       rx_frontend)
+from .cnn import EvalMetrics, score
 from .corrsync import CorrDetectorConfig, coarse_detect, fine_detect
 
 DETECTOR = CorrDetectorConfig()
@@ -255,18 +256,10 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     return outcomes
 
 
-def summarize(outcomes: list[TrialOutcome]) -> dict:
-    """Miss/false-alarm rates and fine-stage MAE over true positives.
-
-    A rate or MAE with nothing to average over (no packet trials, no
-    packet-free trials, no true positives) is None, not 0.
-    """
-    with_pkt = [o for o in outcomes if o.has_packet]
-    without = [o for o in outcomes if not o.has_packet]
-    tp = [o for o in with_pkt if o.detected]
-    miss = (len(with_pkt) - len(tp)) / len(with_pkt) if with_pkt else None
-    false = sum(o.detected for o in without) / len(without) if without else None
-    mae = (float(np.mean([abs(o.fine_start - o.true_start) for o in tp]))
-           if tp else None)
-    return {"miss_rate": miss, "false_alarm_rate": false, "mae": mae,
-            "n_trials": len(outcomes)}
+def summarize(outcomes: list[TrialOutcome]) -> EvalMetrics:
+    """The correlator's `score` on trial outcomes: the fine-stage start is
+    its estimate, and a trial's SNR point is its tag."""
+    return score([o.has_packet for o in outcomes],
+                 [o.detected for o in outcomes],
+                 [abs(o.fine_start - o.true_start) for o in outcomes],
+                 [o.snr_db for o in outcomes])

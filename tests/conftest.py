@@ -109,6 +109,33 @@ def finite_diff_grads(fn, params, h=1e-6):
     return grads
 
 
+def autocorr(y, tau, L):
+    """Lag-L complex correlation over an L-sample window starting at tau:
+    the scalar form of the timing metric, kept as the reference that
+    corrsync.metric_trace is checked against."""
+    s = y.samples
+    if tau < 0 or tau + 2 * L > len(s):
+        raise ValueError("correlation window exceeds signal extent")
+    return complex(np.sum(np.conj(s[tau:tau + L]) * s[tau + L:tau + 2 * L]))
+
+
+def window_power(y, tau, L):
+    """Energy of the second (lagged) half-window starting at tau."""
+    s = y.samples
+    if tau < 0 or tau + 2 * L > len(s):
+        raise ValueError("power window exceeds signal extent")
+    return float(np.sum(np.abs(s[tau + L:tau + 2 * L]) ** 2))
+
+
+def timing_metric(y, tau, L):
+    """M(tau) = |corr|^2 / power^2; 0 on degenerate all-zero windows."""
+    p = window_power(y, tau, L)
+    if p == 0.0:
+        return 0.0
+    lam = autocorr(y, tau, L)
+    return float(abs(lam) ** 2 / p ** 2)
+
+
 def oracle_apply_channel(sig, cfg, snr_db=np.inf, rng=None,
                          signal_power=None, span=None):
     """The apply_channel that the support-only form replaced, kept as the

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import finite_diff_grads, instrumented_forward
+from conftest import (autocorr, finite_diff_grads, instrumented_forward,
+                      timing_metric)
 from pktdetect import cli, cnn, dataset, flops, nn, streams
 from pktdetect.channel import ChannelConfig, ChannelTemplate, apply_channel
 from pktdetect.cnn import CnnDetectorConfig
-from pktdetect.corrsync import autocorr, timing_metric
 from pktdetect.preamble import (BASE_RATE_HZ, PREAMBLE_LEN, ComplexSignal,
                                 build_preamble)
 
@@ -121,10 +121,10 @@ def test_criterion_3_conventional_awgn():
     mixed, = streams.evaluate_conventional(trial_cfg, 2_000, seed=202,
                                            packet_fraction=0.5)
     s = streams.summarize(mixed)
-    ok = (within2 >= 0.99 and s["miss_rate"] < 0.01
-          and s["false_alarm_rate"] < 0.01)
-    _report(3, ok, f"within±2={within2:.3f} (≥0.99), miss={s['miss_rate']:.4f}"
-                   f" (<0.01), false alarm={s['false_alarm_rate']:.4f} (<0.01)")
+    ok = (within2 >= 0.99 and s.miss_rate < 0.01
+          and s.false_alarm_rate < 0.01)
+    _report(3, ok, f"within±2={within2:.3f} (≥0.99), miss={s.miss_rate:.4f}"
+                   f" (<0.01), false alarm={s.false_alarm_rate:.4f} (<0.01)")
     assert ok
 
 

@@ -1,12 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import tamper_checkpoint
-from pktdetect import cli, cnn, dataset
+from pktdetect import cli, cnn, dataset, streams
 from pktdetect.cli import main
 from pktdetect.channel import ChannelTemplate
 from pktdetect.dataset import DatasetSpec
@@ -227,6 +230,31 @@ class TestEval:
                      "--packets", "20", "--out", str(out)]) == 0
         assert _read_csv(out)[0] == ["snr_bin_lo", "snr_bin_hi", "mae", "n"]
 
+    def test_conventional_snr_range_scores_its_trials(self, tmp_path):
+        # the rows and summary cells are the figures of the trials eval ran:
+        # the per-bin MAE of mae_by_snr and rates recounted from outcomes
+        # (seed 10's trials hold a miss and nonzero start errors)
+        out = tmp_path / "conv.csv"
+        assert main(["eval", "--conventional", "--snr-range", "0", "25",
+                     "--packets", "200", "--seed", "10", "--out", str(out)]) == 0
+        outcomes, = streams.evaluate_conventional(
+            streams.StreamTrialConfig(channel=ChannelTemplate()), 200, seed=10,
+            snr_range_db=(0.0, 25.0))
+        tp = [o for o in outcomes if o.has_packet and o.detected]
+        bins = cnn.mae_by_snr([o.snr_db for o in tp],
+                              [abs(o.fine_start - o.true_start) for o in tp])
+        assert sum(n for *_, n in bins) == len(tp) > 0
+
+        def cells(row):
+            return [float(c) if c else None for c in row]
+        assert [cells(r) for r in _read_csv(out)[1:]] == [list(b) for b in bins]
+        packets = [o.detected for o in outcomes if o.has_packet]
+        quiet = [o.detected for o in outcomes if not o.has_packet]
+        miss = (len(packets) - sum(packets)) / len(packets)
+        assert 0 < miss < 1
+        assert cells(_read_csv(tmp_path / "conv_summary.csv")[1]) == [
+            miss, sum(quiet) / len(quiet)]
+
     def test_one_trial_prints_missing_rate_as_none(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"
         assert main(["eval", "--conventional", "--packets", "1",
@@ -431,3 +459,16 @@ class TestParsing:
 
     def test_missing_required_arg(self):
         assert main(["gen", "--out", "somewhere"]) == 2
+
+
+def test_cli_imports_no_scipy():
+    # the package is numpy-only (pyproject.toml): importing the CLI in a
+    # fresh interpreter must load no scipy module, installed or not
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, pktdetect.cli; print(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

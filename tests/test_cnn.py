@@ -159,6 +159,16 @@ def test_mae_by_snr_bin_edges():
     assert rows[4][2] == 3.0   # 25.0 is in the closed last bin [20, 25]
 
 
+def test_score_reads_errors_only_at_true_positives():
+    # a hit, a miss, a false alarm and a quiet block; only the hit's error
+    # may reach the MAE, so the others carry NaN
+    m = cnn.score([True, True, False, False], [True, False, True, False],
+                  [2.0, np.nan, np.nan, np.nan], [7.0] * 4)
+    assert (m.mae, m.miss_rate, m.false_alarm_rate, m.n) == (2.0, 0.5, 0.5, 4)
+    assert [row[2:] for row in m.per_snr] == [
+        (None, 0), (2.0, 1), (None, 0), (None, 0), (None, 0)]
+
+
 class TestEvaluate:
     def test_untrained_model_misses_everything(self):
         model = build_model(CnnDetectorConfig(block_len=40), seed=0)

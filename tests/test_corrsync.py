@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import autocorr, timing_metric, window_power
 from pktdetect.channel import ChannelConfig, add_noise, apply_channel
-from pktdetect.corrsync import (CorrDetectorConfig, DetectionResult, autocorr,
+from pktdetect.corrsync import (CorrDetectorConfig, DetectionResult,
                                 coarse_detect, fine_detect, metric_trace,
-                                plateau_refine, timing_metric, window_power)
+                                plateau_refine)
 from pktdetect.preamble import (BASE_RATE_HZ, ComplexSignal, build_preamble,
                                 lts_core)
 

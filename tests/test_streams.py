@@ -152,22 +152,22 @@ class TestEvaluate:
             TrialOutcome(False, -1, False, -1, -1, 20.0),
         ]
         s = summarize(outcomes)
-        assert s["miss_rate"] == 0.5
-        assert s["false_alarm_rate"] == 0.5
-        assert s["mae"] == 0.0
-        assert s["n_trials"] == 4
+        assert s.miss_rate == 0.5
+        assert s.false_alarm_rate == 0.5
+        assert s.mae == 0.0
+        assert s.n == 4
 
     def test_summary_empty_true_positives(self):
         s = summarize([TrialOutcome(True, 100, False, -1, -1, 20.0)])
-        assert s["mae"] is None
+        assert s.mae is None
 
     def test_summary_empty_denominators_are_none(self):
         # no packet trial: no miss rate; no packet-free trial: no false
         # alarm rate (0.0 would read as a perfect detector)
         s = summarize([TrialOutcome(False, -1, True, 5, 5, 20.0)])
-        assert s["miss_rate"] is None and s["false_alarm_rate"] == 1.0
+        assert s.miss_rate is None and s.false_alarm_rate == 1.0
         s = summarize([TrialOutcome(True, 100, True, 100, 100, 20.0)])
-        assert s["miss_rate"] == 0.0 and s["false_alarm_rate"] is None
+        assert s.miss_rate == 0.0 and s.false_alarm_rate is None
 
     def test_per_trial_snr_range(self):
         cfg = StreamTrialConfig()
