@@ -131,24 +131,19 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
     link adds its noise to this output (add_noise, called from
     StreamSimulator.rx_stream).
 
-    Only the convolved support of the nonzero input samples is convolved
-    and rotated: the zero stretches around it stay exactly zero, and a zero
-    input skips the convolution and the CFO altogether.  The convolution is
-    one shifted multiply-add per tap, in tap order; against a complex
-    np.convolve it agrees to 1e-15 relative in float64 with multipath and
-    bit for bit with a single tap.
+    The convolution is one shifted multiply-add per tap, in tap order;
+    against a complex np.convolve it agrees to 1e-15 relative in float64
+    with multipath and bit for bit with a single tap.
 
     With span=(lo, hi), only output samples [lo, hi) are computed, from the
     input samples they depend on; the result equals that slice of the
-    output without a span.
+    output without a span.  Every output of the span is computed: the link
+    (StreamSimulator.draw_link) passes its packet's span, or makes no call.
 
     Rows: with taps of shape (rows, n_taps) (see ChannelConfig), each row
     is the channel of its own taps and CFO applied to the same input, and
     the output has one row per row.  lo and hi may then be one per row, the
-    same hi - lo for every row.  The work is done for all rows at once,
-    over the union of their spans' convolved support, and each row gets the
-    values it would get alone: a zero outside its own support may differ in
-    sign, which adding noise (add_noise) removes.
+    same hi - lo for every row.  Each row gets the bytes it would get alone.
     """
     x, taps = sig.samples, cfg.taps
     if len(x) == 0:
@@ -165,59 +160,39 @@ def apply_channel(sig: ComplexSignal, cfg: ChannelConfig,
     if lo_min < 0 or lo_max + m > n_out or m < 0 or min(widths) != max(widths):
         raise ValueError(f"span must lie within [0, {n_out}], "
                          "one length for all rows")
-    # convolved sample c feeds output c (and c + 1 when fractionally
-    # delayed); a row's outputs [lo, hi) read convolved
-    # [first, first + m + delay), here columns [0, m + delay)
+    # a row's outputs [lo, hi) read convolved samples [lo - delay, hi),
+    # which read its input samples [s, s + width), zero outside x
     first = lo - delay
-    nonzero = x != 0
-    head = int(nonzero.argmax())
-    j0 = j1 = 0  # the columns of the convolved support of the nonzero input
-    if nonzero[head]:
-        end = len(x) - int(nonzero[::-1].argmax()) + n_taps - 1
-        j0 = max(head - (lo_max - delay), 0)
-        j1 = min(end - (lo_min - delay), m + delay)
-    out = np.zeros((rows, m), dtype=np.complex128)
-    if j1 > j0:
-        # each row's input samples [s, s + width) feed its columns [j0, j1),
-        # zero outside x
-        width = j1 - j0 + n_taps - 1
-        s_min = lo_min - delay + j0 - (n_taps - 1)
-        s_end = lo_max - delay + j0 - (n_taps - 1) + width
-        xp, pad = x, 0
-        if s_min < 0 or s_end > len(x):
-            pad = max(-s_min, 0)
-            xp = np.zeros(pad + max(len(x), s_end), dtype=np.complex128)
-            xp[pad:pad + len(x)] = x
-        if rows == 1:  # a view, not a gather
-            xs = xp[None, s_min + pad:s_min + pad + width]
-        else:
-            s = first + (j0 - (n_taps - 1) + pad)
-            xs = xp[s[:, None] + np.arange(width)]
-        z = np.zeros((rows, j1 - j0), dtype=np.complex128)
-        for k in range(n_taps):  # z[c] += taps[k] * x[c - k]
-            z += taps[:, k, None] * xs[:, n_taps - 1 - k:width - k]
-        cfo = np.asarray(cfg.cfo_hz)  # one, or one per row
-        if cfo.any():
-            # cos + i sin of the phase, which is what exp(2j*pi*f*n/fs)
-            # computes: numpy divides a complex by a real as a multiply by
-            # the reciprocal, so the phase is scaled by 1/fs, not divided
-            n = (first + j0)[:, None] + np.arange(j1 - j0)
-            phase = n * (2 * np.pi * cfo).reshape(-1, 1)
-            phase *= 1 / sig.sample_rate_hz
-            rot = np.empty(phase.shape, dtype=np.complex128)
-            rot.real, rot.imag = np.cos(phase), np.sin(phase)
-            z *= rot
-        if delay:
-            # first-order fractional delay; adequate on the oversampled grid
-            padded = np.zeros((rows, z.shape[1] + 2), dtype=np.complex128)
-            padded[:, 1:-1] = z
-            z = (1 - frac) * padded[:, 1:] + frac * padded[:, :-1]
-        # z now holds the outputs reading convolved columns [j0 - delay, j1)
-        c0, c1 = max(j0 - delay, 0), min(j1, m)
-        out[:, c0:c1] = z[:, c0 - j0 + delay:c1 - j0 + delay]
-    if cfg.taps.ndim == 1:
-        out = out[0]
-    return ComplexSignal(out, sig.sample_rate_hz)
+    width = m + delay + n_taps - 1
+    s_min = lo_min - delay - (n_taps - 1)
+    xp, pad = x, 0
+    if s_min < 0 or lo_max + m > len(x):
+        pad = max(-s_min, 0)
+        xp = np.zeros(pad + max(len(x), lo_max + m), dtype=np.complex128)
+        xp[pad:pad + len(x)] = x
+    if rows == 1:  # a view, not a gather
+        xs = xp[None, s_min + pad:s_min + pad + width]
+    else:
+        s = first - (n_taps - 1) + pad
+        xs = xp[s[:, None] + np.arange(width)]
+    z = np.zeros((rows, m + delay), dtype=np.complex128)
+    for k in range(n_taps):  # z[c] += taps[k] * x[c - k]
+        z += taps[:, k, None] * xs[:, n_taps - 1 - k:width - k]
+    cfo = np.asarray(cfg.cfo_hz)  # one, or one per row
+    if cfo.any():
+        # cos + i sin of the phase, which is what exp(2j*pi*f*n/fs)
+        # computes: numpy divides a complex by a real as a multiply by
+        # the reciprocal, so the phase is scaled by 1/fs, not divided
+        n = first[:, None] + np.arange(m + delay)
+        phase = n * (2 * np.pi * cfo).reshape(-1, 1)
+        phase *= 1 / sig.sample_rate_hz
+        rot = np.empty(phase.shape, dtype=np.complex128)
+        rot.real, rot.imag = np.cos(phase), np.sin(phase)
+        z *= rot
+    if delay:
+        # first-order fractional delay; adequate on the oversampled grid
+        z = (1 - frac) * z[:, 1:] + frac * z[:, :-1]
+    return ComplexSignal(z[0] if cfg.taps.ndim == 1 else z, sig.sample_rate_hz)
 
 
 def noise_scale(signal_power: float, snr_db: float) -> float:

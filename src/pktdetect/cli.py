@@ -85,15 +85,20 @@ def _rate(x) -> str:
 
 
 def _find_dataset(data_dir: Path, block_len: int) -> Path:
+    """The prefix of the one dataset of block_len in data_dir."""
+    found = []
     for man in sorted(data_dir.glob("*.manifest.json")):
         try:
             doc = json.loads(man.read_text())
         except (OSError, json.JSONDecodeError):
             continue
         if isinstance(doc, dict) and doc.get("block_len") == block_len:
-            return Path(str(man)[: -len(".manifest.json")])
-    raise dataset.DatasetError(
-        f"no dataset with block_len {block_len} found in {data_dir}")
+            found.append(Path(str(man)[: -len(".manifest.json")]))
+    if len(found) != 1:
+        raise dataset.DatasetError(
+            f"{len(found)} datasets with block_len {block_len} in "
+            f"{data_dir}, not one: {[p.name for p in found]}")
+    return found[0]
 
 
 def cmd_gen(args) -> int:
@@ -115,9 +120,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_split(data_dir: Path, block_len: int):
+def _load_split(data_dir: Path, block_len: int, needed: str):
     """The dataset of block_len in data_dir, split as its manifest's spec
-    says, and the manifest."""
+    says, and the manifest; a data error when the needed partition
+    ("training" or "test") is empty."""
     prefix = _find_dataset(data_dir, block_len)
     blocks, manifest = dataset.load(prefix)
     try:
@@ -125,7 +131,12 @@ def _load_split(data_dir: Path, block_len: int):
     except (TypeError, ValueError) as exc:
         raise dataset.DatasetError(
             f"invalid spec in the manifest of {prefix}: {exc}") from exc
-    return dataset.split(blocks, spec.split, spec.seed), manifest
+    parts = dataset.split(blocks, spec.split, spec.seed)
+    if not len(parts[("training", "validation", "test").index(needed)]):
+        raise dataset.DatasetError(
+            f"the {needed} partition of {prefix} is empty: split "
+            f"{list(spec.split)} of n_blocks {spec.n_blocks}")
+    return parts, manifest
 
 
 def _cnn_config(block_len: int) -> CnnDetectorConfig:
@@ -138,7 +149,8 @@ def _cnn_config(block_len: int) -> CnnDetectorConfig:
 
 def cmd_train(args) -> int:
     model_cfg = _cnn_config(args.block_len)
-    (train_blocks, val_blocks, _), _ = _load_split(Path(args.data), args.block_len)
+    (train_blocks, val_blocks, _), _ = _load_split(Path(args.data),
+                                                   args.block_len, "training")
     model = cnn.build_model(model_cfg, seed=args.seed)
     cfg = nn.TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                          seed=args.seed)
@@ -185,7 +197,8 @@ def cmd_eval(args) -> int:
                             ("--block-len", args.block_len)):
             if value is None:
                 raise UsageError(f"eval --model needs {flag}")
-        (_, _, test_blocks), manifest = _load_split(Path(args.data), args.block_len)
+        (_, _, test_blocks), manifest = _load_split(
+            Path(args.data), args.block_len, "test")
         model = cnn.load_model(args.model)
         if model.cfg.block_len != manifest["block_len"]:
             raise UsageError(

@@ -18,7 +18,6 @@ N_SUBCARRIERS = 32  # 31.25 kHz subcarrier spacing at BASE_RATE_HZ
 CP_LEN = 8          # cyclic prefix: an 8 us guard, so a 40 us symbol
 PREAMBLE_LEN = 560
 STF_LEN = 160
-LTF1_LEN = 160
 LTS_CORE_LEN = 32
 # LTF1 layout: a 32-sample guard copy followed by two 64-sample LTS periods,
 # each LTS period being two repeats of the 32-sample LTS core.  The field is

@@ -1,19 +1,20 @@
 """The one tx -> channel -> rx link, and full-stream NDP trials on it.
 
-`StreamSimulator` builds the oversampled NDP once and pushes it (or nothing,
-for a noise-only stream) through the channel and the receiver front end.
+`StreamSimulator` builds the oversampled NDP once and pushes it through the
+channel and the receiver front end; a noise-only stream is noise alone.
 Dataset generation cuts its labeled blocks from these streams; stream
 trials score the correlation detector, always at `DETECTOR`, on them:
 start-sample error, miss rate and false-alarm rate.
 
 A stream is made in two steps.  `draw_link` makes the link's random draws
 (CFO, multipath taps, unit noise) and the noiseless channel output of the
-whole stream; `rx_stream` scales the unit noise to an SNR, adds it and runs
-the rx front end.  `rx_stream` also takes rows of streams of one geometry (a
-leading row axis, one SNR per row): `dataset.generate` makes its draws
-itself, computes only the window each block keeps through `channel`, and
-receives a chunk of blocks at once; a single stream is the one-row case of
-the same code.
+whole stream, passing the channel only the span its packet reaches: a
+noise-only link makes no channel call.  `rx_stream` scales the unit noise
+to an SNR, adds it and runs the rx front end.  It also takes rows of
+streams of one geometry (a leading row axis, one SNR per row):
+`dataset.generate` makes its draws itself, computes only the window each
+block keeps through `channel`, and receives a chunk of blocks at once; a
+single stream is the one-row case of the same code.
 No draw of a trial (packet or not, its position, the link draws)
 depends on the SNR, so an SNR sweep draws each trial once and scores it at
 every point.  The rx front end is linear, so `rx_streams` filters the
@@ -106,15 +107,13 @@ class StreamSimulator:
         sim.cfg = replace(self.cfg, snr_db=snr_db)
         return sim
 
-    def tx_stream(self, pre: int, post: int,
-                  has_packet: bool = True) -> np.ndarray:
-        """The oversampled transmit stream: `pre` samples, the NDP (zeros
-        when has_packet is false), `post` samples, then the filter tail."""
+    def tx_stream(self, pre: int, post: int) -> np.ndarray:
+        """The oversampled transmit stream: `pre` samples, the NDP, `post`
+        samples, then the filter tail."""
         os = self.cfg.channel.os_factor
         buf = np.zeros((pre + PREAMBLE_LEN + post) * os + len(self.taps) - 1,
                        dtype=np.complex128)
-        if has_packet:
-            buf[pre * os:pre * os + len(self.x_os)] = self.x_os
+        buf[pre * os:pre * os + len(self.x_os)] = self.x_os
         return buf
 
     def draw_channel(self, rng: np.random.Generator,
@@ -147,15 +146,22 @@ class StreamSimulator:
                   has_packet: bool = True) -> LinkDraw:
         """One whole stream's link: the CFO, then the multipath taps, the
         noiseless channel output, then the two unit-normal noise vectors,
-        drawn from rng in that order."""
-        tx = self.tx_stream(pre, post, has_packet)
+        drawn from rng in that order.  The channel computes only the
+        outputs the packet reaches; a noise-only link's are all zero."""
+        tpl = self.cfg.channel
+        tx = self.tx_stream(pre, post)
         cfo, taps = self.draw_channel(rng)
         # channel output length: the timing offset is below one sample
         n_os = len(tx) + len(taps) - 1
-        clean = self.channel(tx, cfo, taps, 0, n_os)
+        clean = np.zeros(n_os, dtype=np.complex128)
+        if has_packet:  # its convolved support, one longer when delayed
+            lo = pre * tpl.os_factor
+            hi = min(lo + len(self.x_os) + len(taps) - 1
+                     + int(tpl.fractional_timing_offset > 0), n_os)
+            clean[lo:hi] = self.channel(tx, cfo, taps, lo, hi)
         noise = rng.standard_normal(n_os), rng.standard_normal(n_os)
         return LinkDraw(pre, has_packet, clean, noise,
-                        -(-n_os // self.cfg.channel.os_factor))
+                        -(-n_os // tpl.os_factor))
 
     def rx_stream(self, link: LinkDraw, snr_db) -> ComplexSignal:
         """The 1 MHz rx stream of a drawn link at snr_db (one per row for

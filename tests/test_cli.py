@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,33 @@ class TestTrain:
                      "--epochs", "1", "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_two_datasets_of_the_block_len(self, workspace, tmp_path,
+                                           capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for prefix in ("blocks40", "other"):
+            for suffix in (".blocks.bin", ".manifest.json"):
+                (data / (prefix + suffix)).write_bytes(
+                    (workspace / "data" / ("blocks40" + suffix)).read_bytes())
+        out = tmp_path / "out" / "m.ckpt"
+        assert main(["train", "--data", str(data), "--block-len", "40",
+                     "--epochs", "1", "--out", str(out)]) == 3
+        assert "['blocks40', 'other']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_training_partition(self, tmp_path, capsys):
+        # one block: floor(0.7 * 1) = 0 of them train
+        _write_spec(tmp_path / "spec.json", n_blocks=1)
+        assert main(["gen", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "data")]) == 0
+        out = tmp_path / "out" / "m.ckpt"
+        assert main(["train", "--data", str(tmp_path / "data"),
+                     "--block-len", "40", "--epochs", "1",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "training partition" in err and "n_blocks 1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("arg", ["--epochs", "--batch-size"])
     def test_zero_epochs_or_batch_rejected(self, workspace, tmp_path, arg):
         out = tmp_path / "out" / "m.ckpt"
@@ -306,6 +334,20 @@ class TestEval:
         assert main(["eval", "--conventional", "--packets", "5", *snr,
                      "--out", str(out)]) == 2
         assert not out.parent.exists()
+
+    def test_empty_test_partition(self, workspace, tmp_path, capsys):
+        spec = replace(DatasetSpec.from_json(
+            (workspace / "spec.json").read_text()), split=(0.85, 0.15, 0.0))
+        (tmp_path / "spec.json").write_text(spec.to_json())
+        assert main(["gen", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "data")]) == 0
+        out = tmp_path / "x.csv"
+        assert main(["eval", "--model", str(workspace / "model.ckpt"),
+                     "--data", str(tmp_path / "data"), "--block-len", "40",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "test partition" in err and "[0.85, 0.15, 0.0]" in err
+        assert not out.exists()
 
     def test_block_len_mismatch(self, workspace, tmp_path):
         assert main(["eval", "--model", str(workspace / "model.ckpt"),

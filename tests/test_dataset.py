@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import threading
 
 import numpy as np
@@ -22,6 +23,25 @@ _SMALL = DatasetSpec(block_len=40, n_blocks=300, seed=1, channel=_FAST)
 @pytest.fixture(scope="module")
 def small_blocks():
     return generate(_SMALL)
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with an odd dof, exactly: the regularized
+    upper incomplete gamma Q(dof/2, x/2), from Q(1/2, y) = erfc(sqrt(y))
+    and Q(s + 1, y) = Q(s, y) + y^s e^-y / Gamma(s + 1)."""
+    assert dof % 2 == 1
+    y, q = x / 2, math.erfc(math.sqrt(x / 2))
+    for k in range(dof // 2):  # s = 1/2, 3/2, ..., dof/2 - 1
+        s = k + 0.5
+        q += math.exp(s * math.log(y) - y - math.lgamma(s + 1))
+    return q
+
+
+@pytest.mark.parametrize("x, dof, p", [(3.841459, 1, 0.05),
+                                       (54.572228, 39, 0.05),
+                                       (23.654215, 39, 0.975)])
+def test_chi2_sf_against_tables(x, dof, p):
+    assert chi2_sf(x, dof) == pytest.approx(p, rel=1e-5)
 
 
 def _tampered(blocks, prefix, edit):
@@ -171,6 +191,39 @@ class TestGenerate:
         ecdf_lo = np.arange(0, n) / n
         ks = max(np.max(ecdf_hi - snrs), np.max(snrs - ecdf_lo))
         assert ks < 1.63 / np.sqrt(n)  # ~1% significance level
+
+    def test_start_labels_uniform(self):
+        # tau is uniform on [0, B): a chi-square test over the START labels,
+        # 100 expected per label, failing a correct generate with
+        # probability 1e-6
+        b, n = 40, 4000
+        spec = DatasetSpec(block_len=b, n_blocks=n, seed=1, channel=_FAST,
+                           frac_no_start=0.0)
+        labels = generate(spec)["label"]
+        assert np.all((labels >= 0) & (labels < b) & (labels % 1 == 0))
+        counts = np.bincount(labels.astype(np.int64), minlength=b)
+        stat = float(np.sum((counts - n / b) ** 2) / (n / b))
+        assert chi2_sf(stat, b - 1) > 1e-6
+
+    def test_kind_fractions(self):
+        # each kind's count lies within a Bernstein bound of its expected
+        # share; the three bounds together fail a correct generate with
+        # probability 1e-6 at most
+        n, no_start, noise_within = 4000, 0.3, 0.8
+        spec = DatasetSpec(block_len=40, n_blocks=n, seed=3, channel=_FAST,
+                           frac_no_start=no_start,
+                           frac_noise_within_no_start=noise_within)
+        kinds = generate(spec)["kind"]
+        expected = {Kind.START: 1 - no_start,
+                    Kind.NOISE_ONLY: no_start * noise_within,
+                    Kind.MID_TAIL: no_start * (1 - noise_within)}
+        # P(|X - np| >= t) <= 2 exp(-t^2 / (2 (np(1 - p) + t/3))), which
+        # is 1e-6 / 3 at the root t of t^2 = 2 ln (v + t/3)
+        ln = math.log(2 * len(expected) / 1e-6)
+        for kind, p in expected.items():
+            v = n * p * (1 - p)
+            t = ln / 3 + math.sqrt((ln / 3) ** 2 + 2 * ln * v)
+            assert abs(np.sum(kinds == kind) - n * p) < t, kind.name
 
     def test_start_labels_cover_block(self, small_blocks):
         labels = small_blocks["label"][small_blocks["kind"] == Kind.START]

@@ -68,6 +68,32 @@ class TestReceive:
         ChannelTemplate(multipath=False, cfo_max_hz=0.0), ChannelTemplate(),
         ChannelTemplate(fractional_timing_offset=0.5)],
         ids=["awgn", "multipath-cfo", "fractional-offset"])
+    @pytest.mark.parametrize("has_packet", [True, False],
+                             ids=["packet", "noise-only"])
+    def test_clean_is_whole_stream_channel(self, channel, has_packet):
+        # draw_link computes only the packet's span; every other output of
+        # the whole-stream channel is zero, a noise-only one everywhere.
+        # The NDP ends in exact zeros, so the last packet, nonzero at both
+        # ends, is the one that shows a span one sample short
+        sim = StreamSimulator(StreamTrialConfig(channel=channel))
+        ndp = sim.x_os
+        for seed, packet in [(0, ndp), (1, ndp), (2, ndp + 1)]:
+            sim.x_os = packet
+            link = sim.draw_link(np.random.default_rng(seed), 123, 100,
+                                 has_packet)
+            cfo, taps = sim.draw_channel(np.random.default_rng(seed))
+            tx = sim.tx_stream(123, 100)
+            if not has_packet:
+                tx = np.zeros_like(tx)
+            whole = sim.channel(tx, cfo, taps, 0, len(link.clean))
+            assert len(whole) == len(tx) + len(taps) - 1
+            assert (link.clean == whole).all()
+            assert has_packet == link.clean.any()
+
+    @pytest.mark.parametrize("channel", [
+        ChannelTemplate(multipath=False, cfo_max_hz=0.0), ChannelTemplate(),
+        ChannelTemplate(fractional_timing_offset=0.5)],
+        ids=["awgn", "multipath-cfo", "fractional-offset"])
     @pytest.mark.parametrize("b", [40, 160])
     def test_float32_amplitudes_match_oracle_link(self, channel, b,
                                                   monkeypatch):
@@ -288,10 +314,13 @@ class TestSharedSweep:
         monkeypatch.setattr(StreamSimulator, "__init__", recording_init)
         monkeypatch.setattr(streams, "apply_channel", recording_channel)
         monkeypatch.setattr(streams, "rx_frontend", recording_front_end)
-        evaluate_conventional(StreamTrialConfig(channel=channel), 7,
-                              seed=seed, snrs_db=POINTS)
+        per_point = evaluate_conventional(StreamTrialConfig(channel=channel),
+                                          7, seed=seed, snrs_db=POINTS)
         assert calls == list(POINTS) * 7
-        assert len(inits) == 1 and len(links) == 7 and len(front_ends) == 7
+        # a noise-only trial's link makes no channel call
+        packets = sum(o.has_packet for o in per_point[0])
+        assert len(inits) == 1 and len(links) == packets
+        assert len(front_ends) == 7
 
     def test_snr_range_matches_per_point_loop(self, channel, seed):
         cfg = StreamTrialConfig(channel=channel)
