@@ -110,20 +110,24 @@ def build_model(cfg: CnnDetectorConfig, seed: int = 0) -> CnnModel:
 
 
 def prepare_inputs(blocks: np.ndarray, cfg: CnnDetectorConfig) -> np.ndarray:
-    """Amplitude blocks [n, B] -> network inputs [n, C, T].
+    """Amplitude blocks [n, B] -> network inputs [n, C, T], a new
+    C-contiguous float64 array framed as block_to_channels frames.
 
     In "rms" mode each block is scaled to unit RMS first; "raw" mode keeps
     the amplitudes (and hence the received-power cue) intact.
     """
-    x = np.asarray(blocks, dtype=np.float64)
+    x = np.asarray(blocks)
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[1] != cfg.block_len:
         raise ValueError(f"blocks must have length {cfg.block_len}")
+    out = np.empty((len(x), IN_CHANNELS, cfg.block_len // IN_CHANNELS))
+    out[...] = block_to_channels(x, IN_CHANNELS)
     if cfg.normalize == "rms":
-        rms = np.sqrt(np.mean(x ** 2, axis=1, keepdims=True))
-        x = np.divide(x, rms, out=x.copy(), where=rms > 0)
-    return block_to_channels(x, IN_CHANNELS)
+        x = x.astype(np.float64, copy=False)
+        rms = np.sqrt(np.mean(x ** 2, axis=1))[:, None, None]
+        np.divide(out, rms, out=out, where=rms > 0)
+    return out
 
 
 def predict(model: CnnModel, blocks: np.ndarray) -> np.ndarray:

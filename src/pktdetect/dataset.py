@@ -342,15 +342,19 @@ def load(path_prefix: str | Path):
             or not {"block_len", "n_records", "sha256"} <= manifest.keys()):
         raise DatasetError(f"{man_path} is not a dataset manifest of format "
                            f"version {FORMAT_VERSION}")
+    # read once, into the writable buffer the records are then a view of
     try:
-        payload = bin_path.read_bytes()
+        with open(bin_path, "rb") as f:
+            payload = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+            n_read = f.readinto(payload)
     except OSError as exc:
         raise DatasetError(f"cannot read {bin_path}: {exc}") from exc
-    if hashlib.sha256(payload).hexdigest() != manifest["sha256"]:
+    if (n_read != payload.size
+            or hashlib.sha256(payload).hexdigest() != manifest["sha256"]):
         raise DatasetError("dataset checksum mismatch (corrupt or truncated file)")
     dtype = record_dtype(manifest["block_len"])
-    if len(payload) != manifest["n_records"] * dtype.itemsize:
+    if payload.size != manifest["n_records"] * dtype.itemsize:
         raise DatasetError("record count disagrees with manifest")
-    blocks = np.frombuffer(payload, dtype=dtype).copy()
+    blocks = payload.view(dtype)
     _check_records(blocks)
     return blocks, manifest

@@ -6,14 +6,20 @@ Determinism contract: for a fixed numpy/BLAS build and a fixed BLAS thread
 count, training and inference outputs are byte-identical from run to run.
 A BLAS GEMM may sum in a different order for other operand layouts, thread
 counts or builds, so the Conv1d GEMM layouts are chosen to match the
-``np.einsum(..., optimize=True)`` form they replaced, bit for bit.
+``np.einsum(..., optimize=True)`` form they replaced, bit for bit.  Conv1d
+builds those C-contiguous operands by slice copies, so they are the same
+for any input layout; cnn.prepare_inputs hands it a C-contiguous framing.
+Relu works in place, which keeps the gradient each Conv1d receives in the
+memory layout its bias-gradient sum reads (checked against a copying ReLU
+in tests/test_nn.py).  Parameters and gradients are one array each per
+layer; Adam flattens the gradients into one vector per step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class Layer:
@@ -42,6 +48,29 @@ class Layer:
         """Forget what forward() kept for backward()."""
 
 
+def _unfold(x: np.ndarray, filter_len: int, axes: tuple) -> np.ndarray:
+    """The windows x[b, c, k + f] of x [n, C, T] as a new C-contiguous 4-D
+    array, its axes (b, c, k, f) in the order ``axes``.
+
+    With no more taps than channels, one slice copy per filter tap fills it;
+    otherwise a single copy from a strided window view does.
+    """
+    n, ch, t = x.shape
+    k = t - filter_len + 1
+    shape = (n, ch, k, filter_len)
+    out = np.empty([shape[a] for a in axes])
+    if filter_len <= ch:
+        tap = axes.index(3)
+        rest = [a for a in axes if a != 3]
+        for f in range(filter_len):
+            out[(slice(None),) * tap + (f,)] = x[:, :, f:f + k].transpose(rest)
+    else:
+        strides = x.strides + x.strides[2:]
+        out[...] = as_strided(x, out.shape, [strides[a] for a in axes],
+                              writeable=False)
+    return out
+
+
 class Conv1d(Layer):
     """Valid (no padding), stride-1 cross-correlation: [B,C,T] -> [B,O,T-F+1].
 
@@ -65,7 +94,7 @@ class Conv1d(Layer):
         self.b = np.zeros(ch_out)
         self.params = [self.w, self.b]
         self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
-        self._windows = None
+        self._x = None
 
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.w.shape[1]:
@@ -75,8 +104,8 @@ class Conv1d(Layer):
         if T < F:
             raise ValueError("input shorter than the filter")
         K = T - F + 1
-        self._windows = sliding_window_view(x, F, axis=2)  # [n, C, K, F]
-        cols = self._windows.transpose(0, 2, 1, 3).reshape(n * K, C * F)
+        self._x = x
+        cols = _unfold(x, F, (0, 2, 1, 3)).reshape(n * K, C * F)
         out = cols @ self.w.reshape(O, C * F).T  # [n*K, O]
         out += self.b
         return out.reshape(n, K, O).transpose(0, 2, 1)
@@ -84,26 +113,29 @@ class Conv1d(Layer):
     def backward(self, grad_out):
         O, C, F = self.w.shape
         n, _, K = grad_out.shape
-        # reshape copies or makes a view exactly where einsum's did (g is an
-        # F-ordered view at n = 1), so BLAS sees the same operands
-        cols_t = self._windows.transpose(1, 3, 0, 2).reshape(C * F, n * K)
+        # g is a view exactly where einsum's was (F-ordered at n = 1), so
+        # BLAS sees the same operands
+        cols_t = _unfold(self._x, F, (1, 3, 0, 2)).reshape(C * F, n * K)
         g = grad_out.transpose(0, 2, 1).reshape(n * K, O)
         self.grads[0][...] = (cols_t @ g).reshape(C, F, O).transpose(2, 0, 1)
         self.grads[1][...] = grad_out.sum(axis=(0, 2))
         if not self.needs_input_grad:
             return None
         # input gradient: full correlation of the zero-padded output gradient
-        # with the reversed filters, [n*T, O*F] @ [O*F, C]
+        # with the reversed filters, [n*T, O*F] @ [O*F, C]; tap f of row t
+        # reads grad_out[:, :, t + f - (F - 1)], zero outside [0, K), which
+        # leaves only rows t < F - 1 and t >= K with padding in them
         T = K + F - 1
-        padded = np.zeros((n, O, T + F - 1))
-        padded[:, :, F - 1:T] = grad_out
-        gcols = (sliding_window_view(padded, F, axis=2)  # [n, O, T, F]
-                 .transpose(0, 2, 1, 3).reshape(n * T, O * F))
+        gcols = np.empty((n, T, O, F))
+        gcols[:, :F - 1] = 0
+        gcols[:, K:] = 0
+        for f in range(F):
+            gcols[:, F - 1 - f:T - f, :, f] = grad_out.transpose(0, 2, 1)
         w_rev = self.w[:, :, ::-1].transpose(0, 2, 1).reshape(O * F, C)
-        return (gcols @ w_rev).reshape(n, T, C).transpose(0, 2, 1)
+        return (gcols.reshape(n * T, O * F) @ w_rev).reshape(n, T, C).transpose(0, 2, 1)
 
     def drop_cache(self):
-        self._windows = None
+        self._x = None
 
 
 class Dense(Layer):
@@ -141,16 +173,28 @@ class Dense(Layer):
 
 
 class Relu(Layer):
+    """max(x, 0), computed in place: forward overwrites its input and
+    backward its gradient, and each returns the array it was given.
+
+    Only hand it arrays that nothing else reads afterwards.  In
+    cnn.build_model's network that holds: each ReLU's input is the freshly
+    allocated output of the Conv1d or Dense layer before it, and its
+    gradient the freshly allocated input gradient of the layer after it
+    (through Flatten's reshape, for the second ReLU).
+    """
+
     def __init__(self):
         super().__init__()
         self._mask = None
 
     def forward(self, x):
         self._mask = x > 0
-        return x * self._mask
+        x *= self._mask
+        return x
 
     def backward(self, grad_out):
-        return grad_out * self._mask
+        grad_out *= self._mask
+        return grad_out
 
     def drop_cache(self):
         self._mask = None

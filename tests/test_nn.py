@@ -52,6 +52,18 @@ class LoopAdam:
             p -= self.alpha * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
+class CopyRelu(nn.Relu):
+    """The ReLU that returned new arrays, which the in-place one replaced:
+    the oracle for the memory layout of the gradient each layer is handed."""
+
+    def forward(self, x):
+        self._mask = x > 0
+        return x * self._mask
+
+    def backward(self, grad_out):
+        return grad_out * self._mask
+
+
 def _channels_last(a):
     """The same [n, O, K] values stored with O fastest, as a conv output."""
     return np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -101,15 +113,24 @@ class TestConv1d:
             _gradcheck_layer(layer, x, seed)
 
     @pytest.mark.parametrize("n", [1, 2, 40, 80, 1500])
-    @pytest.mark.parametrize("conv", [0, 2])
+    @pytest.mark.parametrize("conv, layout", [
+        pytest.param(0, "contiguous", id="0"),
+        pytest.param(0, "strided", id="0-strided"),
+        pytest.param(2, "contiguous", id="2")])
     @pytest.mark.parametrize("block_len", cnn.BLOCK_LENGTHS)
-    def test_gemm_matches_einsum_bit_for_bit(self, block_len, conv, n):
-        # the model's own layers and input layouts: conv1 reads the strided
-        # frame-of-4 view, conv2 the ReLU of conv1's output
+    def test_gemm_matches_einsum_bit_for_bit(self, block_len, conv, layout, n):
+        # the model's own layers and input layouts: conv1 reads the
+        # C-contiguous framing prepare_inputs makes, or the strided
+        # frame-of-4 view of the amplitudes (block_to_channels), and conv2
+        # the ReLU of conv1's output
         cfg = cnn.CnnDetectorConfig(block_len=block_len)
         net = cnn.build_model(cfg, seed=5).net
         rng = np.random.default_rng(block_len + conv + n)
-        x = cnn.prepare_inputs(rng.rayleigh(size=(n, block_len)), cfg)
+        amp = rng.rayleigh(size=(n, block_len))
+        x = cnn.prepare_inputs(amp, cfg)
+        if layout == "strided":
+            x = cnn.block_to_channels(amp, cnn.IN_CHANNELS)
+            assert not x.flags.c_contiguous
         if conv == 2:
             x = net.layers[1].forward(net.layers[0].forward(x))
         layer = net.layers[conv]
@@ -179,11 +200,13 @@ class TestDense:
 
 class TestReluFlatten:
     def test_relu_values_and_grad(self):
-        x = np.array([[-1.0, 0.0, 2.0]])
+        # in place: each pass returns the array it was given, overwritten
+        x, g = np.array([[-1.0, 0.0, 2.0]]), np.ones((1, 3))
         layer = nn.Relu()
-        np.testing.assert_array_equal(layer.forward(x), [[0.0, 0.0, 2.0]])
-        np.testing.assert_array_equal(layer.backward(np.ones_like(x)),
-                                      [[0.0, 0.0, 1.0]])
+        assert layer.forward(x) is x
+        np.testing.assert_array_equal(x, [[0.0, 0.0, 2.0]])
+        assert layer.backward(g) is g
+        np.testing.assert_array_equal(g, [[0.0, 0.0, 1.0]])
 
     def test_flatten_round_trip(self):
         x = np.arange(24.0).reshape(2, 3, 4)
@@ -191,6 +214,29 @@ class TestReluFlatten:
         out = layer.forward(x)
         assert out.shape == (2, 12)
         np.testing.assert_array_equal(layer.backward(out), x)
+
+
+class TestInPlaceRelu:
+    """The ReLUs overwrite arrays in place; no caller's array may change."""
+
+    @pytest.mark.parametrize("normalize, dtype", [("raw", np.float32),
+                                                  ("rms", np.float64)])
+    @pytest.mark.parametrize("block_len", [40, 160])
+    def test_inputs_untouched_and_calls_repeat(self, block_len, normalize,
+                                               dtype):
+        cfg = cnn.CnnDetectorConfig(block_len=block_len, normalize=normalize)
+        model = cnn.build_model(cfg, seed=2)
+        rng = np.random.default_rng(block_len)
+        blocks = rng.rayleigh(size=(30, block_len)).astype(dtype)
+        x = cnn.prepare_inputs(blocks, cfg)
+        blocks_before, x_before = blocks.copy(), x.copy()
+        for call, arg in ((model.net.forward, x), (model.net.predict, x),
+                          (lambda b: cnn.predict(model, b), blocks)):
+            first = call(arg).copy()
+            assert np.array_equal(x, x_before)
+            assert np.array_equal(blocks, blocks_before)
+            assert call(arg).tobytes() == first.tobytes()
+        assert np.array_equal(model.net.forward(x), model.net.predict(x))
 
 
 class TestMseLoss:
@@ -335,8 +381,10 @@ class TestTraining:
         net, hist = run()
         monkeypatch.setattr(nn, "Conv1d", EinsumConv1d)
         monkeypatch.setattr(nn, "Adam", LoopAdam)
+        monkeypatch.setattr(nn, "Relu", CopyRelu)
         ref_net, ref_hist = run()
         assert isinstance(ref_net.layers[0], EinsumConv1d)
+        assert isinstance(ref_net.layers[1], CopyRelu)
         assert hist == ref_hist
         for p, r in zip(net.params, ref_net.params):
             assert p.tobytes() == r.tobytes()
