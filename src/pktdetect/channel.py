@@ -112,7 +112,7 @@ def model_b_taps(normals: np.ndarray, os_rate_hz: float,
 @functools.lru_cache(maxsize=16)
 def model_b_tap_scale(os_rate_hz: float, rms_delay_spread_ns: float) -> np.ndarray:
     """Per-tap amplitude sqrt(profile / 2) of the normalized power-delay
-    profile (read-only: it is shared between calls and threads)."""
+    profile (read-only: it is shared between calls)."""
     dt_ns = 1e9 / os_rate_hz
     delays = np.arange(0.0, TRUNCATION_FACTOR * rms_delay_spread_ns + 1e-9, dt_ns)
     profile = np.exp(-delays / rms_delay_spread_ns)

@@ -9,8 +9,9 @@ mid-or-tail).  Generation is deterministic given the spec seed: every block
 draws from its own (seed, index) substream.  It runs CHUNK_BLOCKS blocks
 at a time: first each block makes its draws, then the chunk's blocks are
 computed together as rows of 2-D arrays, each for only the samples it
-keeps.  Chunks are made on up to one thread per usable CPU, and the bytes
-do not depend on the thread count (see `generate`).
+keeps.  Chunks are made in up to one forked worker process per usable CPU,
+into a record array the workers share with the caller, and the bytes do
+not depend on the worker count (see `generate`).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import hashlib
 import json
 import math
 import os
-import threading
+import pickle
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -41,11 +42,13 @@ FORMAT_VERSION = 1
 # temporaries stays near 350 kB at block_len 160, in cache and off the peak
 # resident size
 CHUNK_BLOCKS = 32
-# generate's threads at most.  A block holds the GIL for about half its
-# time (the unit-noise fills release it).  On a 2-vCPU host two threads
-# made 1.17-1.32x the blocks/s of one at block_len 40, 1.38-1.56x at 80,
-# 1.13-1.69x at 120 and 1.18-1.56x at 160 in-process, in three series of 8
-# alternating reps (BENCH_15.json); more than two threads was never measured
+# generate's worker processes at most.  Threads were GIL-bound: a block
+# holds the GIL for about half its time (the unit-noise fills release it).
+# On a 2-vCPU host, with BLAS at one thread, generate of the benchmark's
+# 10 000-block spec in two processes took 0.754 s against two threads'
+# 1.111 s at block_len 40 (1.47x) and 1.223 s against 1.526 s at 160
+# (1.25x), medians of 8 alternating fresh-process runs (BENCH_19.json);
+# more than two was never measured
 MAX_WORKERS = 2
 
 
@@ -120,7 +123,7 @@ def usable_cpus() -> int:
 
 
 def worker_count(spec: DatasetSpec) -> int:
-    """The number of threads `generate` makes spec's blocks on: one per
+    """The number of processes `generate` makes spec's blocks in: one per
     usable CPU, at most MAX_WORKERS and at most one per chunk."""
     return min(MAX_WORKERS, usable_cpus(), -(-spec.n_blocks // CHUNK_BLOCKS))
 
@@ -130,51 +133,138 @@ def generate(spec: DatasetSpec) -> np.ndarray:
 
     Each block is cut from one link stream: `block_len` samples of noise,
     the NDP, then `block_len + 16` more.  Blocks are made CHUNK_BLOCKS at a
-    time (see `_Chunker`), on `worker_count` threads: the calling thread
-    and, with more than one usable CPU and more than one chunk, worker
-    threads, each taking the next chunk not yet taken and writing its own
-    slice of the result.  The unit-noise draws, about half of a block's
-    time, release the GIL, so the threads overlap there.  Every block draws
-    from its own (seed, index) substream and a row's arithmetic is that of
-    its stream simulated alone, so the bytes depend neither on the chunking
-    nor on the thread count.  The first exception raised in any thread is
-    re-raised once every thread has stopped.
+    time (see `_Chunker`).  With one worker (`worker_count`: one usable CPU
+    or one chunk) this process makes them all; otherwise forked worker
+    processes do, each claiming the next chunk start from a pipe and
+    writing that chunk into a record array they share with this process
+    (see `_generate_in_workers`).  Every block draws from its own (seed,
+    index) substream and a row's arithmetic is that of its stream simulated
+    alone, so the bytes depend neither on the chunking nor on the worker
+    count.
     """
     sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
+    n_workers = worker_count(spec)
+    if n_workers > 1:
+        return _generate_in_workers(spec, sim, n_workers)
     blocks = np.zeros(spec.n_blocks, dtype=record_dtype(spec.block_len))
-    chunks = iter(range(0, spec.n_blocks, CHUNK_BLOCKS))
-    lock = threading.Lock()
-    errors = []
-
-    def work():
-        try:
-            chunker = _Chunker(spec, sim)  # this thread's buffers
-            while not errors:
-                with lock:
-                    c0 = next(chunks, None)
-                if c0 is None:
-                    return
-                chunker.fill(blocks[c0:c0 + CHUNK_BLOCKS], c0)
-        except BaseException as exc:  # stops the others after their chunk
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work)
-               for _ in range(1, worker_count(spec))]
-    try:
-        for t in threads:
-            t.start()
-        work()
-    finally:
-        for t in threads:
-            if t.is_alive():
-                t.join()
-    if errors:
-        raise errors[0]
+    chunker = _Chunker(spec, sim)
+    for c0 in range(0, spec.n_blocks, CHUNK_BLOCKS):
+        chunker.fill(blocks[c0:c0 + CHUNK_BLOCKS], c0)
     return blocks
 
 
+# bytes of one chunk start in generate's task pipe: a write of at most
+# PIPE_BUF bytes is atomic, so every read of this many takes one whole claim
+_CLAIM = 8
+
+
+def _generate_in_workers(spec: DatasetSpec, sim: StreamSimulator,
+                         n_workers: int) -> np.ndarray:
+    """`generate`'s blocks, made in n_workers forked processes into a record
+    array in shared memory.
+
+    This process writes the chunk starts into a pipe that only the workers
+    read, so each worker claims the next chunk not yet claimed; once every
+    worker has stopped, a write raises BrokenPipeError instead of waiting.
+    It then reads each worker's report pipe to its end and reaps every
+    worker before it returns or raises, killing them first if it fails
+    itself.  A worker's exception arrives pickled through its report pipe
+    and is re-raised here, the first worker's first; one that cannot be
+    pickled arrives as a RuntimeError carrying the worker's traceback.
+    Python 3.12 and later warn (DeprecationWarning) when a process that
+    runs other threads forks, and BLAS's threads count.
+    """
+    import mmap  # here, not at import time, which every CLI call pays for
+    import signal
+    dtype = record_dtype(spec.block_len)
+    blocks = np.frombuffer(mmap.mmap(-1, spec.n_blocks * dtype.itemsize),
+                           dtype=dtype)  # shared, zero-filled
+    tasks_r, tasks_w = os.pipe()
+    held = {tasks_r, tasks_w}  # this process's pipe ends still open
+    workers = []  # (pid, read end of its report pipe)
+
+    def close(fd):
+        held.remove(fd)
+        os.close(fd)
+
+    try:
+        for _ in range(n_workers):
+            report_r, report_w = os.pipe()
+            held |= {report_r, report_w}
+            pid = os.fork()
+            if pid == 0:
+                _work(spec, sim, blocks, tasks_r, tasks_w, report_w)
+            workers.append((pid, report_r))
+            close(report_w)
+        close(tasks_r)
+        try:
+            for c0 in range(0, spec.n_blocks, CHUNK_BLOCKS):
+                os.write(tasks_w, c0.to_bytes(_CLAIM, "little"))
+        except BrokenPipeError:  # every worker has stopped; reports say why
+            pass
+        close(tasks_w)
+        reports = [_read_to_end(fd) for _, fd in workers]
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in held:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    for report in filter(None, reports):
+        text, pickled = pickle.loads(report)
+        try:
+            error = pickle.loads(pickled)
+        except Exception:  # pickled is None, or does not unpickle
+            raise RuntimeError(f"a generate worker raised:\n{text}") from None
+        raise error from RuntimeError(f"in a generate worker:\n{text}")
+    for status in statuses:
+        if status:
+            raise RuntimeError("a generate worker ended with exit status "
+                               f"{os.waitstatus_to_exitcode(status)}")
+    return blocks
+
+
+def _work(spec, sim, blocks, tasks_r, tasks_w, report_w):
+    """A forked worker's life: fill the chunks it claims from tasks_r, and
+    on an exception empty the task pipe (so the other workers stop after
+    their chunk) and write the report `_generate_in_workers` reads.  It
+    leaves through os._exit, never returning into its parent's stack."""
+    code = 0
+    try:
+        os.close(tasks_w)  # else the task pipe would never end
+        chunker = _Chunker(spec, sim)  # this worker's buffers
+        while claim := os.read(tasks_r, _CLAIM):
+            c0 = int.from_bytes(claim, "little")
+            chunker.fill(blocks[c0:c0 + CHUNK_BLOCKS], c0)
+    except BaseException as exc:  # reported; a failed report leaves code 1
+        code = 1
+        while os.read(tasks_r, 1 << 16):
+            pass
+        import traceback
+        text = "".join(traceback.format_exception(exc))
+        try:
+            pickled = pickle.dumps(exc)
+        except Exception:  # the parent raises a RuntimeError with text
+            pickled = None
+        report = memoryview(pickle.dumps((text, pickled)))
+        while report:
+            report = report[os.write(report_w, report):]
+    finally:
+        os._exit(code)
+
+
+def _read_to_end(fd: int) -> bytes:
+    """Everything written into the pipe fd until its last writer closed it."""
+    parts = []
+    while part := os.read(fd, 1 << 16):
+        parts.append(part)
+    return b"".join(parts)
+
+
 class _Chunker:
-    """`generate`'s work on one chunk, with one thread's reusable buffers.
+    """`generate`'s work on one chunk, with one worker's reusable buffers.
 
     A chunk is made in two phases:
 

@@ -1,5 +1,6 @@
 """Shared fixtures and oracle helpers for the test suite."""
 import os
+import signal
 import struct
 
 import numpy as np
@@ -29,6 +30,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def no_hang():
+    """Fail the test, rather than hang the run, if it waits 60 s: for tests
+    of generate's worker processes.  A forked worker inherits no alarm."""
+    def expire(signum, frame):
+        raise TimeoutError("the test waited 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture(scope="session")

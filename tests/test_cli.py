@@ -159,9 +159,32 @@ class TestGen:
     def test_manifest_records_workers(self, tmp_path, monkeypatch):
         assert self._workers(tmp_path, monkeypatch, 1) == 1
 
-    def test_manifest_records_threads(self, tmp_path, monkeypatch):
-        # any block length is made on two threads, 40 included
+    def test_manifest_records_worker_processes(self, tmp_path, monkeypatch):
+        # any block length is made in two processes, 40 included
         assert self._workers(tmp_path, monkeypatch, 2) == 2
+
+    @pytest.mark.parametrize("error, code", [(dataset.DatasetError, 3),
+                                             (ValueError, 4)])
+    def test_worker_error_keeps_exit_code(self, tmp_path, monkeypatch, capsys,
+                                          no_hang, error, code):
+        # the exception crosses from the worker processes with its type
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+        parent, fill = os.getpid(), dataset._Chunker.fill
+
+        def failing(self, chunk, c0):
+            if os.getpid() != parent:
+                raise error("planted in a worker")
+            fill(self, chunk, c0)
+
+        monkeypatch.setattr(dataset._Chunker, "fill", failing)
+        spec_path = tmp_path / "spec.json"
+        _write_spec(spec_path, n_blocks=4 * dataset.CHUNK_BLOCKS)
+        out = tmp_path / "data"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == code
+        assert "planted in a worker" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestTrain:
@@ -504,13 +527,16 @@ class TestParsing:
 
 
 def test_cli_imports_no_scipy():
-    # the package is numpy-only (pyproject.toml): importing the CLI in a
-    # fresh interpreter must load no scipy module, installed or not
+    # the package is numpy-only (pyproject.toml), and gen forks its workers
+    # itself: importing the CLI in a fresh interpreter must load no scipy,
+    # multiprocessing or concurrent.futures module, installed or not, since
+    # every CLI call pays for its imports
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, pktdetect.cli; print(sorted(m for m in sys.modules"
-            " if m.partition('.')[0] == 'scipy'))")
+            " if m.partition('.')[0] in ('scipy', 'multiprocessing')"
+            " or m.startswith('concurrent.futures')))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

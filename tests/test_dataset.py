@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -323,10 +323,20 @@ class TestChunks:
         assert blocks["kind"][index] == Kind.MID_TAIL
 
 
+def _no_child_left():
+    # every worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("no_hang")
 class TestThreads:
-    """generate makes its chunks on worker_count threads; these tests force
-    the count through the CPU count it reads (lifting the cap, which only
-    bounds the speed), and the bytes must not depend on it."""
+    """generate makes its chunks in worker_count forked processes (this
+    class and its byte test keep their names from the threads the
+    processes replaced); these tests force the count through the CPU count
+    it reads (lifting the cap, which only bounds the speed), and the bytes
+    must not depend on it.  A worker's own records stay in the worker, so
+    the tests record only what this process does: its forks and kills."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -334,6 +344,45 @@ class TestThreads:
             monkeypatch.setattr(dataset, "usable_cpus", lambda: n)
             monkeypatch.setattr(dataset, "MAX_WORKERS", 64)
         return force
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers generate forks."""
+        pids, fork = [], os.fork
+
+        def recording():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording)
+        return pids
+
+    @pytest.fixture
+    def kills(self, monkeypatch):
+        """The pids generate kills."""
+        pids, kill = [], os.kill
+
+        def recording(pid, sig):
+            pids.append(pid)
+            kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", recording)
+        return pids
+
+    @staticmethod
+    def plant_in_parent(monkeypatch, name, error):
+        """Make os.<name> raise error when this process calls it; the
+        workers' calls pass through."""
+        parent, inner = os.getpid(), getattr(os, name)
+
+        def planted(*args):
+            if os.getpid() == parent:
+                raise error
+            return inner(*args)
+
+        monkeypatch.setattr(os, name, planted)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("channel", [_FAST, ChannelTemplate()],
@@ -357,36 +406,26 @@ class TestThreads:
         spec = DatasetSpec(block_len=block_len, n_blocks=n_blocks)
         assert dataset.worker_count(spec) == workers
 
-    def test_threads_started_per_extra_worker(self, cpus, monkeypatch):
-        started = []
-
-        class Recorded(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Recorded)
+    def test_one_fork_per_worker(self, cpus, forks):
         cpus(3)
-        generate(DatasetSpec(block_len=40, n_blocks=3 * C, seed=1,
-                             channel=_FAST))
-        assert len(started) == 2
-        assert not any(t.is_alive() for t in started)
-
-    def test_one_cpu_starts_no_thread(self, cpus, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was made")
-
-        spec = DatasetSpec(block_len=40, n_blocks=3 * C + 5, seed=13,
+        spec = DatasetSpec(block_len=40, n_blocks=3 * C, seed=1,
                            channel=_FAST)
-        cpus(2)
-        threaded = generate(spec)
-        cpus(1)
-        monkeypatch.setattr(threading, "Thread", no_thread)
-        assert generate(spec).tobytes() == threaded.tobytes()
+        assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
+        assert len(forks) == 3
+        _no_child_left()
+
+    @pytest.mark.parametrize("n_cpus, n_blocks", [(1, 3 * C + 5), (3, C)],
+                             ids=["one-cpu", "one-chunk"])
+    def test_one_worker_forks_none(self, cpus, forks, n_cpus, n_blocks):
+        cpus(n_cpus)
+        spec = DatasetSpec(block_len=40, n_blocks=n_blocks, seed=13,
+                           channel=_FAST)
+        assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
+        assert forks == []
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_chunk_error_raised_after_threads_stop(self, cpus, monkeypatch,
-                                                   workers):
+    def test_chunk_error_raised_after_workers_reaped(self, cpus, monkeypatch,
+                                                     workers):
         cpus(workers)
         fill = dataset._Chunker.fill
 
@@ -396,11 +435,62 @@ class TestThreads:
             fill(self, chunk, c0)
 
         monkeypatch.setattr(dataset._Chunker, "fill", failing)
-        before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="planted chunk failure"):
             generate(DatasetSpec(block_len=40, n_blocks=8 * C, seed=1,
                                  channel=_FAST))
-        assert set(threading.enumerate()) == before
+        _no_child_left()
+
+    def test_unpicklable_error_arrives_with_traceback(self, cpus,
+                                                      monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def failing(self, chunk, c0):
+            raise Local("planted unpicklable failure")
+
+        cpus(2)
+        monkeypatch.setattr(dataset._Chunker, "fill", failing)
+        with pytest.raises(RuntimeError) as info:
+            generate(DatasetSpec(block_len=40, n_blocks=4 * C, seed=1,
+                                 channel=_FAST))
+        assert "planted unpicklable failure" in str(info.value)
+        assert "Traceback" in str(info.value)
+        _no_child_left()
+
+    def test_worker_that_dies_unreported(self, cpus, monkeypatch):
+        # the workers leave without a report before claiming more than the
+        # pipe holds, so feeding ends with BrokenPipeError, not a hang
+        def dying(self, chunk, c0):
+            os._exit(7)
+
+        cpus(2)
+        monkeypatch.setattr(dataset._Chunker, "fill", dying)
+        n_blocks = (2 * (1 << 16) // dataset._CLAIM) * C
+        with pytest.raises(RuntimeError, match="exit status 7"):
+            generate(DatasetSpec(block_len=40, n_blocks=n_blocks, seed=1,
+                                 channel=_FAST))
+        _no_child_left()
+
+    def test_feed_failure_kills_and_reaps_workers(self, cpus, monkeypatch,
+                                                  forks, kills):
+        cpus(3)
+        self.plant_in_parent(monkeypatch, "write",
+                             RuntimeError("planted feed failure"))
+        with pytest.raises(RuntimeError, match="planted feed failure"):
+            generate(DatasetSpec(block_len=40, n_blocks=8 * C, seed=1,
+                                 channel=_FAST))
+        assert len(forks) == 3 and kills == forks
+        _no_child_left()
+
+    def test_interrupt_while_waiting_kills_and_reaps_workers(
+            self, cpus, monkeypatch, forks, kills):
+        cpus(2)
+        self.plant_in_parent(monkeypatch, "read", KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            generate(DatasetSpec(block_len=40, n_blocks=8 * C, seed=1,
+                                 channel=_FAST))
+        assert len(forks) == 2 and kills == forks
+        _no_child_left()
 
 
 class TestSplit:
