@@ -92,7 +92,9 @@ def _find_dataset(data_dir: Path, block_len: int) -> Path:
             doc = json.loads(man.read_text())
         except (OSError, json.JSONDecodeError):
             continue
-        if isinstance(doc, dict) and doc.get("block_len") == block_len:
+        # an int, not 40.0 or True, which compare equal to one
+        if (isinstance(doc, dict) and type(doc.get("block_len")) is int
+                and doc["block_len"] == block_len):
             found.append(Path(str(man)[: -len(".manifest.json")]))
     if len(found) != 1:
         raise dataset.DatasetError(
@@ -120,10 +122,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_split(data_dir: Path, block_len: int, needed: str):
-    """The dataset of block_len in data_dir, split as its manifest's spec
-    says, and the manifest; a data error when the needed partition
-    ("training" or "test") is empty."""
+def _load_split(data_dir: Path, block_len: int, *parts: str):
+    """The named partitions (of dataset.PARTS) of the dataset of block_len
+    in data_dir, split as its manifest's spec says, and the manifest; a
+    data error when the first of them is empty.  The other partitions are
+    never copied out of the loaded records."""
     prefix = _find_dataset(data_dir, block_len)
     blocks, manifest = dataset.load(prefix)
     try:
@@ -131,12 +134,12 @@ def _load_split(data_dir: Path, block_len: int, needed: str):
     except (TypeError, ValueError) as exc:
         raise dataset.DatasetError(
             f"invalid spec in the manifest of {prefix}: {exc}") from exc
-    parts = dataset.split(blocks, spec.split, spec.seed)
-    if not len(parts[("training", "validation", "test").index(needed)]):
+    got = dataset.split(blocks, spec.split, spec.seed, parts)
+    if not len(got[0]):
         raise dataset.DatasetError(
-            f"the {needed} partition of {prefix} is empty: split "
+            f"the {parts[0]} partition of {prefix} is empty: split "
             f"{list(spec.split)} of n_blocks {spec.n_blocks}")
-    return parts, manifest
+    return got, manifest
 
 
 def _cnn_config(block_len: int) -> CnnDetectorConfig:
@@ -149,8 +152,8 @@ def _cnn_config(block_len: int) -> CnnDetectorConfig:
 
 def cmd_train(args) -> int:
     model_cfg = _cnn_config(args.block_len)
-    (train_blocks, val_blocks, _), _ = _load_split(Path(args.data),
-                                                   args.block_len, "training")
+    (train_blocks, val_blocks), _ = _load_split(
+        Path(args.data), args.block_len, "training", "validation")
     model = cnn.build_model(model_cfg, seed=args.seed)
     cfg = nn.TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                          seed=args.seed)
@@ -197,7 +200,7 @@ def cmd_eval(args) -> int:
                             ("--block-len", args.block_len)):
             if value is None:
                 raise UsageError(f"eval --model needs {flag}")
-        (_, _, test_blocks), manifest = _load_split(
+        (test_blocks,), manifest = _load_split(
             Path(args.data), args.block_len, "test")
         model = cnn.load_model(args.model)
         if model.cfg.block_len != manifest["block_len"]:

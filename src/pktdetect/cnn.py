@@ -131,8 +131,15 @@ def prepare_inputs(blocks: np.ndarray, cfg: CnnDetectorConfig) -> np.ndarray:
 
 
 def predict(model: CnnModel, blocks: np.ndarray) -> np.ndarray:
-    """Raw scalar scores for a batch of amplitude blocks."""
-    return model.net.predict(prepare_inputs(blocks, model.cfg))[:, 0]
+    """Raw scalar scores for a batch of amplitude blocks.
+
+    The blocks are framed and scored one nn.Sequential.predict chunk at a
+    time, so memory does not grow with their number.  Scores of a call of
+    more than one chunk (above 248 blocks at B=160, 2730 at B=40) may
+    differ in their last bits from those of one whole-batch forward.
+    """
+    return model.net.predict(np.atleast_2d(blocks),
+                             lambda b: prepare_inputs(b, model.cfg))[:, 0]
 
 
 SNR_BIN_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)

@@ -355,13 +355,19 @@ def _check_split(fractions) -> None:
         raise ValueError("split must be three fractions that sum to 1")
 
 
-def split(blocks, fractions, seed: int):
+PARTS = ("training", "validation", "test")
+
+
+def split(blocks, fractions, seed: int, parts=PARTS):
     """Seeded stratified shuffle + contiguous partition into train/val/test.
 
     Blocks with and without a start label are interleaved at proportional
     positions, so each partition's class balance tracks the global balance.
+    Returns the partitions named in parts (of PARTS), in that order; only
+    those are copied out of blocks.
     """
     _check_split(fractions)
+    wanted = [PARTS.index(p) for p in parts]
     n = len(blocks)
     rng = np.random.default_rng(seed)
     has_start = blocks["label"] >= 0
@@ -375,9 +381,9 @@ def split(blocks, fractions, seed: int):
         keys[shuffled] = (np.arange(idx.size) + 0.5) / idx.size
         order_within[shuffled] = np.arange(idx.size)
     order = np.lexsort((np.arange(n), order_within, keys))
-    cut1 = int(np.floor(fractions[0] * n))
-    cut2 = int(np.floor((fractions[0] + fractions[1]) * n))
-    return blocks[order[:cut1]], blocks[order[cut1:cut2]], blocks[order[cut2:]]
+    cuts = (0, int(np.floor(fractions[0] * n)),
+            int(np.floor((fractions[0] + fractions[1]) * n)), n)
+    return tuple(blocks[order[cuts[i]:cuts[i + 1]]] for i in wanted)
 
 
 # -- file format --------------------------------------------------------------
@@ -432,6 +438,10 @@ def load(path_prefix: str | Path):
             or not {"block_len", "n_records", "sha256"} <= manifest.keys()):
         raise DatasetError(f"{man_path} is not a dataset manifest of format "
                            f"version {FORMAT_VERSION}")
+    for key, least in (("block_len", 1), ("n_records", 0)):
+        if type(manifest[key]) is not int or manifest[key] < least:
+            raise DatasetError(f"{man_path}: {key} must be an integer of at "
+                               f"least {least}, not {manifest[key]!r}")
     # read once, into the writable buffer the records are then a view of
     try:
         with open(bin_path, "rb") as f:

@@ -13,13 +13,29 @@ Relu works in place, which keeps the gradient each Conv1d receives in the
 memory layout its bias-gradient sum reads (checked against a copying ReLU
 in tests/test_nn.py).  Parameters and gradients are one array each per
 layer; Adam flattens the gradients into one vector per step.
+
+Inference (Sequential.predict, and with it train's per-epoch validation
+loss) runs in chunks whose row count a fixed byte budget for the largest
+im2col operand sets (PREDICT_BUDGET_BYTES), so its memory does not grow
+with the batch.  A call that fits one chunk is bit for bit a forward();
+over several chunks each GEMM sums fewer rows, and the last bits of a score
+or of the validation loss depend on the budget (in cnn's network, for a
+1500-block call from block length 80 up).  No parameter reads the
+validation pass, so checkpoint bytes and the training loss do not.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+
+# bytes of the largest im2col operand one Sequential.predict chunk builds:
+# 248 blocks at block length 160 and 2730 at 40, so the benchmark's
+# 1500-block calls at 40 run as one chunk, bit for bit as forward() does
+PREDICT_BUDGET_BYTES = 2 << 20
 
 
 class Layer:
@@ -227,14 +243,43 @@ class Sequential:
             x = layer.forward(x)
         return x
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """forward() for inference: the same arithmetic, but each layer's
-        backward cache is dropped as soon as the layer has run, so no
-        activation outlives the call."""
+    def chunk_rows(self, sample_shape: tuple) -> int:
+        """Rows per predict() chunk for inputs of one row's shape
+        sample_shape: as many as keep the largest Conv1d im2col operand a
+        chunk builds within PREDICT_BUDGET_BYTES, at least one.
+
+        Reads the time axis as shortened by the Conv1d layers alone, which
+        holds while no Conv1d follows a layer that reshapes.
+        """
+        t, largest = sample_shape[-1], 0
         for layer in self.layers:
-            x = layer.forward(x)
-            layer.drop_cache()
-        return x
+            if isinstance(layer, Conv1d):
+                _, ch, f = layer.w.shape
+                t -= f - 1
+                largest = max(largest, t * ch * f * 8)
+        if not largest:  # no im2col operand: one chunk
+            return sys.maxsize
+        return max(1, PREDICT_BUDGET_BYTES // largest)
+
+    def predict(self, x: np.ndarray, frame=None) -> np.ndarray:
+        """forward() for inference, chunk_rows() rows at a time, each
+        layer's backward cache dropped as soon as the layer has run: no
+        activation outlives the call and no temporary grows with the rows.
+
+        With frame, x holds raw rows and frame(rows) makes the network
+        input of a slice of them, so only one chunk is framed at a time.
+        """
+        frame = frame or (lambda rows: rows)
+        step = self.chunk_rows(frame(x[:0]).shape[1:])
+        out = []
+        # an empty x still runs once, to fail or pass as forward() would
+        for lo in range(0, max(len(x), 1), step):
+            y = frame(x[lo:lo + step])
+            for layer in self.layers:
+                y = layer.forward(y)
+                layer.drop_cache()
+            out.append(y)
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Fill every layer's grads.  The gradient w.r.t. the network input
@@ -343,7 +388,7 @@ def train(model: Sequential, inputs: np.ndarray, targets: np.ndarray,
             total += loss * len(idx)
         history["train_loss"].append(total / n)
         if val is not None:
-            vp = model.forward(val[0])[:, 0]
+            vp = model.predict(val[0])[:, 0]
             vloss, _ = mse_loss(vp, val[1])
             history["val_loss"].append(vloss)
     return history

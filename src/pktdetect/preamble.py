@@ -9,6 +9,7 @@ standard tables.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,18 @@ def default_preamble_spec() -> PreambleSpec:
     STF populates bins {+/-4, +/-8, +/-12} with QPSK values, so the STF is
     periodic with 16 samples (10 short-training-symbol repeats across 160
     samples).  LTF/SIG/LTF2 carry +/-1 values on bins +/-1..13; the LTF signs
-    come from a seeded low-PAPR search.
+    come from a seeded low-PAPR search.  The spec is built once per process
+    (the search's 4096 IDFT trials cost milliseconds), and each call returns
+    a new spec holding its own copies of the arrays.
     """
+    spec = _default_spec()
+    return PreambleSpec(spec.stf_freq.copy(), spec.ltf_freq.copy(),
+                        spec.sig_freq.copy(), spec.ltf2_freq.copy())
+
+
+@functools.cache
+def _default_spec() -> PreambleSpec:
+    """default_preamble_spec's one build; its arrays are never handed out."""
     rng = np.random.default_rng(7)
     qpsk = np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, size=len(_STF_BINS))))
     stf = np.zeros(N_SUBCARRIERS, dtype=np.complex128)

@@ -279,3 +279,24 @@ def oracle_generate(spec):
             w0, label = int(rng.integers(b + 1, b + PREAMBLE_LEN + 1)), -1.0
         blocks[i] = (np.abs(y[w0:w0 + b]), label, snr, kind)
     return blocks
+
+
+def oracle_split(blocks, fractions, seed):
+    """The three-way dataset.split that gathered every partition, kept as
+    the oracle of the one that gathers only those it is asked for."""
+    n = len(blocks)
+    rng = np.random.default_rng(seed)
+    has_start = blocks["label"] >= 0
+    keys = np.empty(n)
+    order_within = np.empty(n, dtype=np.int64)
+    for mask in (has_start, ~has_start):
+        idx = np.nonzero(mask)[0]
+        if idx.size == 0:
+            continue
+        shuffled = rng.permutation(idx)
+        keys[shuffled] = (np.arange(idx.size) + 0.5) / idx.size
+        order_within[shuffled] = np.arange(idx.size)
+    order = np.lexsort((np.arange(n), order_within, keys))
+    cut1 = int(np.floor(fractions[0] * n))
+    cut2 = int(np.floor((fractions[0] + fractions[1]) * n))
+    return blocks[order[:cut1]], blocks[order[cut1:cut2]], blocks[order[cut2:]]

@@ -44,6 +44,12 @@ BAD_MANIFESTS = {
     "split-abc": _with_spec(split="abc"),
     "split-sum-1.5": _with_spec(split=[0.5, 0.5, 0.5]),
     "split-one": _with_spec(split=[1.0]),
+    # 40.0 and True compare equal to an int, and numpy reads neither as one
+    "block-len-40.0": lambda doc: {**doc, "block_len": 40.0},
+    "block-len-str": lambda doc: {**doc, "block_len": "40"},
+    "block-len-true": lambda doc: {**doc, "block_len": True},
+    "n-records-float": lambda doc: {**doc,
+                                    "n_records": float(doc["n_records"])},
 }
 
 
@@ -371,6 +377,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert "test partition" in err and "[0.85, 0.15, 0.0]" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [40.0, "40", True])
+    def test_block_len_not_an_int_is_a_data_error(self, workspace, tmp_path,
+                                                  value):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("blocks40.blocks.bin", "blocks40.manifest.json"):
+            (data / name).write_bytes((workspace / "data" / name).read_bytes())
+        man = data / "blocks40.manifest.json"
+        man.write_text(json.dumps({**json.loads(man.read_text()),
+                                   "block_len": value}))
+        for block_len in ("40", "1"):  # True == 1
+            out = tmp_path / f"x{block_len}.csv"
+            assert main(["eval", "--model", str(workspace / "model.ckpt"),
+                         "--data", str(data), "--block-len", block_len,
+                         "--out", str(out)]) == 3
+            assert not out.exists()
 
     def test_block_len_mismatch(self, workspace, tmp_path):
         assert main(["eval", "--model", str(workspace / "model.ckpt"),

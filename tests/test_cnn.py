@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,102 @@ class TestEvaluate:
                                   nn.TrainConfig(epochs=5))
         assert hist["train_loss"][-1] < hist["train_loss"][0]
         assert len(hist["val_loss"]) == 5
+
+
+def _rayleigh_blocks(n, block_len, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.rayleigh(size=(n, block_len)).astype(np.float32)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate during fn() (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedInference:
+    """Many-block forwards run nn.Sequential.chunk_rows rows at a time."""
+
+    def test_chunk_rows_from_the_byte_budget(self):
+        # conv1's [rows * K1, 32] float64 operand is the largest
+        for block_len, rows in ((40, 2730), (160, 248)):
+            cfg = CnnDetectorConfig(block_len=block_len)
+            k1 = cfg.layer_widths()["K1"]
+            assert rows == nn.PREDICT_BUDGET_BYTES // (k1 * 32 * 8)
+            net = build_model(cfg).net
+            assert net.chunk_rows((4, block_len // 4)) == rows
+
+    @pytest.mark.parametrize("normalize", cnn.NORMALIZE_MODES)
+    def test_chunks_score_as_their_own_blocks(self, normalize):
+        model = build_model(CnnDetectorConfig(block_len=160,
+                                              normalize=normalize), seed=2)
+        rows = model.net.chunk_rows((4, 40))
+        blocks = _rayleigh_blocks(2 * rows + 17, 160)
+        whole = predict(model, blocks)
+        parts = [predict(model, blocks[lo:lo + rows])
+                 for lo in range(0, len(blocks), rows)]
+        assert len(parts) == 3
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
+        x = cnn.prepare_inputs(blocks, model.cfg)
+        assert model.net.predict(x)[:, 0].tobytes() == whole.tobytes()
+        # the last bits may move, never more than rounding
+        np.testing.assert_allclose(whole, model.net.forward(x)[:, 0],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_1500_blocks_at_40_are_one_forward(self):
+        model = build_model(CnnDetectorConfig(block_len=40), seed=2)
+        blocks = _rayleigh_blocks(1500, 40)
+        x = cnn.prepare_inputs(blocks, model.cfg)
+        ref = model.net.forward(x)[:, 0]
+        assert predict(model, blocks).tobytes() == ref.tobytes()
+        assert model.net.predict(x)[:, 0].tobytes() == ref.tobytes()
+
+    def test_validation_loss_is_the_chunked_predict(self):
+        # one epoch's validation loss is mse over predict, and no training
+        # cache outlives the epoch
+        cfg = CnnDetectorConfig(block_len=160)
+        rng = np.random.default_rng(5)
+        x = cnn.prepare_inputs(_rayleigh_blocks(80, 160, 1), cfg)
+        t = rng.integers(-1, 160, 80).astype(np.float64)
+        vx = cnn.prepare_inputs(_rayleigh_blocks(600, 160, 2), cfg)
+        vt = rng.integers(-1, 160, 600).astype(np.float64)
+        model = build_model(cfg, seed=3)
+        hist = nn.train(model.net, x, t, nn.TrainConfig(epochs=1), (vx, vt))
+        caches = ("_mask", "_x", "_shape")
+        assert all(getattr(layer, name, None) is None
+                   for layer in model.net.layers for name in caches)
+        assert hist["val_loss"] == [nn.mse_loss(model.net.predict(vx)[:, 0],
+                                                vt)[0]]
+
+    # While a chunk runs, its framed inputs, one im2col operand (at most the
+    # budget) and that GEMM's output are alive; at B=160 the framed rows
+    # (C*T = 160 values) and conv outputs (9*33) are smaller than an im2col
+    # row (32*33), so each of the three is at most one budget.  The scores
+    # (8 bytes a block, 32 kB here) fit in what that leaves.
+    MEMORY_BOUND = 3 * nn.PREDICT_BUDGET_BYTES
+
+    def test_predict_memory_is_bounded(self):
+        model = build_model(CnnDetectorConfig(block_len=160), seed=2)
+        blocks = _rayleigh_blocks(4000, 160)
+        predict(model, blocks[:10])  # one-time allocations stay out
+        assert _traced_peak(lambda: predict(model, blocks)) < self.MEMORY_BOUND
+
+    def test_training_epoch_memory_is_bounded(self):
+        cfg = CnnDetectorConfig(block_len=160)
+        rng = np.random.default_rng(6)
+        x = cnn.prepare_inputs(_rayleigh_blocks(160, 160, 1), cfg)
+        t = rng.integers(-1, 160, 160).astype(np.float64)
+        val = (cnn.prepare_inputs(_rayleigh_blocks(3000, 160, 2), cfg),
+               rng.integers(-1, 160, 3000).astype(np.float64))
+        model = build_model(cfg, seed=3)
+        one_epoch = nn.TrainConfig(epochs=1)
+        nn.train(model.net, x, t, one_epoch, val)
+        peak = _traced_peak(lambda: nn.train(model.net, x, t, one_epoch, val))
+        assert peak < self.MEMORY_BOUND
 
 
 class TestCheckpoint:

@@ -6,11 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from conftest import oracle_generate
+from conftest import oracle_generate, oracle_split
 from pktdetect import dataset
 from pktdetect.channel import ChannelTemplate
-from pktdetect.dataset import (CHUNK_BLOCKS, DatasetError, DatasetSpec, Kind,
-                               generate, load, record_dtype, save, split)
+from pktdetect.dataset import (CHUNK_BLOCKS, PARTS, DatasetError, DatasetSpec,
+                               Kind, generate, load, record_dtype, save, split)
 from pktdetect.preamble import PREAMBLE_LEN
 from pktdetect.streams import StreamSimulator, StreamTrialConfig
 
@@ -520,6 +520,31 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(small_blocks, fractions, seed=0)
 
+    @pytest.mark.parametrize("n, frac_start, seed", [
+        (1, 0.5, 0), (7, 0.0, 1), (64, 1.0, 5), (301, 0.9, 3),
+        (1000, 0.1, 9001), (2000, 0.5, 42)])
+    def test_asked_partitions_match_the_three_way_oracle(self, n, frac_start,
+                                                         seed):
+        rng = np.random.default_rng(seed)
+        blocks = np.zeros(n, dtype=record_dtype(4))
+        blocks["amp"] = rng.random((n, 4))  # tells every record apart
+        blocks["label"] = np.where(rng.random(n) < frac_start,
+                                   rng.integers(0, 4, n), -1)
+        for fractions in ((0.7, 0.15, 0.15), (0.5, 0.0, 0.5), (0.0, 0.0, 1.0)):
+            want = dict(zip(PARTS, oracle_split(blocks, fractions, seed)))
+            for parts in (PARTS, ("training", "validation"), ("test",),
+                          ("validation", "training"), ("test", "training")):
+                got = split(blocks, fractions, seed, parts)
+                assert ([g.tobytes() for g in got]
+                        == [want[p].tobytes() for p in parts])
+
+    def test_generated_partitions_match_the_oracle(self, small_blocks):
+        want = oracle_split(small_blocks, (0.7, 0.15, 0.15), 7)
+        got = split(small_blocks, (0.7, 0.15, 0.15), 7)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        (test,) = split(small_blocks, (0.7, 0.15, 0.15), 7, ("test",))
+        assert test.tobytes() == want[2].tobytes()
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, small_blocks, tmp_path):
@@ -556,6 +581,19 @@ class TestPersistence:
         doc["format_version"] = 99
         man_path.write_text(json.dumps(doc))
         with pytest.raises(DatasetError):
+            load(tmp_path / "ds")
+
+    @pytest.mark.parametrize("key, value", [
+        ("block_len", 40.0), ("block_len", "40"), ("block_len", True),
+        ("block_len", 0), ("n_records", 300.0), ("n_records", False),
+        ("n_records", -1)])
+    def test_manifest_counts_must_be_ints(self, small_blocks, tmp_path, key,
+                                          value):
+        save(small_blocks, tmp_path / "ds", _SMALL)
+        man_path = tmp_path / "ds.manifest.json"
+        man_path.write_text(json.dumps({**json.loads(man_path.read_text()),
+                                        key: value}))
+        with pytest.raises(DatasetError, match=key):
             load(tmp_path / "ds")
 
     def test_truncated_payload(self, small_blocks, tmp_path):

@@ -89,6 +89,21 @@ class TestPreambleStructure:
         b = build_preamble(default_preamble_spec()).samples
         np.testing.assert_array_equal(a, b)
 
+    def test_default_specs_are_equal_and_independent(self):
+        fields = ("stf_freq", "ltf_freq", "sig_freq", "ltf2_freq")
+        a, b = default_preamble_spec(), default_preamble_spec()
+        for name in fields:
+            x, y = getattr(a, name), getattr(b, name)
+            np.testing.assert_array_equal(x, y)
+            assert not np.shares_memory(x, y)
+            x[:] = 99.0  # a caller's write reaches neither b nor later calls
+        c = default_preamble_spec()
+        for name in fields:
+            np.testing.assert_array_equal(getattr(c, name), getattr(b, name))
+            assert not np.any(getattr(c, name) == 99.0)
+        np.testing.assert_array_equal(
+            c.ltf_freq, _low_papr_bpsk_oracle(_WIDEBAND_BINS, 11))
+
 
 class TestLowPaprSearch:
     def test_default_ltf_matches_oracle(self, preamble_spec):
