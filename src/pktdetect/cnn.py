@@ -218,15 +218,22 @@ def evaluate(model: CnnModel, blocks: np.ndarray) -> EvalMetrics:
 def train_detector(model: CnnModel, train_blocks: np.ndarray,
                    val_blocks: np.ndarray | None = None,
                    train_cfg: nn.TrainConfig | None = None) -> dict:
-    """Train on labeled blocks (raw sample-unit labels, -1 for no packet)."""
+    """Train on labeled blocks (raw sample-unit labels, -1 for no packet).
+
+    nn.train frames each batch of amplitude blocks as it draws it, and the
+    validation blocks one predict chunk at a time, so beyond the records
+    training holds no more than a batch's and a chunk's network inputs,
+    however many blocks there are.  Framing is an exact copy, and in "rms"
+    mode each block's scale is its own, so the bytes are those of training
+    on the whole split framed at once.
+    """
     train_cfg = train_cfg or nn.TrainConfig()
-    x = prepare_inputs(train_blocks["amp"], model.cfg)
     t = train_blocks["label"].astype(np.float64)
     val = None
     if val_blocks is not None and len(val_blocks) > 0:
-        val = (prepare_inputs(val_blocks["amp"], model.cfg),
-               val_blocks["label"].astype(np.float64))
-    return nn.train(model.net, x, t, train_cfg, val)
+        val = (val_blocks["amp"], val_blocks["label"].astype(np.float64))
+    return nn.train(model.net, train_blocks["amp"], t, train_cfg, val,
+                    lambda b: prepare_inputs(b, model.cfg))
 
 
 # -- checkpoint format ------------------------------------------------------

@@ -395,8 +395,15 @@ def split(blocks, fractions, seed: int, parts=PARTS):
 
 def save(blocks: np.ndarray, path_prefix: str | Path,
          spec: DatasetSpec) -> None:
+    """Write blocks and their manifest as the file format above says.
+
+    The file and its sha256 are those of blocks.tobytes(), but written and
+    hashed from the record array's own buffer, so a C-contiguous array
+    (what generate returns, a shared mmap included) is never copied; any
+    other layout is copied once, into C order.
+    """
     path_prefix = Path(path_prefix)
-    payload = blocks.tobytes()
+    payload = memoryview(np.ascontiguousarray(blocks)).cast("B")
     bin_path = path_prefix.with_name(path_prefix.name + ".blocks.bin")
     bin_path.write_bytes(payload)
     counts = np.bincount(blocks["kind"], minlength=len(Kind))

@@ -22,6 +22,8 @@ over several chunks each GEMM sums fewer rows, and the last bits of a score
 or of the validation loss depend on the budget (in cnn's network, for a
 1500-block call from block length 80 up).  No parameter reads the
 validation pass, so checkpoint bytes and the training loss do not.
+Both predict and train take an optional frame callable, so a caller can
+hand them raw rows and have only a chunk or a batch framed at a time.
 """
 from __future__ import annotations
 
@@ -364,8 +366,16 @@ class TrainConfig:
 
 def train(model: Sequential, inputs: np.ndarray, targets: np.ndarray,
           cfg: TrainConfig,
-          val: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
+          val: tuple[np.ndarray, np.ndarray] | None = None,
+          frame=None) -> dict:
     """Seeded mini-batch training loop; deterministic given cfg.seed.
+
+    With frame, inputs (and val's inputs) hold raw rows and frame(rows)
+    makes the network input of a selection of them: each batch is framed
+    as it is drawn, frame(inputs[idx]), and the validation loss hands frame
+    to predict(), so no framing of a whole split is ever held.  Without it
+    the rows are network inputs already.  A frame that maps each row on its
+    own gives the same bytes either way.
 
     Returns {"train_loss": [...], "val_loss": [...]} with one entry per
     epoch (val_loss is empty when no validation set is given).
@@ -373,6 +383,7 @@ def train(model: Sequential, inputs: np.ndarray, targets: np.ndarray,
     n = len(inputs)
     if n == 0:
         raise ValueError("dataset must be non-empty")
+    frame = frame or (lambda rows: rows)
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params, cfg.alpha)
     history = {"train_loss": [], "val_loss": []}
@@ -381,14 +392,14 @@ def train(model: Sequential, inputs: np.ndarray, targets: np.ndarray,
         total = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
-            pred = model.forward(inputs[idx])[:, 0]
+            pred = model.forward(frame(inputs[idx]))[:, 0]
             loss, grad = mse_loss(pred, targets[idx])
             model.backward(grad[:, None])
             opt.step(model.grads)
             total += loss * len(idx)
         history["train_loss"].append(total / n)
         if val is not None:
-            vp = model.predict(val[0])[:, 0]
+            vp = model.predict(val[0], frame)[:, 0]
             vloss, _ = mse_loss(vp, val[1])
             history["val_loss"].append(vloss)
     return history

@@ -2,6 +2,7 @@
 import os
 import signal
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ def no_hang():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, old)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate during fn() (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,11 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tamper_checkpoint
+from conftest import tamper_checkpoint, traced_peak
 from pktdetect import cnn, dataset, nn
 from pktdetect.cnn import (BLOCK_LENGTHS, CheckpointError, CnnDetectorConfig,
                            block_to_channels, build_model, evaluate,
@@ -216,16 +215,6 @@ def _rayleigh_blocks(n, block_len, seed=0):
     return rng.rayleigh(size=(n, block_len)).astype(np.float32)
 
 
-def _traced_peak(fn) -> int:
-    """Peak bytes numpy and Python allocate during fn() (tracemalloc)."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestChunkedInference:
     """Many-block forwards run nn.Sequential.chunk_rows rows at a time."""
 
@@ -291,7 +280,7 @@ class TestChunkedInference:
         model = build_model(CnnDetectorConfig(block_len=160), seed=2)
         blocks = _rayleigh_blocks(4000, 160)
         predict(model, blocks[:10])  # one-time allocations stay out
-        assert _traced_peak(lambda: predict(model, blocks)) < self.MEMORY_BOUND
+        assert traced_peak(lambda: predict(model, blocks)) < self.MEMORY_BOUND
 
     def test_training_epoch_memory_is_bounded(self):
         cfg = CnnDetectorConfig(block_len=160)
@@ -303,8 +292,29 @@ class TestChunkedInference:
         model = build_model(cfg, seed=3)
         one_epoch = nn.TrainConfig(epochs=1)
         nn.train(model.net, x, t, one_epoch, val)
-        peak = _traced_peak(lambda: nn.train(model.net, x, t, one_epoch, val))
+        peak = traced_peak(lambda: nn.train(model.net, x, t, one_epoch, val))
         assert peak < self.MEMORY_BOUND
+
+    def test_train_detector_memory_does_not_grow_with_blocks(self):
+        # Beyond the records, an epoch holds one batch's framing and step,
+        # whose im2col operands are smaller than a predict chunk's while
+        # the batch has no more rows than a chunk, and then the validation
+        # chunk (MEMORY_BOUND); per block only the float64 targets and the
+        # int64 shuffle order, 16 bytes.  Framing a whole split instead
+        # would hold 1280 bytes a block at B=160.
+        cfg = CnnDetectorConfig(block_len=160)
+        one_epoch = nn.TrainConfig(epochs=1)
+        assert one_epoch.batch_size <= build_model(cfg).net.chunk_rows((4, 40))
+        val = _blocks(600, 160, seed=1)
+        peaks = {}
+        for n in (2000, 8000):
+            blocks = _blocks(n, 160, seed=n)
+            model = build_model(cfg, seed=3)
+            cnn.train_detector(model, blocks[:80], val[:10], one_epoch)
+            peaks[n] = traced_peak(
+                lambda: cnn.train_detector(model, blocks, val, one_epoch))
+            assert peaks[n] < self.MEMORY_BOUND + 16 * (n + len(val))
+        assert peaks[8000] - peaks[2000] <= 16 * (8000 - 2000)
 
 
 class TestCheckpoint:

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import mmap
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import oracle_generate, oracle_split
+from conftest import oracle_generate, oracle_split, traced_peak
 from pktdetect import dataset
 from pktdetect.channel import ChannelTemplate
 from pktdetect.dataset import (CHUNK_BLOCKS, PARTS, DatasetError, DatasetSpec,
@@ -560,6 +562,40 @@ class TestPersistence:
         save(small_blocks, tmp_path / "b", _SMALL)
         assert ((tmp_path / "a.blocks.bin").read_bytes()
                 == (tmp_path / "b.blocks.bin").read_bytes())
+
+    @staticmethod
+    def _check_saved_as_tobytes(blocks, prefix):
+        save(blocks, prefix, _SMALL)
+        payload = blocks.tobytes()
+        manifest = json.loads(Path(f"{prefix}.manifest.json").read_text())
+        assert Path(f"{prefix}.blocks.bin").read_bytes() == payload
+        assert manifest["sha256"] == hashlib.sha256(payload).hexdigest()
+
+    @pytest.mark.parametrize("view", ["contiguous", "strided", "empty"])
+    def test_writes_and_hashes_the_records_bytes(self, small_blocks,
+                                                 tmp_path, view):
+        blocks = {"contiguous": small_blocks, "strided": small_blocks[::2],
+                  "empty": small_blocks[:0]}[view]
+        self._check_saved_as_tobytes(blocks, tmp_path / "ds")
+
+    @pytest.mark.usefixtures("no_hang")
+    def test_writes_a_forked_generate_from_its_mmap(self, monkeypatch,
+                                                    tmp_path):
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+        spec = DatasetSpec(block_len=40, n_blocks=3 * CHUNK_BLOCKS + 5,
+                           seed=12, channel=_FAST)
+        blocks = generate(spec)
+        assert isinstance(getattr(blocks.base, "obj", blocks.base), mmap.mmap)
+        self._check_saved_as_tobytes(blocks, tmp_path / "ds")
+
+    def test_save_copies_no_payload(self, tmp_path):
+        # 4000 records of 649 bytes; what save may allocate beyond the
+        # manifest is a per-record int64 of the kinds for their counts
+        blocks = np.zeros(4000, record_dtype(160))
+        blocks["label"], blocks["kind"] = -1, Kind.NOISE_ONLY
+        save(blocks[:10], tmp_path / "warm", _SMALL)
+        peak = traced_peak(lambda: save(blocks, tmp_path / "ds", _SMALL))
+        assert peak < blocks.nbytes / 4
 
     def test_checksum_detects_corruption(self, small_blocks, tmp_path):
         save(small_blocks, tmp_path / "ds", _SMALL)

@@ -3,7 +3,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import finite_diff_grads
-from pktdetect import cnn, nn
+from pktdetect import cnn, dataset, nn
 
 
 class EinsumConv1d(nn.Conv1d):
@@ -392,6 +392,36 @@ class TestTraining:
         # gradients are still the oracle's
         for g, r in zip(net.grads, ref_net.grads):
             assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("normalize", cnn.NORMALIZE_MODES)
+    @pytest.mark.parametrize("block_len, n_train", [(40, 241), (160, 197)])
+    def test_framing_each_batch_matches_the_framed_split(
+            self, block_len, n_train, normalize):
+        # float32 amplitudes read through a record field, as
+        # cnn.train_detector hands them over, each block at its own scale
+        # so that "rms" mode scales every one differently; partial last
+        # batches of 80, and a validation set of two predict chunks at 160
+        cfg = cnn.CnnDetectorConfig(block_len, normalize)
+        rng = np.random.default_rng(block_len + 1)
+        rec = np.zeros(n_train + 300, dataset.record_dtype(block_len))
+        rec["amp"] = (rng.rayleigh(size=rec["amp"].shape)
+                      * rng.uniform(0.1, 10.0, (len(rec), 1)))
+        rec["label"] = np.where(rng.random(len(rec)) < 0.5, -1,
+                                rng.integers(0, block_len, len(rec)))
+        amp, t = rec["amp"], rec["label"].astype(np.float64)
+        train_cfg = nn.TrainConfig(batch_size=80, epochs=3, seed=2)
+
+        def frame(rows):
+            return cnn.prepare_inputs(rows, cfg)
+
+        def run(x, vx, frame=None):
+            net = cnn.build_model(cfg, seed=3).net
+            hist = nn.train(net, x, t[:n_train], train_cfg,
+                            (vx, t[n_train:]), frame)
+            return b"".join(p.tobytes() for p in net.params), hist
+
+        framed = run(frame(amp[:n_train]), frame(amp[n_train:]))
+        assert run(amp[:n_train], amp[n_train:], frame) == framed
 
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):
