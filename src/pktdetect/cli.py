@@ -64,6 +64,13 @@ def _write_manifest(out_dir: Path, command: str, args: dict,
     (out_dir / f"{command}.manifest.json").write_text(json.dumps(doc, indent=1))
 
 
+def _workers(args) -> dict:
+    """A conventional run's manifest field: the worker processes its trials'
+    links were simulated in, beside this process (streams.worker_count)."""
+    return ({"workers": streams.worker_count(args.packets)}
+            if args.conventional else {})
+
+
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -216,7 +223,7 @@ def cmd_eval(args) -> int:
                [(_fmt(metrics.miss_rate), _fmt(metrics.false_alarm_rate))])
     print(f"{name}: miss {_rate(metrics.miss_rate)}, "
           f"false alarm {_rate(metrics.false_alarm_rate)}, mae {metrics.mae}")
-    _write_manifest(out.parent, "eval", vars(args))
+    _write_manifest(out.parent, "eval", vars(args), **_workers(args))
     return 0
 
 
@@ -280,7 +287,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     _write_csv(out, ["detector", "snr_db", "mae", "miss_rate",
                      "false_alarm_rate", "n"], rows)
-    _write_manifest(out.parent, "sweep", vars(args))
+    _write_manifest(out.parent, "sweep", vars(args), **_workers(args))
     print(f"wrote {len(rows)} sweep rows to {out}")
     return 0
 

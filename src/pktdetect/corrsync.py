@@ -47,12 +47,17 @@ def metric_trace(y: ComplexSignal, lag: int, window: int | None = None) -> np.nd
     n_out = len(s) - lag - window + 1
     if n_out < 1:
         return np.zeros(0)
-    z = np.conj(s[:len(s) - lag]) * s[lag:]
-    w2 = np.abs(s[lag:]) ** 2
-    cz = np.concatenate([[0.0], np.cumsum(z)])
-    cw = np.concatenate([[0.0], np.cumsum(w2)])
+    n = len(s) - lag + 1  # prefix sums, from the empty one
+    # one buffer for both: the complex sums cz, then the power sums cw
+    acc = np.empty(3 * n)
+    cz, cw = acc[:2 * n].view(np.complex128), acc[2 * n:]
+    cz[0] = cw[0] = 0.0
+    np.cumsum(np.conj(s[:len(s) - lag]) * s[lag:], out=cz[1:])
+    np.cumsum(np.abs(s[lag:]) ** 2, out=cw[1:])
     lam = cz[window:window + n_out] - cz[:n_out]
     p = cw[window:window + n_out] - cw[:n_out]
+    if p.all():  # else M is 0 where the window holds no power
+        return np.abs(lam) ** 2 / p ** 2
     m = np.zeros(n_out)
     np.divide(np.abs(lam) ** 2, p ** 2, out=m, where=p > 0)
     return m
@@ -80,12 +85,15 @@ def coarse_detect(y: ComplexSignal, cfg: CorrDetectorConfig) -> DetectionResult:
     m = metric_trace(y, cfg.l_window)
     if len(m) < TRIGGER_DWELL:
         return DetectionResult(False, -1)
-    above = (m >= TRIGGER_THRESHOLD).astype(np.float64)
-    runs = np.convolve(above, np.ones(TRIGGER_DWELL), mode="valid")
-    hits = np.nonzero(runs >= TRIGGER_DWELL - 0.5)[0]
-    if hits.size == 0:
+    # run[t]: whether M(t), ..., M(t + k - 1) all reach the threshold, for
+    # k doubling up to TRIGGER_DWELL; the last step overlaps two runs
+    run, k = m >= TRIGGER_THRESHOLD, 1
+    while k < TRIGGER_DWELL:
+        step = min(k, TRIGGER_DWELL - k)
+        run, k = run[:-step] & run[step:], k + step
+    t0 = int(run.argmax())
+    if not run[t0]:
         return DetectionResult(False, -1)
-    t0 = int(hits[0])
     region = m[t0:t0 + 2 * STF_LEN]
     peak = t0 + int(np.argmax(region))
     start = plateau_refine(m, peak, PLATEAU_FRACTION)

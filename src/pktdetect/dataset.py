@@ -20,12 +20,13 @@ import hashlib
 import json
 import math
 import os
-import pickle
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
+from . import forked
+from .forked import MAX_WORKERS, usable_cpus  # read here by worker_count
 from .preamble import PREAMBLE_LEN
 from .channel import (ChannelTemplate, model_b_tap_scale, model_b_taps,
                       set_int_fields)
@@ -42,14 +43,6 @@ FORMAT_VERSION = 1
 # temporaries stays near 350 kB at block_len 160, in cache and off the peak
 # resident size
 CHUNK_BLOCKS = 32
-# generate's worker processes at most.  Threads were GIL-bound: a block
-# holds the GIL for about half its time (the unit-noise fills release it).
-# On a 2-vCPU host, with BLAS at one thread, generate of the benchmark's
-# 10 000-block spec in two processes took 0.754 s against two threads'
-# 1.111 s at block_len 40 (1.47x) and 1.223 s against 1.526 s at 160
-# (1.25x), medians of 8 alternating fresh-process runs (BENCH_19.json);
-# more than two was never measured
-MAX_WORKERS = 2
 
 
 class DatasetError(Exception):
@@ -114,14 +107,6 @@ class DatasetSpec:
         return cls(channel=channel, **doc)
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
-
-
 def worker_count(spec: DatasetSpec) -> int:
     """The number of processes `generate` makes spec's blocks in: one per
     usable CPU, at most MAX_WORKERS and at most one per chunk."""
@@ -160,107 +145,49 @@ _CLAIM = 8
 
 def _generate_in_workers(spec: DatasetSpec, sim: StreamSimulator,
                          n_workers: int) -> np.ndarray:
-    """`generate`'s blocks, made in n_workers forked processes into a record
-    array in shared memory.
+    """`generate`'s blocks, made in n_workers forked processes
+    (`forked.run`) into a record array in shared memory.
 
     This process writes the chunk starts into a pipe that only the workers
     read, so each worker claims the next chunk not yet claimed; once every
     worker has stopped, a write raises BrokenPipeError instead of waiting.
-    It then reads each worker's report pipe to its end and reaps every
-    worker before it returns or raises, killing them first if it fails
-    itself.  A worker's exception arrives pickled through its report pipe
-    and is re-raised here, the first worker's first; one that cannot be
-    pickled arrives as a RuntimeError carrying the worker's traceback.
-    Python 3.12 and later warn (DeprecationWarning) when a process that
-    runs other threads forks, and BLAS's threads count.
+    A worker that fails empties the task pipe, so that the others stop
+    after their chunk, and its exception is raised here.
     """
     import mmap  # here, not at import time, which every CLI call pays for
-    import signal
     dtype = record_dtype(spec.block_len)
     blocks = np.frombuffer(mmap.mmap(-1, spec.n_blocks * dtype.itemsize),
                            dtype=dtype)  # shared, zero-filled
     tasks_r, tasks_w = os.pipe()
-    held = {tasks_r, tasks_w}  # this process's pipe ends still open
-    workers = []  # (pid, read end of its report pipe)
+    held = [tasks_r, tasks_w]  # this process's ends still open
 
-    def close(fd):
-        held.remove(fd)
-        os.close(fd)
+    def work(k, send):
+        os.close(tasks_w)  # else the task pipe would never end
+        chunker = _Chunker(spec, sim)  # this worker's buffers
+        try:
+            while claim := os.read(tasks_r, _CLAIM):
+                c0 = int.from_bytes(claim, "little")
+                chunker.fill(blocks[c0:c0 + CHUNK_BLOCKS], c0)
+        except BaseException:
+            while os.read(tasks_r, 1 << 16):
+                pass
+            raise
 
-    try:
-        for _ in range(n_workers):
-            report_r, report_w = os.pipe()
-            held |= {report_r, report_w}
-            pid = os.fork()
-            if pid == 0:
-                _work(spec, sim, blocks, tasks_r, tasks_w, report_w)
-            workers.append((pid, report_r))
-            close(report_w)
-        close(tasks_r)
+    def feed(receive):
+        os.close(held.pop(0))  # the read end: only the workers claim
         try:
             for c0 in range(0, spec.n_blocks, CHUNK_BLOCKS):
                 os.write(tasks_w, c0.to_bytes(_CLAIM, "little"))
-        except BrokenPipeError:  # every worker has stopped; reports say why
+        except BrokenPipeError:  # every worker has stopped; run says why
             pass
-        close(tasks_w)
-        reports = [_read_to_end(fd) for _, fd in workers]
-    except BaseException:
-        for pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        os.close(held.pop())
+
+    try:
+        forked.run(n_workers, work, feed, "generate")
     finally:
         for fd in held:
             os.close(fd)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
-    for report in filter(None, reports):
-        text, pickled = pickle.loads(report)
-        try:
-            error = pickle.loads(pickled)
-        except Exception:  # pickled is None, or does not unpickle
-            raise RuntimeError(f"a generate worker raised:\n{text}") from None
-        raise error from RuntimeError(f"in a generate worker:\n{text}")
-    for status in statuses:
-        if status:
-            raise RuntimeError("a generate worker ended with exit status "
-                               f"{os.waitstatus_to_exitcode(status)}")
     return blocks
-
-
-def _work(spec, sim, blocks, tasks_r, tasks_w, report_w):
-    """A forked worker's life: fill the chunks it claims from tasks_r, and
-    on an exception empty the task pipe (so the other workers stop after
-    their chunk) and write the report `_generate_in_workers` reads.  It
-    leaves through os._exit, never returning into its parent's stack."""
-    code = 0
-    try:
-        os.close(tasks_w)  # else the task pipe would never end
-        chunker = _Chunker(spec, sim)  # this worker's buffers
-        while claim := os.read(tasks_r, _CLAIM):
-            c0 = int.from_bytes(claim, "little")
-            chunker.fill(blocks[c0:c0 + CHUNK_BLOCKS], c0)
-    except BaseException as exc:  # reported; a failed report leaves code 1
-        code = 1
-        while os.read(tasks_r, 1 << 16):
-            pass
-        import traceback
-        text = "".join(traceback.format_exception(exc))
-        try:
-            pickled = pickle.dumps(exc)
-        except Exception:  # the parent raises a RuntimeError with text
-            pickled = None
-        report = memoryview(pickle.dumps((text, pickled)))
-        while report:
-            report = report[os.write(report_w, report):]
-    finally:
-        os._exit(code)
-
-
-def _read_to_end(fd: int) -> bytes:
-    """Everything written into the pipe fd until its last writer closed it."""
-    parts = []
-    while part := os.read(fd, 1 << 16):
-        parts.append(part)
-    return b"".join(parts)
 
 
 class _Chunker:

@@ -23,7 +23,10 @@ by a scale-add: a sweep costs one link simulation and one rx front end per
 trial, plus a scale-add and detection per point.  The points are paired:
 each sees the same packets, positions, CFOs, channels and unit noise, and
 only the noise scale differs, so a curve over them reads as a paired
-comparison.
+comparison.  Detection never feeds back into a trial's link, so a sweep
+simulates the links of all its chunks of trials but the first in a forked
+worker process (`forked.run`) while this process detects, with the same
+outcomes at any worker count (`evaluate_conventional`).
 """
 from __future__ import annotations
 
@@ -40,8 +43,10 @@ from .preamble import (BASE_RATE_HZ, ComplexSignal, PREAMBLE_LEN,
 from .channel import (ChannelConfig, ChannelTemplate, add_noise,
                       apply_channel, draw_model_b_taps, noise_scale,
                       rx_frontend)
+from . import forked
 from .cnn import EvalMetrics, score
 from .corrsync import CorrDetectorConfig, coarse_detect, fine_detect
+from .forked import MAX_WORKERS, usable_cpus  # read here by worker_count
 
 DETECTOR = CorrDetectorConfig()
 PRE_PAD_RANGE = (100, 300)  # uniform packet position of a trial, base samples
@@ -67,7 +72,9 @@ class TrialOutcome:
 class LinkDraw(NamedTuple):
     """What `StreamSimulator.draw_link` drew for one stream, or for rows of
     streams (a leading row axis on clean and noise): everything but the
-    noise scale, which is all that depends on the SNR."""
+    noise scale, which is all that depends on the SNR.  A sweep chunk's
+    trials keep only pre, has_packet and n_rx (clean and noise None):
+    `run_trial` scores them on the rx streams made with them."""
     pre: int
     has_packet: bool
     clean: np.ndarray   # noiseless oversampled channel output
@@ -217,6 +224,23 @@ class StreamSimulator:
                             res.detected, res.start_sample, fine, snr_db)
 
 
+# trials in one chunk of evaluate_conventional: at six points a worker
+# sends up to 0.75 MB a chunk, which its pipe holds whole
+# (forked.PIPE_BYTES).  The benchmark's 500-trial, six-point sweep, the
+# first in a fresh process on a 2-vCPU host, took a median 0.312 s at 8
+# trials a chunk, 0.356 s at 16 (larger than the pipe) and 0.335 s at 4
+# (8 alternating processes each)
+CHUNK_TRIALS = 8
+
+
+def worker_count(n_trials: int) -> int:
+    """The number of worker processes `evaluate_conventional` forks for
+    n_trials: one per usable CPU beside this process, at most
+    MAX_WORKERS - 1 and at most one per chunk after this process's first."""
+    chunks = -(-n_trials // CHUNK_TRIALS)
+    return max(0, min(MAX_WORKERS, usable_cpus(), chunks) - 1)
+
+
 def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
                           seed: int = 0, packet_fraction: float = 0.5,
                           snr_range_db: tuple | None = None,
@@ -235,6 +259,17 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     SNR uniformly from the range, whose bounds must be finite, and is
     scored at that one point; a lone point keeps rx_stream's
     add-then-filter.
+
+    The trials run CHUNK_TRIALS at a time, in two parts: the link and the
+    rx front end (`_simulate_chunk`), which detection never feeds back
+    into, then detection, one `run_trial` per trial and point in trial
+    order, always in this process.  The first chunk's links are simulated
+    here, the others' by `worker_count` forked workers (`forked.run`),
+    worker k taking chunks 1 + k, 1 + k + workers, ... and sending each
+    through its pipe while this process detects.  Each stream arrives in
+    an array of its own, so keeping one keeps no chunk alive.  A trial
+    draws from its own (seed, index) substream, so the outcomes do not
+    depend on the worker count.
     """
     if snr_range_db is not None and snrs_db is not None:
         raise ValueError("give snr_range_db or snrs_db, not both")
@@ -246,20 +281,65 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     sim = StreamSimulator(trial_cfg)
     points = [sim.at_snr(snr) for snr in snrs]
     outcomes = [[] for _ in points]
-    for i in range(n_trials):
+    chunks = [range(i, min(i + CHUNK_TRIALS, n_trials))
+              for i in range(0, n_trials, CHUNK_TRIALS)]
+    n_workers = worker_count(n_trials)
+
+    def simulate(trials):
+        return _simulate_chunk(sim, trials, seed, packet_fraction,
+                               snr_range_db, snrs)
+
+    def work(k, send):  # two frames a chunk: its head, then its streams
+        for trials in chunks[1 + k::n_workers]:
+            head, ys = simulate(trials)
+            send(head)
+            send(*(y for rows in ys for y in rows))
+
+    def receive_chunk(receive, k):  # each stream into its own array
+        head = np.frombuffer(receive(k)).reshape(-1, 4)
+        ys = [[np.empty(int(n_rx), dtype=np.complex128) for _ in snrs]
+              for n_rx in head[:, 2]]
+        receive(k, *(y for rows in ys for y in rows))
+        return head, ys
+
+    def detect(receive):
+        for c, trials in enumerate(chunks):
+            head, ys = (simulate(trials) if c == 0 or not n_workers else
+                        receive_chunk(receive, (c - 1) % n_workers))
+            for (pre, has_packet, n_rx, snr), rows in zip(head.tolist(), ys):
+                link = LinkDraw(int(pre), bool(has_packet), None, None,
+                                int(n_rx))
+                at = points if math.isnan(snr) else [sim.at_snr(snr)]
+                for point, y, out in zip(at, rows, outcomes):
+                    out.append(point.run_trial(
+                        link, ComplexSignal(y, BASE_RATE_HZ)))
+
+    forked.run(n_workers, work, detect, "sweep")
+    return outcomes
+
+
+def _simulate_chunk(sim: StreamSimulator, trials: range, seed: int,
+                    packet_fraction: float, snr_range_db, snrs) -> tuple:
+    """evaluate_conventional's trials up to detection: a (trials, 4) head
+    of (pre, has_packet, n_rx, drawn SNR or NaN), and for each trial the
+    samples of its rx streams, one array per point (one for a drawn
+    SNR)."""
+    head, ys = np.empty((len(trials), 4)), []
+    for j, i in enumerate(trials):
         rng = np.random.default_rng((seed, i))
-        if snr_range_db is not None:
-            points = [sim.at_snr(float(rng.uniform(*snr_range_db)))]
+        snr = (float(rng.uniform(*snr_range_db)) if snr_range_db is not None
+               else math.nan)
         has_packet = bool(rng.uniform() < packet_fraction)
         pre = int(rng.integers(*PRE_PAD_RANGE))
         link = sim.draw_link(rng, pre, POST_PAD, has_packet)
+        head[j] = pre, has_packet, link.n_rx, snr
         # filter once and scale-add per point only for several points: a
         # lone point's add-then-filter filters one row, not two (a measured
         # 119 against 205 us on a packet trial)
-        ys = sim.rx_streams(link, snrs) if len(points) > 1 else [None]
-        for point, y, out in zip(points, ys, outcomes):
-            out.append(point.run_trial(link, y))
-    return outcomes
+        ys.append([y.samples for y in (
+            sim.rx_streams(link, snrs) if len(snrs) > 1 else
+            [sim.rx_stream(link, snrs[0] if math.isnan(snr) else snr)])])
+    return head, ys
 
 
 def summarize(outcomes: list[TrialOutcome]) -> EvalMetrics:

@@ -47,6 +47,34 @@ def no_hang():
     signal.signal(signal.SIGALRM, old)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the worker processes forked (os.fork) during the test."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+@pytest.fixture
+def kills(monkeypatch):
+    """The pids killed (os.kill) during the test."""
+    pids, kill = [], os.kill
+
+    def recording(pid, sig):
+        pids.append(pid)
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", recording)
+    return pids
+
+
 def traced_peak(fn) -> int:
     """Peak bytes numpy and Python allocate during fn() (tracemalloc)."""
     tracemalloc.start()

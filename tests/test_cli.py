@@ -465,6 +465,50 @@ class TestFlops:
         assert reason in capsys.readouterr().err
 
 
+class TestConventionalWorkers:
+    """sweep --conventional and eval --conventional simulate their trials'
+    links in streams.worker_count forked workers: the manifests record the
+    count, and a worker's exception keeps its type, so its exit code."""
+
+    @staticmethod
+    def _run(tmp_path, command, packets):
+        out = tmp_path / "out" / f"{command}.csv"
+        argv = [command, "--conventional", "--awgn-only", "--packets",
+                str(packets), "--seed", "3", "--out", str(out)]
+        return main(argv), out.parent / f"{command}.manifest.json"
+
+    @pytest.mark.parametrize("command", ["sweep", "eval"])
+    @pytest.mark.parametrize("n_cpus, workers", [(1, 0), (2, 1)])
+    def test_manifest_records_workers(self, tmp_path, monkeypatch, command,
+                                      n_cpus, workers):
+        monkeypatch.setattr(streams, "usable_cpus", lambda: n_cpus)
+        code, manifest = self._run(tmp_path, command,
+                                   2 * streams.CHUNK_TRIALS)
+        assert code == 0
+        assert json.loads(manifest.read_text())["workers"] == workers
+
+    @pytest.mark.parametrize("command", ["sweep", "eval"])
+    @pytest.mark.parametrize("error, code", [(dataset.DatasetError, 3),
+                                             (ValueError, 4)])
+    def test_worker_error_keeps_exit_code(self, tmp_path, monkeypatch, capsys,
+                                          no_hang, command, error, code):
+        monkeypatch.setattr(streams, "usable_cpus", lambda: 2)
+        parent = os.getpid()
+        draw_link = streams.StreamSimulator.draw_link
+
+        def failing(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise error("planted in a worker")
+            return draw_link(self, *args, **kwargs)
+
+        monkeypatch.setattr(streams.StreamSimulator, "draw_link", failing)
+        assert self._run(tmp_path, command,
+                         4 * streams.CHUNK_TRIALS)[0] == code
+        assert "planted in a worker" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestSweep:
     def test_conventional_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"

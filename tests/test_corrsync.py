@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import autocorr, timing_metric, window_power
+from pktdetect import corrsync
 from pktdetect.channel import ChannelConfig, add_noise, apply_channel
-from pktdetect.corrsync import (CorrDetectorConfig, DetectionResult,
-                                coarse_detect, fine_detect, metric_trace,
-                                plateau_refine)
+from pktdetect.corrsync import (PLATEAU_FRACTION, STF_LEN, TRIGGER_DWELL,
+                                TRIGGER_THRESHOLD, CorrDetectorConfig,
+                                DetectionResult, coarse_detect, fine_detect,
+                                metric_trace, plateau_refine)
 from pktdetect.preamble import (BASE_RATE_HZ, ComplexSignal, build_preamble,
                                 lts_core)
 
@@ -167,3 +169,107 @@ class TestDetection:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CorrDetectorConfig(l_window=0)
+
+
+def oracle_metric_trace(y, lag, window=None):
+    """metric_trace before its prefix sums shared one buffer, kept as the
+    oracle."""
+    s = y.samples
+    window = lag if window is None else window
+    n_out = len(s) - lag - window + 1
+    if n_out < 1:
+        return np.zeros(0)
+    z = np.conj(s[:len(s) - lag]) * s[lag:]
+    w2 = np.abs(s[lag:]) ** 2
+    cz = np.concatenate([[0.0], np.cumsum(z)])
+    cw = np.concatenate([[0.0], np.cumsum(w2)])
+    lam = cz[window:window + n_out] - cz[:n_out]
+    p = cw[window:window + n_out] - cw[:n_out]
+    m = np.zeros(n_out)
+    np.divide(np.abs(lam) ** 2, p ** 2, out=m, where=p > 0)
+    return m
+
+
+def oracle_trigger(m):
+    """coarse_detect's decision on its metric trace m, as it was made with
+    a float convolution over the above-threshold mask, kept as the oracle."""
+    if len(m) < TRIGGER_DWELL:
+        return DetectionResult(False, -1)
+    above = (m >= TRIGGER_THRESHOLD).astype(np.float64)
+    runs = np.convolve(above, np.ones(TRIGGER_DWELL), mode="valid")
+    hits = np.nonzero(runs >= TRIGGER_DWELL - 0.5)[0]
+    if hits.size == 0:
+        return DetectionResult(False, -1)
+    t0 = int(hits[0])
+    peak = t0 + int(np.argmax(m[t0:t0 + 2 * STF_LEN]))
+    return DetectionResult(True, plateau_refine(m, peak, PLATEAU_FRACTION))
+
+
+def _step(n, runs, low=0.2, high=0.8):
+    """A planted metric trace of n samples: low, and high over each [a, b)
+    of runs."""
+    m = np.full(n, low)
+    for a, b in runs:
+        m[a:b] = high
+    return m
+
+
+class TestAgainstOracles:
+    """metric_trace and coarse_detect against the forms they replaced: the
+    same bytes of M and the same decisions."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_streams(self, preamble, seed):
+        # a packet at a random position and SNR (noiseless, with exact
+        # zeros around it, one time in four), or noise alone
+        rng = np.random.default_rng(seed)
+        if seed % 5 == 4:
+            y = _noise(int(rng.integers(100, 1200)), seed)
+        else:
+            snr = None if seed % 4 == 3 else float(rng.uniform(-5.0, 25.0))
+            y = _padded_packet(preamble, pre=int(rng.integers(0, 300)),
+                               post=int(rng.integers(0, 200)), seed=seed,
+                               snr_db=snr)
+        m = metric_trace(y, 80)
+        assert m.tobytes() == oracle_metric_trace(y, 80).tobytes()
+        assert coarse_detect(y, CorrDetectorConfig()) == oracle_trigger(m)
+
+    def test_noiseless_trace_has_powerless_windows(self, preamble):
+        # the path where some window holds no power, so M is 0 there
+        y = _padded_packet(preamble, pre=200)
+        m = metric_trace(y, 80)
+        assert (m[:100] == 0).all()
+        assert m.tobytes() == oracle_metric_trace(y, 80).tobytes()
+
+    @pytest.mark.parametrize("m", [
+        _step(600, []),                                   # no trigger
+        _step(600, [(10, 10 + TRIGGER_DWELL - 1), (300, 307)]),  # runs short
+        _step(600, [(600 - TRIGGER_DWELL, 600)]),         # at the trace's end
+        _step(600, [(599 - TRIGGER_DWELL, 599)]),         # one before it
+        _step(600, [(0, 50)]),                            # plateau at the start
+        _step(600, [(500, 600)]),                         # plateau at the end
+        _step(600, [(0, 600)]),                           # all plateau
+        _step(600, [(5, 20), (40, 45), (100, 400)]),
+        np.full(600, TRIGGER_THRESHOLD),                  # exactly at it
+        _step(TRIGGER_DWELL, [(0, TRIGGER_DWELL)]),       # one window long
+        _step(TRIGGER_DWELL - 1, [(0, TRIGGER_DWELL - 1)]),  # too short
+        np.zeros(0)],
+        ids=["none", "short-runs", "at-end", "before-end", "plateau-start",
+             "plateau-end", "all", "several", "at-threshold", "one-window",
+             "too-short", "empty"])
+    def test_planted_traces(self, monkeypatch, m):
+        monkeypatch.setattr(corrsync, "metric_trace", lambda y, lag: m)
+        assert coarse_detect(_noise(10, 0), CorrDetectorConfig()) == \
+            oracle_trigger(m)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_planted_traces(self, monkeypatch, seed):
+        # runs of every length around the dwell, at and beside the threshold
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 60))
+        levels = np.array([0.0, np.nextafter(TRIGGER_THRESHOLD, 0),
+                           TRIGGER_THRESHOLD, 0.7, 1.0])
+        m = np.repeat(rng.choice(levels, n), rng.integers(1, 12, n))
+        monkeypatch.setattr(corrsync, "metric_trace", lambda y, lag: m)
+        assert coarse_detect(_noise(10, 0), CorrDetectorConfig()) == \
+            oracle_trigger(m)

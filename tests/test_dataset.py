@@ -347,32 +347,6 @@ class TestThreads:
             monkeypatch.setattr(dataset, "MAX_WORKERS", 64)
         return force
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids of the workers generate forks."""
-        pids, fork = [], os.fork
-
-        def recording():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recording)
-        return pids
-
-    @pytest.fixture
-    def kills(self, monkeypatch):
-        """The pids generate kills."""
-        pids, kill = [], os.kill
-
-        def recording(pid, sig):
-            pids.append(pid)
-            kill(pid, sig)
-
-        monkeypatch.setattr(os, "kill", recording)
-        return pids
-
     @staticmethod
     def plant_in_parent(monkeypatch, name, error):
         """Make os.<name> raise error when this process calls it; the

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -349,3 +350,158 @@ def test_snr_without_a_noise_level_rejected(snr_db, kwargs):
     with pytest.raises(ValueError):
         evaluate_conventional(StreamTrialConfig(snr_db=snr_db), 20, seed=1,
                               **kwargs)
+
+
+C = streams.CHUNK_TRIALS
+# evaluate_conventional's four modes: several points, one point, a
+# noiseless point alone, and each trial at its own SNR from a range
+MODES = {"points": {"snrs_db": POINTS}, "one-point": {},
+         "inf": {"snrs_db": (np.inf,)}, "range": {"snr_range_db": (0.0, 25.0)}}
+
+
+def _open_fds() -> set:
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.usefixtures("no_hang")
+class TestWorkers:
+    """evaluate_conventional simulates the links of all chunks but its first
+    in worker_count forked processes.  These tests force the count through
+    the CPU count it reads, lifting the cap, which only bounds the speed,
+    as generate's tests do; the outcomes must not depend on it.  Every
+    path must leave no child process and no pipe end open."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def force(n):
+            monkeypatch.setattr(streams, "usable_cpus", lambda: n)
+            monkeypatch.setattr(streams, "MAX_WORKERS", 64)
+        return force
+
+    @pytest.fixture
+    def clean_exit(self):
+        """Assert, after the test, that no worker is left and that no pipe
+        end this process made is still open."""
+        before = _open_fds()
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert _open_fds() == before
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("n_trials", [C - 3, 3 * C + 5],
+                             ids=["below-a-chunk", "four-chunks"])
+    def test_outcomes_independent_of_worker_count(self, cpus, forks,
+                                                  clean_exit, mode,
+                                                  n_trials):
+        cfg = StreamTrialConfig(channel=ChannelTemplate())
+        runs = []
+        for n_cpus in (1, 2, 3):
+            cpus(n_cpus)
+            workers = min(n_cpus, -(-n_trials // C)) - 1
+            assert streams.worker_count(n_trials) == workers
+            forks.clear()
+            runs.append(evaluate_conventional(cfg, n_trials, seed=7,
+                                              **MODES[mode]))
+            assert len(forks) == workers
+        assert runs[0] == runs[1] == runs[2]
+        # and, within rounding of the link, the one-trial-at-a-time oracle
+        snrs = MODES[mode].get("snrs_db", (cfg.snr_db,))
+        for snr, outcomes in zip(snrs, runs[0]):
+            assert outcomes == oracle_evaluate_conventional(
+                replace(cfg, snr_db=snr), n_trials, seed=7,
+                snr_range_db=MODES[mode].get("snr_range_db"))
+
+    @pytest.mark.parametrize("n_cpus, n_trials, workers", [
+        (1, 10 * C, 0), (2, 10 * C, 1), (64, 10 * C, 1), (2, C, 0),
+        (2, C + 1, 1), (64, 1, 0), (2, 0, 0)])
+    def test_worker_count(self, monkeypatch, n_cpus, n_trials, workers):
+        monkeypatch.setattr(streams, "usable_cpus", lambda: n_cpus)
+        assert streams.worker_count(n_trials) == workers
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_worker_error_keeps_its_type(self, cpus, monkeypatch, clean_exit,
+                                         error):
+        cpus(2)
+        parent, draw_link = os.getpid(), StreamSimulator.draw_link
+
+        def failing(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise error("planted in a worker")
+            return draw_link(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamSimulator, "draw_link", failing)
+        with pytest.raises(error, match="planted in a worker"):
+            evaluate_conventional(StreamTrialConfig(), 4 * C, seed=1,
+                                  snrs_db=POINTS)
+
+    def test_unpicklable_error_arrives_with_traceback(self, cpus, monkeypatch,
+                                                      clean_exit):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        cpus(2)
+        parent, draw_link = os.getpid(), StreamSimulator.draw_link
+
+        def failing(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise Local("planted unpicklable failure")
+            return draw_link(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamSimulator, "draw_link", failing)
+        with pytest.raises(RuntimeError) as info:
+            evaluate_conventional(StreamTrialConfig(), 4 * C, seed=1)
+        assert "planted unpicklable failure" in str(info.value)
+        assert "Traceback" in str(info.value)
+
+    def test_worker_that_dies_unreported(self, cpus, monkeypatch, clean_exit):
+        cpus(2)
+        parent, draw_link = os.getpid(), StreamSimulator.draw_link
+
+        def dying(self, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(7)
+            return draw_link(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamSimulator, "draw_link", dying)
+        with pytest.raises(RuntimeError, match="ended before its last frame"):
+            evaluate_conventional(StreamTrialConfig(), 4 * C, seed=1)
+
+    @pytest.mark.parametrize("at_call", [1, C * len(POINTS) + 1],
+                             ids=["first-chunk", "received-chunk"])
+    def test_interrupt_while_detecting_kills_and_reaps_the_worker(
+            self, cpus, monkeypatch, forks, kills, clean_exit, at_call):
+        cpus(2)
+        run_trial, calls = StreamSimulator.run_trial, []
+
+        def interrupted(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == at_call:
+                raise KeyboardInterrupt
+            return run_trial(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamSimulator, "run_trial", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_conventional(StreamTrialConfig(), 40 * C, seed=1,
+                                  snrs_db=POINTS)
+        assert len(forks) == 1 and kills == forks
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_each_stream_holds_only_its_own_samples(self, cpus, monkeypatch,
+                                                    clean_exit, mode):
+        # a caller that keeps a trial's stream, as the benchmark keeps some
+        # metric_trace inputs, keeps that stream's samples alive, not its
+        # chunk's: at most the two filtered rows it was made from
+        cpus(2)
+        run_trial, kept = StreamSimulator.run_trial, []
+
+        def keeping(self, link, y=None):
+            kept.append(y.samples)
+            return run_trial(self, link, y)
+
+        monkeypatch.setattr(StreamSimulator, "run_trial", keeping)
+        evaluate_conventional(StreamTrialConfig(), 3 * C, seed=2,
+                              **MODES[mode])
+        for y in kept:
+            base = y if y.base is None else y.base
+            assert base.nbytes <= 2 * y.nbytes
