@@ -80,7 +80,7 @@ class ChannelConfig:
 TRUNCATION_FACTOR = 5.0  # model-B profile length, in RMS delay spreads
 
 
-def draw_model_b_taps(seed: int | np.random.Generator, os_rate_hz: float,
+def draw_model_b_taps(rng: np.random.Generator, os_rate_hz: float,
                       rms_delay_spread_ns: float = 80.0) -> np.ndarray:
     """One indoor multipath realization on the oversampled tap grid.
 
@@ -88,11 +88,10 @@ def draw_model_b_taps(seed: int | np.random.Generator, os_rate_hz: float,
     spread, truncated at TRUNCATION_FACTOR times the spread, Rayleigh
     (circularly-symmetric Gaussian) taps, power-normalized to 1: the
     model_b_taps of the real, then the imaginary unit normals drawn from
-    seed.
+    rng.
     """
     if os_rate_hz < 1e6:
         raise ValueError("os_rate_hz must be at least 1 MHz")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n_taps = len(model_b_tap_scale(os_rate_hz, rms_delay_spread_ns))
     return model_b_taps(rng.standard_normal((2, n_taps)), os_rate_hz,
                         rms_delay_spread_ns)
@@ -204,6 +203,14 @@ def noise_scale(signal_power: float, snr_db: float) -> float:
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number of dB or +inf, not {snr_db}")
     return math.sqrt(signal_power * 10.0 ** (-snr_db / 10.0) / 2)
+
+
+def check_snr_range(snr_range_db) -> None:
+    """ValueError unless snr_range_db is two finite dB bounds, low <= high."""
+    if (len(snr_range_db) != 2 or not all(map(math.isfinite, snr_range_db))
+            or snr_range_db[0] > snr_range_db[1]):
+        raise ValueError(f"snr_range_db {tuple(snr_range_db)} must be two "
+                         "finite values in dB, low <= high")
 
 
 def add_noise(out: np.ndarray, re: np.ndarray, im: np.ndarray,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cnn, dataset, flops, nn, streams
-from .channel import ChannelTemplate
+from .channel import ChannelTemplate, check_snr_range
 from .cnn import BLOCK_LENGTHS, CnnDetectorConfig
 
 
@@ -197,6 +197,11 @@ def cmd_eval(args) -> int:
         trial_cfg = streams.StreamTrialConfig(snr_db=args.snr_db,
                                               channel=_channel(args))
         snr_range = tuple(args.snr_range) if args.snr_range else None
+        if snr_range is not None:
+            try:
+                check_snr_range(snr_range)
+            except ValueError as exc:
+                raise UsageError(f"--snr-range: {exc}") from exc
         outcomes, = streams.evaluate_conventional(
             trial_cfg, args.packets, seed=args.seed, snr_range_db=snr_range)
         name, metrics = "conventional", streams.summarize(outcomes)

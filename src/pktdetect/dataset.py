@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -26,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import forked
-from .forked import MAX_WORKERS, usable_cpus  # read here by worker_count
 from .preamble import PREAMBLE_LEN
-from .channel import (ChannelTemplate, model_b_tap_scale, model_b_taps,
-                      set_int_fields)
+from .channel import (ChannelTemplate, check_snr_range, model_b_tap_scale,
+                      model_b_taps, set_int_fields)
 from .streams import LinkDraw, StreamSimulator, StreamTrialConfig
 # Unused here, kept because the benchmark's tracer (bench/tracing.py) swaps
 # these four names in this module's namespace and fails if one is missing;
@@ -79,9 +77,7 @@ class DatasetSpec:
             if not 0.0 <= f <= 1.0:
                 raise ValueError("fractions must lie in [0, 1]")
         set_int_fields(self, {"block_len": 1, "n_blocks": 1, "seed": 0})
-        if (len(self.snr_range_db) != 2
-                or not all(map(math.isfinite, self.snr_range_db))):
-            raise ValueError("snr_range_db must be two finite values in dB")
+        check_snr_range(self.snr_range_db)
         mid_tail_possible = (self.frac_no_start > 0
                              and self.frac_noise_within_no_start < 1)
         if mid_tail_possible and self.block_len > PREAMBLE_LEN:
@@ -92,8 +88,7 @@ class DatasetSpec:
             object.__setattr__(self, "name", f"blocks{self.block_len}")
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        return json.dumps(doc, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetSpec":
@@ -109,8 +104,9 @@ class DatasetSpec:
 
 def worker_count(spec: DatasetSpec) -> int:
     """The number of processes `generate` makes spec's blocks in: one per
-    usable CPU, at most MAX_WORKERS and at most one per chunk."""
-    return min(MAX_WORKERS, usable_cpus(), -(-spec.n_blocks // CHUNK_BLOCKS))
+    usable CPU, at most forked.MAX_WORKERS and at most one per chunk."""
+    return min(forked.MAX_WORKERS, forked.usable_cpus(),
+               -(-spec.n_blocks // CHUNK_BLOCKS))
 
 
 def generate(spec: DatasetSpec) -> np.ndarray:
@@ -156,8 +152,10 @@ def _generate_in_workers(spec: DatasetSpec, sim: StreamSimulator,
     """
     import mmap  # here, not at import time, which every CLI call pays for
     dtype = record_dtype(spec.block_len)
+    # shared memory: chunks sent back in frames, as the sweep's, ran no faster
     blocks = np.frombuffer(mmap.mmap(-1, spec.n_blocks * dtype.itemsize),
-                           dtype=dtype)  # shared, zero-filled
+                           dtype=dtype)
+    # claims: a static split (worker k: chunks k, k + n, ...) was no faster
     tasks_r, tasks_w = os.pipe()
     held = [tasks_r, tasks_w]  # this process's ends still open
 
@@ -173,7 +171,7 @@ def _generate_in_workers(spec: DatasetSpec, sim: StreamSimulator,
                 pass
             raise
 
-    def feed(receive):
+    def feed(receive):  # filling chunks here beside one worker was slower
         os.close(held.pop(0))  # the read end: only the workers claim
         try:
             for c0 in range(0, spec.n_blocks, CHUNK_BLOCKS):

@@ -14,22 +14,18 @@ import os
 import pickle
 
 # worker processes at most.  Threads were GIL-bound: a gen block holds the
-# GIL for about half its time (the unit-noise fills release it).  On a
-# 2-vCPU host, with BLAS at one thread, generate of the benchmark's
-# 10 000-block spec in two processes took 0.754 s against two threads'
-# 1.111 s at block_len 40 (1.47x) and 1.223 s against 1.526 s at 160
-# (1.25x), medians of 8 alternating fresh-process runs (BENCH_19.json);
-# more than two was never measured.  A sweep's caller detects while its
-# workers simulate links, so it forks one fewer (streams.worker_count)
+# GIL for about half its time, and two processes made gen 1.47x (B=40) and
+# 1.25x (B=160) as fast as two threads (README, BENCH_19.json); more than
+# two was never measured.  A sweep's caller detects while its workers
+# simulate links, so it forks one fewer (streams.worker_count)
 MAX_WORKERS = 2
 _LENGTH = 8  # bytes of a frame's length: one write, so one read takes it
 _IOV_MAX = 512  # buffers one readv fills at most, within Linux's 1024
 # bytes a worker's pipe holds, where the system lets it (1 MiB is Linux's
-# default limit for a process without privileges).  A sweep chunk of up to
-# 0.75 MB then fits whole, so the worker can run a chunk ahead instead of
-# the two processes taking turns over a 64 KiB pipe: the benchmark's
-# 500-trial sweep, the first in a fresh process, took a median 0.269 s
-# against 0.334 s (8 alternating processes each, 2-vCPU host)
+# default limit for a process without privileges): a sweep chunk of up to
+# 0.75 MB fits whole, so the worker runs a chunk ahead instead of the two
+# processes taking turns over a 64 KiB pipe (the benchmark's sweep took a
+# median 0.269 s against 0.334 s on a 2-vCPU host, BENCH_22.json)
 PIPE_BYTES = 1 << 20
 
 
@@ -41,10 +37,10 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run(n_workers: int, work, lead, name: str):
+def run(n_workers: int, work, lead, name: str) -> None:
     """lead(receive) in this process while work(k, send) runs in forked
-    worker processes k = 0, ..., n_workers - 1; returns what lead returns.
-    With no worker it is lead(receive) alone, and nothing forks.
+    worker processes k = 0, ..., n_workers - 1.  With no worker it is
+    lead(receive) alone, and nothing forks.
 
     In a worker, send(*buffers) sends one frame: the buffers' bytes, in
     order.  Here, receive(k) returns worker k's next frame as a bytearray,
@@ -52,14 +48,15 @@ def run(n_workers: int, work, lead, name: str):
     hold exactly its bytes, and returns them.  A worker's exception
     arrives pickled and is raised here with its type: by receive when lead
     asks that worker for a frame, else by run once lead has returned, the
-    first worker's first.  One that cannot be
-    pickled arrives as a RuntimeError carrying the worker's traceback, as
-    does a worker's end without the frame receive waits for.  Every worker
-    is reaped, and every pipe end this process made closed, before run
-    returns or raises; if lead or run itself fails, the workers are killed
-    first.  A worker leaves through os._exit, never returning into its
-    parent's stack.  Python 3.12 and later warn (DeprecationWarning) when
-    a process that runs other threads forks, and BLAS's threads count.
+    first worker's first.  One that cannot be pickled arrives as a
+    RuntimeError carrying the worker's traceback; a RuntimeError also
+    reports a worker's end without the frame receive waits for, and a
+    frame lead left unread.  Every worker is reaped, and every pipe end
+    this process made closed, before run returns or raises; if lead or run
+    itself fails, the workers are killed first.  A worker leaves through
+    os._exit, never returning into its parent's stack.  Python 3.12 and
+    later warn (DeprecationWarning) when a process that runs other threads
+    forks, and BLAS's threads count.
     """
     import signal  # here, not at import time, which every CLI call pays for
     pipes, pids, reports = [], [], []  # one read end and pid per worker
@@ -86,7 +83,7 @@ def run(n_workers: int, work, lead, name: str):
             pipes.append(r)
             held.remove(w)
             os.close(w)
-        result = lead(receive)
+        lead(receive)
         for fd in pipes:  # to its end: a worker may still report
             while frame := _frame(fd):
                 if not frame[1]:
@@ -106,7 +103,6 @@ def run(n_workers: int, work, lead, name: str):
         if status:
             raise RuntimeError(f"a {name} worker ended with exit status "
                                f"{os.waitstatus_to_exitcode(status)}")
-    return result
 
 
 def _widen(fd: int) -> None:

@@ -71,7 +71,8 @@ def _unfold(x: np.ndarray, filter_len: int, axes: tuple) -> np.ndarray:
     array, its axes (b, c, k, f) in the order ``axes``.
 
     With no more taps than channels, one slice copy per filter tap fills it;
-    otherwise a single copy from a strided window view does.
+    otherwise a single copy from a strided window view does (slice copies
+    alone made conv1's forward up to 1.9x slower).
     """
     n, ch, t = x.shape
     k = t - filter_len + 1
@@ -142,7 +143,8 @@ class Conv1d(Layer):
         # input gradient: full correlation of the zero-padded output gradient
         # with the reversed filters, [n*T, O*F] @ [O*F, C]; tap f of row t
         # reads grad_out[:, :, t + f - (F - 1)], zero outside [0, K), which
-        # leaves only rows t < F - 1 and t >= K with padding in them
+        # leaves only rows t < F - 1 and t >= K with padding in them.  The
+        # same bits from _unfold of the zero-padded gradient were slower
         T = K + F - 1
         gcols = np.empty((n, T, O, F))
         gcols[:, :F - 1] = 0

@@ -41,12 +41,11 @@ from .preamble import (BASE_RATE_HZ, ComplexSignal, PREAMBLE_LEN,
                        build_preamble, default_preamble_spec,
                        design_interp_filter, lts_core, upsample_filter)
 from .channel import (ChannelConfig, ChannelTemplate, add_noise,
-                      apply_channel, draw_model_b_taps, noise_scale,
-                      rx_frontend)
+                      apply_channel, check_snr_range, draw_model_b_taps,
+                      noise_scale, rx_frontend)
 from . import forked
 from .cnn import EvalMetrics, score
 from .corrsync import CorrDetectorConfig, coarse_detect, fine_detect
-from .forked import MAX_WORKERS, usable_cpus  # read here by worker_count
 
 DETECTOR = CorrDetectorConfig()
 PRE_PAD_RANGE = (100, 300)  # uniform packet position of a trial, base samples
@@ -72,9 +71,7 @@ class TrialOutcome:
 class LinkDraw(NamedTuple):
     """What `StreamSimulator.draw_link` drew for one stream, or for rows of
     streams (a leading row axis on clean and noise): everything but the
-    noise scale, which is all that depends on the SNR.  A sweep chunk's
-    trials keep only pre, has_packet and n_rx (clean and noise None):
-    `run_trial` scores them on the rx streams made with them."""
+    noise scale, which is all that depends on the SNR."""
     pre: int
     has_packet: bool
     clean: np.ndarray   # noiseless oversampled channel output
@@ -208,20 +205,16 @@ class StreamSimulator:
             else clean + noise_scale(self.p_signal_os, snr) * noise,
             rx.sample_rate_hz) for snr in snrs_db]
 
-    def run_trial(self, link: LinkDraw,
-                  y: ComplexSignal | None = None) -> TrialOutcome:
-        """The correlation detector on a drawn trial at the config's SNR: on
-        y, the trial's rx stream at that SNR when given (see rx_streams),
-        else on rx_stream's."""
-        snr_db = self.cfg.snr_db
-        if y is None:
-            y = self.rx_stream(link, snr_db)
+    def run_trial(self, y: ComplexSignal, has_packet: bool,
+                  pre: int) -> TrialOutcome:
+        """The correlation detector on y, a trial's rx stream at the
+        config's SNR, whose packet (if has_packet) starts at sample pre."""
         res = coarse_detect(y, DETECTOR)
         fine = (fine_detect(y, res.start_sample, self.lts)
                 if res.detected else -1)
-        return TrialOutcome(link.has_packet,
-                            link.pre if link.has_packet else -1,
-                            res.detected, res.start_sample, fine, snr_db)
+        return TrialOutcome(has_packet, pre if has_packet else -1,
+                            res.detected, res.start_sample, fine,
+                            self.cfg.snr_db)
 
 
 # trials in one chunk of evaluate_conventional: at six points a worker
@@ -236,9 +229,9 @@ CHUNK_TRIALS = 8
 def worker_count(n_trials: int) -> int:
     """The number of worker processes `evaluate_conventional` forks for
     n_trials: one per usable CPU beside this process, at most
-    MAX_WORKERS - 1 and at most one per chunk after this process's first."""
+    forked.MAX_WORKERS - 1 and at most one per chunk after the first."""
     chunks = -(-n_trials // CHUNK_TRIALS)
-    return max(0, min(MAX_WORKERS, usable_cpus(), chunks) - 1)
+    return max(0, min(forked.MAX_WORKERS, forked.usable_cpus(), chunks) - 1)
 
 
 def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
@@ -256,7 +249,7 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     differs.  With more than one point, a trial costs one link simulation
     and one rx front end (rx_streams), plus a scale-add and detection per
     point.  When snr_range_db is given, each trial instead draws its own
-    SNR uniformly from the range, whose bounds must be finite, and is
+    SNR uniformly from the range (channel.check_snr_range), and is
     scored at that one point; a lone point keeps rx_stream's
     add-then-filter.
 
@@ -276,8 +269,8 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     snrs = (trial_cfg.snr_db,) if snrs_db is None else tuple(snrs_db)
     for snr in snrs:
         noise_scale(1.0, snr)  # ValueError at a NaN or -inf point
-    if snr_range_db is not None and not all(map(math.isfinite, snr_range_db)):
-        raise ValueError(f"snr_range_db {snr_range_db} must be finite")
+    if snr_range_db is not None:
+        check_snr_range(snr_range_db)
     sim = StreamSimulator(trial_cfg)
     points = [sim.at_snr(snr) for snr in snrs]
     outcomes = [[] for _ in points]
@@ -306,13 +299,11 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
         for c, trials in enumerate(chunks):
             head, ys = (simulate(trials) if c == 0 or not n_workers else
                         receive_chunk(receive, (c - 1) % n_workers))
-            for (pre, has_packet, n_rx, snr), rows in zip(head.tolist(), ys):
-                link = LinkDraw(int(pre), bool(has_packet), None, None,
-                                int(n_rx))
+            for (pre, has_packet, _, snr), rows in zip(head.tolist(), ys):
                 at = points if math.isnan(snr) else [sim.at_snr(snr)]
                 for point, y, out in zip(at, rows, outcomes):
-                    out.append(point.run_trial(
-                        link, ComplexSignal(y, BASE_RATE_HZ)))
+                    out.append(point.run_trial(ComplexSignal(y, BASE_RATE_HZ),
+                                               bool(has_packet), int(pre)))
 
     forked.run(n_workers, work, detect, "sweep")
     return outcomes

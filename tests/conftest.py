@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pktdetect import nn
+from pktdetect import forked, nn
 from pktdetect.cli import build_versions
 from pktdetect.preamble import (ComplexSignal, build_preamble,
                                 default_preamble_spec)
@@ -48,6 +48,17 @@ def no_hang():
 
 
 @pytest.fixture
+def cpus(monkeypatch):
+    """force(n): make forked.usable_cpus report n CPUs and lift the
+    MAX_WORKERS cap, which only bounds the speed, so that gen and the sweep
+    fork as many workers as n CPUs allow."""
+    def force(n):
+        monkeypatch.setattr(forked, "usable_cpus", lambda: n)
+        monkeypatch.setattr(forked, "MAX_WORKERS", 64)
+    return force
+
+
+@pytest.fixture
 def forks(monkeypatch):
     """The pids of the worker processes forked (os.fork) during the test."""
     pids, fork = [], os.fork
@@ -73,6 +84,20 @@ def kills(monkeypatch):
 
     monkeypatch.setattr(os, "kill", recording)
     return pids
+
+
+@pytest.fixture
+def clean_exit():
+    """Assert, after the test, that no forked worker is left and that no
+    pipe end this process made is still open."""
+    def open_fds():
+        return set(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == before
 
 
 def traced_peak(fn) -> int:

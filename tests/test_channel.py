@@ -230,15 +230,20 @@ def _padded(n_pre, n_body, n_post, seed):
     return ComplexSignal(x, body.sample_rate_hz)
 
 
+def _taps(seed, *args):
+    """draw_model_b_taps on a fresh generator of seed."""
+    return draw_model_b_taps(np.random.default_rng(seed), *args)
+
+
 class TestAgainstOracle:
     """The support-only channel against the np.convolve / complex-exp form."""
 
     CHANNELS = {
         "awgn": dict(),
-        "multipath-cfo": dict(taps=draw_model_b_taps(3, 4e6), cfo_hz=-13_250.5),
-        "offset-0.5": dict(taps=draw_model_b_taps(4, 4e6), cfo_hz=9_000.0,
+        "multipath-cfo": dict(taps=_taps(3, 4e6), cfo_hz=-13_250.5),
+        "offset-0.5": dict(taps=_taps(4, 4e6), cfo_hz=9_000.0,
                            timing_offset_samples=0.5),
-        "long-multipath": dict(taps=draw_model_b_taps(5, 40e6), cfo_hz=17e3,
+        "long-multipath": dict(taps=_taps(5, 40e6), cfo_hz=17e3,
                                timing_offset_samples=0.25),
     }
 
@@ -302,12 +307,11 @@ class TestAgainstOracle:
 
 class TestModelBTaps:
     def test_unit_power(self):
-        h = draw_model_b_taps(0, 4e6)
+        h = _taps(0, 4e6)
         assert np.sum(np.abs(h) ** 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_deterministic_per_seed(self):
-        np.testing.assert_array_equal(draw_model_b_taps(5, 4e6),
-                                      draw_model_b_taps(5, 4e6))
+        np.testing.assert_array_equal(_taps(5, 4e6), _taps(5, 4e6))
 
     @pytest.mark.parametrize("rate, spread", [(4e6, 80.0), (40e6, 80.0),
                                               (4e6, 250.0)])
@@ -321,27 +325,27 @@ class TestModelBTaps:
                                     + 1j * rng.standard_normal(len(profile)))
         for _ in range(2):
             np.testing.assert_array_equal(
-                draw_model_b_taps(18, rate, spread),
+                _taps(18, rate, spread),
                 h / np.sqrt(np.sum(np.abs(h) ** 2)))
 
     def test_rate_floor(self):
         with pytest.raises(ValueError):
-            draw_model_b_taps(0, 0.5e6)
+            _taps(0, 0.5e6)
 
     def test_tap_count_tracks_truncation(self):
         # 5 * 80 ns at 4 MHz (250 ns steps) spans delays 0 .. 400 ns -> 2 taps
-        assert len(draw_model_b_taps(0, 4e6)) == 2
+        assert len(_taps(0, 4e6)) == 2
         # at 40 MHz (25 ns steps) -> 17 taps
-        assert len(draw_model_b_taps(0, 40e6)) == 17
+        assert len(_taps(0, 40e6)) == 17
 
     def test_mean_profile_rms_delay(self):
         # ensemble mean power profile should realize the requested spread
         rate = 40e6
         dt_ns = 1e9 / rate
-        acc = np.zeros(len(draw_model_b_taps(0, rate)))
+        acc = np.zeros(len(_taps(0, rate)))
         n = 2_000
         for seed in range(n):
-            acc += np.abs(draw_model_b_taps(seed, rate)) ** 2
+            acc += np.abs(_taps(seed, rate)) ** 2
         profile = acc / n
         delays = np.arange(len(profile)) * dt_ns
         mean_d = np.sum(delays * profile) / np.sum(profile)

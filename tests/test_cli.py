@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import tamper_checkpoint
-from pktdetect import cli, cnn, dataset, streams
+from pktdetect import cli, cnn, dataset, forked, streams
 from pktdetect.cli import main
 from pktdetect.channel import ChannelTemplate
 from pktdetect.dataset import DatasetSpec
@@ -119,6 +119,19 @@ class TestGen:
         assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_reversed_snr_range_rejected_before_forking(self, tmp_path, cpus,
+                                                        forks):
+        # a config error (2), not numpy's failure in the workers (4)
+        cpus(2)
+        n_blocks = 4 * dataset.CHUNK_BLOCKS  # chunks for two workers
+        doc = json.loads(DatasetSpec(block_len=40, n_blocks=n_blocks).to_json())
+        doc["snr_range_db"] = [25.0, 0.0]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert not out.exists() and not forks
+
     def test_invalid_channel_rejected_before_writing(self, tmp_path):
         # zero delay spread with multipath would give NaN taps and amplitudes
         doc = json.loads(DatasetSpec(block_len=40, n_blocks=20).to_json())
@@ -155,7 +168,7 @@ class TestGen:
     @staticmethod
     def _workers(tmp_path, monkeypatch, n_cpus):
         """The workers a B=40 gen of two chunks records on n_cpus CPUs."""
-        monkeypatch.setattr(dataset, "usable_cpus", lambda: n_cpus)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: n_cpus)
         spec_path = tmp_path / "spec.json"
         _write_spec(spec_path, n_blocks=2 * dataset.CHUNK_BLOCKS)
         out = tmp_path / "data"
@@ -174,7 +187,7 @@ class TestGen:
     def test_worker_error_keeps_exit_code(self, tmp_path, monkeypatch, capsys,
                                           no_hang, error, code):
         # the exception crosses from the worker processes with its type
-        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
         parent, fill = os.getpid(), dataset._Chunker.fill
 
         def failing(self, chunk, c0):
@@ -364,6 +377,16 @@ class TestEval:
                      "--out", str(out)]) == 2
         assert not out.parent.exists()
 
+    def test_conventional_reversed_snr_range_rejected(self, tmp_path, cpus,
+                                                      forks, capsys):
+        cpus(2)
+        out = tmp_path / "out" / "conv.csv"
+        assert main(["eval", "--conventional", "--snr-range", "20", "10",
+                     "--packets", str(4 * streams.CHUNK_TRIALS),
+                     "--out", str(out)]) == 2
+        assert "--snr-range" in capsys.readouterr().err
+        assert not out.parent.exists() and not forks
+
     def test_empty_test_partition(self, workspace, tmp_path, capsys):
         spec = replace(DatasetSpec.from_json(
             (workspace / "spec.json").read_text()), split=(0.85, 0.15, 0.0))
@@ -481,7 +504,7 @@ class TestConventionalWorkers:
     @pytest.mark.parametrize("n_cpus, workers", [(1, 0), (2, 1)])
     def test_manifest_records_workers(self, tmp_path, monkeypatch, command,
                                       n_cpus, workers):
-        monkeypatch.setattr(streams, "usable_cpus", lambda: n_cpus)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: n_cpus)
         code, manifest = self._run(tmp_path, command,
                                    2 * streams.CHUNK_TRIALS)
         assert code == 0
@@ -492,7 +515,7 @@ class TestConventionalWorkers:
                                              (ValueError, 4)])
     def test_worker_error_keeps_exit_code(self, tmp_path, monkeypatch, capsys,
                                           no_hang, command, error, code):
-        monkeypatch.setattr(streams, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
         parent = os.getpid()
         draw_link = streams.StreamSimulator.draw_link
 
@@ -597,12 +620,15 @@ def test_cli_imports_no_scipy():
     # the package is numpy-only (pyproject.toml), and gen forks its workers
     # itself: importing the CLI in a fresh interpreter must load no scipy,
     # multiprocessing or concurrent.futures module, installed or not, since
-    # every CLI call pays for its imports
+    # every CLI call pays for its imports.  Nor may it load mmap, signal,
+    # fcntl or traceback, which only the forking path (forked, dataset)
+    # needs and imports lazily
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, pktdetect.cli; print(sorted(m for m in sys.modules"
-            " if m.partition('.')[0] in ('scipy', 'multiprocessing')"
+            " if m.partition('.')[0] in ('scipy', 'multiprocessing', 'mmap',"
+            " 'signal', 'fcntl', 'traceback')"
             " or m.startswith('concurrent.futures')))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_generate, oracle_split, traced_peak
-from pktdetect import dataset
+from pktdetect import dataset, forked
 from pktdetect.channel import ChannelTemplate
 from pktdetect.dataset import (CHUNK_BLOCKS, PARTS, DatasetError, DatasetSpec,
                                Kind, generate, load, record_dtype, save, split)
@@ -126,6 +126,12 @@ class TestDatasetSpec:
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             DatasetSpec(block_len=40, frac_no_start=1.5)
+
+    def test_snr_range_low_to_high(self):
+        # equal bounds are one point, as sweep --model builds them
+        with pytest.raises(ValueError, match="low <= high"):
+            DatasetSpec(block_len=40, snr_range_db=(25.0, 0.0))
+        DatasetSpec(block_len=40, snr_range_db=(7.5, 7.5))
 
     def test_block_longer_than_packet_needs_no_mid_tail(self):
         with pytest.raises(DatasetError):
@@ -335,17 +341,10 @@ def _no_child_left():
 class TestThreads:
     """generate makes its chunks in worker_count forked processes (this
     class and its byte test keep their names from the threads the
-    processes replaced); these tests force the count through the CPU count
-    it reads (lifting the cap, which only bounds the speed), and the bytes
-    must not depend on it.  A worker's own records stay in the worker, so
-    the tests record only what this process does: its forks and kills."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        def force(n):
-            monkeypatch.setattr(dataset, "usable_cpus", lambda: n)
-            monkeypatch.setattr(dataset, "MAX_WORKERS", 64)
-        return force
+    processes replaced); these tests force the count through forked's CPU
+    count (the cpus fixture), and the bytes must not depend on it.  A
+    worker's own records stay in the worker, so the tests record only what
+    this process does: its forks and kills."""
 
     @staticmethod
     def plant_in_parent(monkeypatch, name, error):
@@ -378,7 +377,7 @@ class TestThreads:
         (2, 159, 10 * C, 2), (64, 40, 10 * C, 2)])
     def test_worker_count(self, monkeypatch, n_cpus, block_len, n_blocks,
                           workers):
-        monkeypatch.setattr(dataset, "usable_cpus", lambda: n_cpus)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: n_cpus)
         spec = DatasetSpec(block_len=block_len, n_blocks=n_blocks)
         assert dataset.worker_count(spec) == workers
 
@@ -555,7 +554,7 @@ class TestPersistence:
     @pytest.mark.usefixtures("no_hang")
     def test_writes_a_forked_generate_from_its_mmap(self, monkeypatch,
                                                     tmp_path):
-        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
         spec = DatasetSpec(block_len=40, n_blocks=3 * CHUNK_BLOCKS + 5,
                            seed=12, channel=_FAST)
         blocks = generate(spec)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (oracle_apply_channel, oracle_evaluate_conventional,
                       oracle_receive, receive)
-from pktdetect import streams
+from pktdetect import forked, streams
 from pktdetect.channel import ChannelTemplate, rx_frontend
 from pktdetect.preamble import PREAMBLE_LEN, ComplexSignal
 from pktdetect.streams import (StreamSimulator, StreamTrialConfig,
@@ -134,16 +134,16 @@ class TestReceive:
 
 class TestRunTrial:
     def test_packet_trial_fields(self, awgn_sim):
-        link = awgn_sim.draw_link(np.random.default_rng(0), 123, 100)
-        out = awgn_sim.run_trial(link)
+        y = receive(awgn_sim, np.random.default_rng(0), 20.0, 123, 100)
+        out = awgn_sim.run_trial(y, True, 123)
         assert out.has_packet
         assert out.true_start == 123
         assert out.snr_db == 20.0
 
     def test_noise_trial_fields(self, awgn_sim):
-        link = awgn_sim.draw_link(np.random.default_rng(1), 123, 100,
-                                  has_packet=False)
-        out = awgn_sim.run_trial(link)
+        y = receive(awgn_sim, np.random.default_rng(1), 20.0, 123, 100,
+                    has_packet=False)
+        out = awgn_sim.run_trial(y, False, 123)
         assert not out.has_packet
         assert out.true_start == -1
 
@@ -152,7 +152,8 @@ class TestRunTrial:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             pre = int(rng.integers(100, 300))
-            out = awgn_sim.run_trial(awgn_sim.draw_link(rng, pre, 100))
+            y = receive(awgn_sim, rng, 20.0, pre, 100)
+            out = awgn_sim.run_trial(y, True, pre)
             if out.detected and abs(out.fine_start - out.true_start) <= 2:
                 hits += 1
         assert hits >= 19
@@ -331,6 +332,12 @@ class TestSharedSweep:
             cfg, 40, seed=seed, snr_range_db=(0.0, 25.0))
 
 
+def test_reversed_snr_range_rejected():
+    with pytest.raises(ValueError, match="low <= high"):
+        evaluate_conventional(StreamTrialConfig(), 20, seed=1,
+                              snr_range_db=(10.0, 5.0))
+
+
 def test_points_and_range_exclusive():
     with pytest.raises(ValueError):
         evaluate_conventional(StreamTrialConfig(), 1, snrs_db=(10.0,),
@@ -354,39 +361,21 @@ def test_snr_without_a_noise_level_rejected(snr_db, kwargs):
 
 C = streams.CHUNK_TRIALS
 # evaluate_conventional's four modes: several points, one point, a
-# noiseless point alone, and each trial at its own SNR from a range
+# noiseless point alone, and each trial at its own SNR from a range.  At 65
+# points a worker's chunk is more than 512 (forked._IOV_MAX) streams, so
+# one frame takes more than one readv
 MODES = {"points": {"snrs_db": POINTS}, "one-point": {},
-         "inf": {"snrs_db": (np.inf,)}, "range": {"snr_range_db": (0.0, 25.0)}}
-
-
-def _open_fds() -> set:
-    return set(os.listdir("/proc/self/fd"))
+         "inf": {"snrs_db": (np.inf,)}, "range": {"snr_range_db": (0.0, 25.0)},
+         "65-points": {"snrs_db": tuple(k / 2 - 4 for k in range(65))}}
 
 
 @pytest.mark.usefixtures("no_hang")
 class TestWorkers:
     """evaluate_conventional simulates the links of all chunks but its first
     in worker_count forked processes.  These tests force the count through
-    the CPU count it reads, lifting the cap, which only bounds the speed,
-    as generate's tests do; the outcomes must not depend on it.  Every
-    path must leave no child process and no pipe end open."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        def force(n):
-            monkeypatch.setattr(streams, "usable_cpus", lambda: n)
-            monkeypatch.setattr(streams, "MAX_WORKERS", 64)
-        return force
-
-    @pytest.fixture
-    def clean_exit(self):
-        """Assert, after the test, that no worker is left and that no pipe
-        end this process made is still open."""
-        before = _open_fds()
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert _open_fds() == before
+    forked's CPU count (the cpus fixture), as generate's tests do; the
+    outcomes must not depend on it.  Every path must leave no child process
+    and no pipe end open."""
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("n_trials", [C - 3, 3 * C + 5],
@@ -416,7 +405,7 @@ class TestWorkers:
         (1, 10 * C, 0), (2, 10 * C, 1), (64, 10 * C, 1), (2, C, 0),
         (2, C + 1, 1), (64, 1, 0), (2, 0, 0)])
     def test_worker_count(self, monkeypatch, n_cpus, n_trials, workers):
-        monkeypatch.setattr(streams, "usable_cpus", lambda: n_cpus)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: n_cpus)
         assert streams.worker_count(n_trials) == workers
 
     @pytest.mark.parametrize("error", [ValueError, KeyError])
@@ -495,9 +484,9 @@ class TestWorkers:
         cpus(2)
         run_trial, kept = StreamSimulator.run_trial, []
 
-        def keeping(self, link, y=None):
+        def keeping(self, y, *args):
             kept.append(y.samples)
-            return run_trial(self, link, y)
+            return run_trial(self, y, *args)
 
         monkeypatch.setattr(StreamSimulator, "run_trial", keeping)
         evaluate_conventional(StreamTrialConfig(), 3 * C, seed=2,
