@@ -24,7 +24,7 @@ BLOCK_LENGTHS = (40, 80, 160, 320, 800, 1600)
 
 IN_CHANNELS = 4
 CONV1_FILTERS = 9
-CONV1_FILTER_LEN = 8  # half of the short-training-symbol length
+CONV1_FILTER_LEN = 8  # framed steps: 32 input samples, four STF periods
 CONV2_FILTERS = 5
 CONV2_FILTER_LEN = 3
 FC_NEURONS = 3

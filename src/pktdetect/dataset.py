@@ -9,9 +9,9 @@ mid-or-tail).  Generation is deterministic given the spec seed: every block
 draws from its own (seed, index) substream.  It runs CHUNK_BLOCKS blocks
 at a time: first each block makes its draws, then the chunk's blocks are
 computed together as rows of 2-D arrays, each for only the samples it
-keeps.  Chunks are made in up to one forked worker process per usable CPU,
-into a record array the workers share with the caller, and the bytes do
-not depend on the worker count (see `generate`).
+keeps.  The caller and its forked workers (`forked.worker_count`) each
+make a stride of the chunks into a record array they share, and the bytes
+do not depend on the worker count (see `generate`).
 """
 from __future__ import annotations
 
@@ -103,10 +103,9 @@ class DatasetSpec:
 
 
 def worker_count(spec: DatasetSpec) -> int:
-    """The number of processes `generate` makes spec's blocks in: one per
-    usable CPU, at most forked.MAX_WORKERS and at most one per chunk."""
-    return min(forked.MAX_WORKERS, forked.usable_cpus(),
-               -(-spec.n_blocks // CHUNK_BLOCKS))
+    """The worker processes `generate` forks for spec, beside this process:
+    forked.worker_count of its chunks."""
+    return forked.worker_count(-(-spec.n_blocks // CHUNK_BLOCKS))
 
 
 def generate(spec: DatasetSpec) -> np.ndarray:
@@ -114,82 +113,35 @@ def generate(spec: DatasetSpec) -> np.ndarray:
 
     Each block is cut from one link stream: `block_len` samples of noise,
     the NDP, then `block_len + 16` more.  Blocks are made CHUNK_BLOCKS at a
-    time (see `_Chunker`).  With one worker (`worker_count`: one usable CPU
-    or one chunk) this process makes them all; otherwise forked worker
-    processes do, each claiming the next chunk start from a pipe and
-    writing that chunk into a record array they share with this process
-    (see `_generate_in_workers`).  Every block draws from its own (seed,
-    index) substream and a row's arithmetic is that of its stream simulated
-    alone, so the bytes depend neither on the chunking nor on the worker
-    count.
-    """
-    sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
-    n_workers = worker_count(spec)
-    if n_workers > 1:
-        return _generate_in_workers(spec, sim, n_workers)
-    blocks = np.zeros(spec.n_blocks, dtype=record_dtype(spec.block_len))
-    chunker = _Chunker(spec, sim)
-    for c0 in range(0, spec.n_blocks, CHUNK_BLOCKS):
-        chunker.fill(blocks[c0:c0 + CHUNK_BLOCKS], c0)
-    return blocks
-
-
-# bytes of one chunk start in generate's task pipe: a write of at most
-# PIPE_BUF bytes is atomic, so every read of this many takes one whole claim
-_CLAIM = 8
-
-
-def _generate_in_workers(spec: DatasetSpec, sim: StreamSimulator,
-                         n_workers: int) -> np.ndarray:
-    """`generate`'s blocks, made in n_workers forked processes
-    (`forked.run`) into a record array in shared memory.
-
-    This process writes the chunk starts into a pipe that only the workers
-    read, so each worker claims the next chunk not yet claimed; once every
-    worker has stopped, a write raises BrokenPipeError instead of waiting.
-    A worker that fails empties the task pipe, so that the others stop
-    after their chunk, and its exception is raised here.
+    time (see `_Chunker`), by n processes into one record array in shared
+    memory: this process makes chunks 0, n, 2n, ... while forked worker k
+    (`forked.run`, n - 1 = `worker_count` of them) makes chunks 1 + k,
+    1 + k + n, ...; with n = 1 nothing forks.  Every block draws from its
+    own (seed, index) substream and a row's arithmetic is that of its
+    stream simulated alone, so the bytes depend neither on the chunking nor
+    on the worker count.
     """
     import mmap  # here, not at import time, which every CLI call pays for
+    sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
     dtype = record_dtype(spec.block_len)
-    # shared memory: chunks sent back in frames, as the sweep's, ran no faster
+    # shared memory: chunks sent back in frames, as the sweep's, ran slower
     blocks = np.frombuffer(mmap.mmap(-1, spec.n_blocks * dtype.itemsize),
                            dtype=dtype)
-    # claims: a static split (worker k: chunks k, k + n, ...) was no faster
-    tasks_r, tasks_w = os.pipe()
-    held = [tasks_r, tasks_w]  # this process's ends still open
+    starts = range(0, spec.n_blocks, CHUNK_BLOCKS)
+    n = worker_count(spec) + 1
 
-    def work(k, send):
-        os.close(tasks_w)  # else the task pipe would never end
-        chunker = _Chunker(spec, sim)  # this worker's buffers
-        try:
-            while claim := os.read(tasks_r, _CLAIM):
-                c0 = int.from_bytes(claim, "little")
-                chunker.fill(blocks[c0:c0 + CHUNK_BLOCKS], c0)
-        except BaseException:
-            while os.read(tasks_r, 1 << 16):
-                pass
-            raise
+    def fill(own):  # one process's chunks, with its own buffers
+        chunker = _Chunker(spec, sim)
+        for c0 in own:
+            chunker.fill(blocks[c0:c0 + CHUNK_BLOCKS], c0)
 
-    def feed(receive):  # filling chunks here beside one worker was slower
-        os.close(held.pop(0))  # the read end: only the workers claim
-        try:
-            for c0 in range(0, spec.n_blocks, CHUNK_BLOCKS):
-                os.write(tasks_w, c0.to_bytes(_CLAIM, "little"))
-        except BrokenPipeError:  # every worker has stopped; run says why
-            pass
-        os.close(held.pop())
-
-    try:
-        forked.run(n_workers, work, feed, "generate")
-    finally:
-        for fd in held:
-            os.close(fd)
+    forked.run(n - 1, lambda k, send: fill(starts[1 + k::n]),
+               lambda receive: fill(starts[::n]), "generate")
     return blocks
 
 
 class _Chunker:
-    """`generate`'s work on one chunk, with one worker's reusable buffers.
+    """`generate`'s work on one chunk, with one process's reusable buffers.
 
     A chunk is made in two phases:
 

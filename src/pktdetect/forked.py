@@ -6,18 +6,18 @@ A worker talks to this process only through its own pipe, in frames: an
 8-byte little-endian signed length, then that many bytes.  A worker that
 raises sends its exception, pickled, as its last frame, marked by a
 negative length.  `dataset.generate` and `streams.evaluate_conventional`
-fork through it.
+fork through it, as many workers as one rule gives (`worker_count`).
 """
 from __future__ import annotations
 
 import os
 import pickle
 
-# worker processes at most.  Threads were GIL-bound: a gen block holds the
-# GIL for about half its time, and two processes made gen 1.47x (B=40) and
-# 1.25x (B=160) as fast as two threads (README, BENCH_19.json); more than
-# two was never measured.  A sweep's caller detects while its workers
-# simulate links, so it forks one fewer (streams.worker_count)
+# processes that share a job at most, the caller included, so one forked
+# worker.  Threads were GIL-bound: a gen block holds the GIL for about half
+# its time, and two processes made gen 1.47x (B=40) and 1.25x (B=160) as
+# fast as two threads (README, BENCH_19.json); more than two was never
+# measured
 MAX_WORKERS = 2
 _LENGTH = 8  # bytes of a frame's length: one write, so one read takes it
 _IOV_MAX = 512  # buffers one readv fills at most, within Linux's 1024
@@ -35,6 +35,13 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not offered on every platform
         return os.cpu_count() or 1
+
+
+def worker_count(n_chunks: int) -> int:
+    """The worker processes to fork for n_chunks chunks of work, beside the
+    caller: one per usable CPU but the caller's, at most MAX_WORKERS - 1
+    and at most one per chunk after the caller's first."""
+    return max(0, min(MAX_WORKERS, usable_cpus(), n_chunks) - 1)
 
 
 def run(n_workers: int, work, lead, name: str) -> None:

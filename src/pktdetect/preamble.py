@@ -144,9 +144,9 @@ def _low_papr_bpsk(bins, seed: int, n_trials: int = 4096) -> np.ndarray:
 def default_preamble_spec() -> PreambleSpec:
     """The synthetic default preamble spec (fixed seeds, fully deterministic).
 
-    STF populates bins {+/-4, +/-8, +/-12} with QPSK values, so the STF is
-    periodic with 16 samples (10 short-training-symbol repeats across 160
-    samples).  LTF/SIG/LTF2 carry +/-1 values on bins +/-1..13; the LTF signs
+    STF populates bins {+/-4, +/-8, +/-12} with QPSK values: every bin a
+    multiple of 4 of the 32-point IDFT, so the STF is periodic with 32/4 =
+    8 samples (20 short-training-symbol repeats across 160 samples).  LTF/SIG/LTF2 carry +/-1 values on bins +/-1..13; the LTF signs
     come from a seeded low-PAPR search.  The spec is built once per process
     (the search's 4096 IDFT trials cost milliseconds), and each call returns
     a new spec holding its own copies of the arrays.

@@ -227,11 +227,9 @@ CHUNK_TRIALS = 8
 
 
 def worker_count(n_trials: int) -> int:
-    """The number of worker processes `evaluate_conventional` forks for
-    n_trials: one per usable CPU beside this process, at most
-    forked.MAX_WORKERS - 1 and at most one per chunk after the first."""
-    chunks = -(-n_trials // CHUNK_TRIALS)
-    return max(0, min(forked.MAX_WORKERS, forked.usable_cpus(), chunks) - 1)
+    """The worker processes `evaluate_conventional` forks for n_trials,
+    beside this process: forked.worker_count of their chunks."""
+    return forked.worker_count(-(-n_trials // CHUNK_TRIALS))
 
 
 def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,

@@ -176,34 +176,48 @@ class TestGen:
         return json.loads((out / "gen.manifest.json").read_text())["workers"]
 
     def test_manifest_records_workers(self, tmp_path, monkeypatch):
-        assert self._workers(tmp_path, monkeypatch, 1) == 1
+        assert self._workers(tmp_path, monkeypatch, 1) == 0
 
     def test_manifest_records_worker_processes(self, tmp_path, monkeypatch):
-        # any block length is made in two processes, 40 included
-        assert self._workers(tmp_path, monkeypatch, 2) == 2
+        # any block length is made in two processes, 40 included: this
+        # one and one forked worker
+        assert self._workers(tmp_path, monkeypatch, 2) == 1
 
-    @pytest.mark.parametrize("error, code", [(dataset.DatasetError, 3),
-                                             (ValueError, 4)])
-    def test_worker_error_keeps_exit_code(self, tmp_path, monkeypatch, capsys,
-                                          no_hang, error, code):
-        # the exception crosses from the worker processes with its type
+    @staticmethod
+    def _planted_gen(tmp_path, monkeypatch, capsys, error, in_parent):
+        """gen's exit code on two CPUs when _Chunker.fill raises error in
+        this process alone, or in the worker alone."""
         monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
         parent, fill = os.getpid(), dataset._Chunker.fill
 
         def failing(self, chunk, c0):
-            if os.getpid() != parent:
-                raise error("planted in a worker")
+            if (os.getpid() == parent) == in_parent:
+                raise error("planted")
             fill(self, chunk, c0)
 
         monkeypatch.setattr(dataset._Chunker, "fill", failing)
         spec_path = tmp_path / "spec.json"
         _write_spec(spec_path, n_blocks=4 * dataset.CHUNK_BLOCKS)
         out = tmp_path / "data"
-        assert main(["gen", "--spec", str(spec_path), "--out", str(out)]) == code
-        assert "planted in a worker" in capsys.readouterr().err
+        code = main(["gen", "--spec", str(spec_path), "--out", str(out)])
+        assert "planted" in capsys.readouterr().err
         assert not out.exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        return code
+
+    @pytest.mark.parametrize("error, code", [(dataset.DatasetError, 3),
+                                             (ValueError, 4)])
+    def test_worker_error_keeps_exit_code(self, tmp_path, monkeypatch, capsys,
+                                          no_hang, clean_exit, error, code):
+        # the exception crosses from the worker process with its type
+        assert self._planted_gen(tmp_path, monkeypatch, capsys, error,
+                                 in_parent=False) == code
+
+    @pytest.mark.parametrize("error, code", [(dataset.DatasetError, 3),
+                                             (ValueError, 4)])
+    def test_caller_error_keeps_exit_code(self, tmp_path, monkeypatch, capsys,
+                                          no_hang, clean_exit, error, code):
+        assert self._planted_gen(tmp_path, monkeypatch, capsys, error,
+                                 in_parent=True) == code
 
 
 class TestTrain:

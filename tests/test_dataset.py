@@ -331,63 +331,49 @@ class TestChunks:
         assert blocks["kind"][index] == Kind.MID_TAIL
 
 
-def _no_child_left():
-    # every worker has been reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.usefixtures("no_hang")
+@pytest.mark.usefixtures("no_hang", "clean_exit")
 class TestThreads:
-    """generate makes its chunks in worker_count forked processes (this
-    class and its byte test keep their names from the threads the
-    processes replaced); these tests force the count through forked's CPU
-    count (the cpus fixture), and the bytes must not depend on it.  A
-    worker's own records stay in the worker, so the tests record only what
-    this process does: its forks and kills."""
+    """generate makes its chunks in this process and worker_count forked
+    processes beside it (this class and its byte test keep their names
+    from the threads the processes replaced); these tests force the count
+    through forked's CPU count (the cpus fixture), and the bytes must not
+    depend on it.  A worker's own records stay in the worker, so the tests
+    record only what this process does: its forks and kills.  Every path
+    must leave no child process and no pipe end open (clean_exit)."""
 
     @staticmethod
-    def plant_in_parent(monkeypatch, name, error):
-        """Make os.<name> raise error when this process calls it; the
-        workers' calls pass through."""
-        parent, inner = os.getpid(), getattr(os, name)
+    def plant(monkeypatch, error, in_parent):
+        """Make _Chunker.fill raise error (or call it, if callable) in this
+        process alone, or in the workers alone."""
+        parent, fill = os.getpid(), dataset._Chunker.fill
 
-        def planted(*args):
-            if os.getpid() == parent:
+        def planted(self, chunk, c0):
+            if (os.getpid() == parent) == in_parent:
+                if callable(error):
+                    error()
                 raise error
-            return inner(*args)
+            fill(self, chunk, c0)
 
-        monkeypatch.setattr(os, name, planted)
+        monkeypatch.setattr(dataset._Chunker, "fill", planted)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
     @pytest.mark.parametrize("channel", [_FAST, ChannelTemplate()],
                              ids=["awgn", "multipath-cfo"])
     @pytest.mark.parametrize("block_len", [40, 160])
-    def test_bytes_independent_of_thread_count(self, cpus, workers, channel,
+    def test_bytes_independent_of_thread_count(self, cpus, n_cpus, channel,
                                                block_len):
-        cpus(workers)
+        cpus(n_cpus)
         spec = DatasetSpec(block_len=block_len, n_blocks=3 * C + 5, seed=12,
                            channel=channel)
-        assert dataset.worker_count(spec) == workers
+        assert dataset.worker_count(spec) == n_cpus - 1
         assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
-
-    @pytest.mark.parametrize("n_cpus, block_len, n_blocks, workers", [
-        (1, 160, 10 * C, 1), (2, 160, 10 * C, 2), (64, 160, 10 * C, 2),
-        (2, 160, C, 1), (2, 160, C + 1, 2), (64, 400, 10 * C, 2),
-        (2, 159, 10 * C, 2), (64, 40, 10 * C, 2)])
-    def test_worker_count(self, monkeypatch, n_cpus, block_len, n_blocks,
-                          workers):
-        monkeypatch.setattr(forked, "usable_cpus", lambda: n_cpus)
-        spec = DatasetSpec(block_len=block_len, n_blocks=n_blocks)
-        assert dataset.worker_count(spec) == workers
 
     def test_one_fork_per_worker(self, cpus, forks):
         cpus(3)
         spec = DatasetSpec(block_len=40, n_blocks=3 * C, seed=1,
                            channel=_FAST)
         assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
-        assert len(forks) == 3
-        _no_child_left()
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("n_cpus, n_blocks", [(1, 3 * C + 5), (3, C)],
                              ids=["one-cpu", "one-chunk"])
@@ -395,12 +381,26 @@ class TestThreads:
         cpus(n_cpus)
         spec = DatasetSpec(block_len=40, n_blocks=n_blocks, seed=13,
                            channel=_FAST)
+        assert dataset.worker_count(spec) == 0
         assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
         assert forks == []
+
+    @pytest.mark.parametrize("n_cpus, block_len, n_blocks, processes", [
+        (1, 160, 10 * C, 1), (2, 160, 10 * C, 2), (64, 160, 10 * C, 2),
+        (2, 160, C, 1), (2, 160, C + 1, 2), (64, 400, 10 * C, 2),
+        (2, 159, 10 * C, 2), (64, 40, 10 * C, 2)])
+    def test_worker_count(self, monkeypatch, n_cpus, block_len, n_blocks,
+                          processes):
+        # processes counts this process too: it makes chunks beside the
+        # workers, so worker_count forks one fewer; block_len plays no part
+        monkeypatch.setattr(forked, "usable_cpus", lambda: n_cpus)
+        spec = DatasetSpec(block_len=block_len, n_blocks=n_blocks)
+        assert dataset.worker_count(spec) == processes - 1
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunk_error_raised_after_workers_reaped(self, cpus, monkeypatch,
                                                      workers):
+        # chunk 2 is this process's with one CPU, the second worker's with 3
         cpus(workers)
         fill = dataset._Chunker.fill
 
@@ -413,59 +413,55 @@ class TestThreads:
         with pytest.raises(RuntimeError, match="planted chunk failure"):
             generate(DatasetSpec(block_len=40, n_blocks=8 * C, seed=1,
                                  channel=_FAST))
-        _no_child_left()
 
     def test_unpicklable_error_arrives_with_traceback(self, cpus,
                                                       monkeypatch):
         class Local(Exception):  # a local class does not pickle
             pass
 
-        def failing(self, chunk, c0):
-            raise Local("planted unpicklable failure")
-
         cpus(2)
-        monkeypatch.setattr(dataset._Chunker, "fill", failing)
+        self.plant(monkeypatch, Local("planted unpicklable failure"),
+                   in_parent=False)
         with pytest.raises(RuntimeError) as info:
             generate(DatasetSpec(block_len=40, n_blocks=4 * C, seed=1,
                                  channel=_FAST))
         assert "planted unpicklable failure" in str(info.value)
         assert "Traceback" in str(info.value)
-        _no_child_left()
 
     def test_worker_that_dies_unreported(self, cpus, monkeypatch):
-        # the workers leave without a report before claiming more than the
-        # pipe holds, so feeding ends with BrokenPipeError, not a hang
-        def dying(self, chunk, c0):
-            os._exit(7)
-
         cpus(2)
-        monkeypatch.setattr(dataset._Chunker, "fill", dying)
-        n_blocks = (2 * (1 << 16) // dataset._CLAIM) * C
+        self.plant(monkeypatch, lambda: os._exit(7), in_parent=False)
         with pytest.raises(RuntimeError, match="exit status 7"):
-            generate(DatasetSpec(block_len=40, n_blocks=n_blocks, seed=1,
+            generate(DatasetSpec(block_len=40, n_blocks=4 * C, seed=1,
                                  channel=_FAST))
-        _no_child_left()
 
-    def test_feed_failure_kills_and_reaps_workers(self, cpus, monkeypatch,
-                                                  forks, kills):
+    @pytest.mark.parametrize("error", [DatasetError, KeyError])
+    def test_caller_chunk_failure_kills_and_reaps_workers(
+            self, cpus, monkeypatch, forks, kills, error):
         cpus(3)
-        self.plant_in_parent(monkeypatch, "write",
-                             RuntimeError("planted feed failure"))
-        with pytest.raises(RuntimeError, match="planted feed failure"):
-            generate(DatasetSpec(block_len=40, n_blocks=8 * C, seed=1,
-                                 channel=_FAST))
-        assert len(forks) == 3 and kills == forks
-        _no_child_left()
-
-    def test_interrupt_while_waiting_kills_and_reaps_workers(
-            self, cpus, monkeypatch, forks, kills):
-        cpus(2)
-        self.plant_in_parent(monkeypatch, "read", KeyboardInterrupt())
-        with pytest.raises(KeyboardInterrupt):
+        self.plant(monkeypatch, error("planted in the caller"),
+                   in_parent=True)
+        with pytest.raises(error, match="planted in the caller"):
             generate(DatasetSpec(block_len=40, n_blocks=8 * C, seed=1,
                                  channel=_FAST))
         assert len(forks) == 2 and kills == forks
-        _no_child_left()
+
+    def test_interrupt_while_waiting_kills_and_reaps_workers(
+            self, cpus, monkeypatch, forks, kills):
+        # this process reads its worker's pipe once its own chunks are made
+        cpus(2)
+        parent, read = os.getpid(), os.read
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return read(*args)
+
+        monkeypatch.setattr(os, "read", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            generate(DatasetSpec(block_len=40, n_blocks=8 * C, seed=1,
+                                 channel=_FAST))
+        assert len(forks) == 1 and kills == forks
 
 
 class TestSplit:

@@ -21,6 +21,16 @@ def test_no_worker_is_lead_alone(forks):
     assert len(seen) == 1 and not forks
 
 
+@pytest.mark.parametrize("n_cpus, n_chunks, workers", [
+    (1, 10, 0), (2, 10, 1), (64, 10, 1), (2, 1, 0), (2, 2, 1), (64, 1, 0),
+    (2, 0, 0)])
+def test_worker_count(monkeypatch, n_cpus, n_chunks, workers):
+    # gen's and the sweep's rule: one process per usable CPU, the caller
+    # included, at most MAX_WORKERS and at most one per chunk
+    monkeypatch.setattr(forked, "usable_cpus", lambda: n_cpus)
+    assert forked.worker_count(n_chunks) == workers
+
+
 def test_frame_of_more_buffers_than_one_readv_fills():
     # 3 * _IOV_MAX + 7 buffers, above Linux's own limit of 1024 too, some
     # of them empty, read into buffers split unlike the sender's

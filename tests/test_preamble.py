@@ -62,6 +62,12 @@ class TestPreambleStructure:
         err = np.max(np.abs(s[:144] - s[16:160]))
         assert err < 1e-9
 
+    def test_stf_period_8_not_4(self, preamble):
+        # bins that are multiples of 4 of a 32-point IDFT: period 32/4 = 8
+        s = preamble.samples
+        assert np.max(np.abs(s[:152] - s[8:160])) < 1e-9
+        assert np.max(np.abs(s[:156] - s[4:160])) > 0.1
+
     def test_ltf1_core_repeats(self, preamble):
         s = preamble.samples
         for off in LTS_CORE_OFFSETS:

@@ -131,6 +131,28 @@ class TestReceive:
         assert np.mean(np.concatenate(power)) == pytest.approx(
             sim.noise_sigma2(10.0), rel=0.05)
 
+    def test_cfo_uniform_within_its_range(self):
+        # gen and the sweep draw a stream's CFO in draw_channel: uniform on
+        # (-cfo_max_hz, cfo_max_hz).  The Kolmogorov-Smirnov distance of n
+        # draws exceeds eps with probability at most 2 exp(-2 n eps^2)
+        # (Dvoretzky-Kiefer-Wolfowitz), 1e-6 at the eps used here
+        n, top = 4000, 18_000.0
+        sim = StreamSimulator(StreamTrialConfig(
+            channel=ChannelTemplate(cfo_max_hz=top)))
+        cfo = np.sort([sim.draw_channel(np.random.default_rng((3, i)))[0]
+                       for i in range(n)])
+        assert np.all(np.abs(cfo) <= top)
+        u = (cfo + top) / (2 * top)  # Uniform(0, 1) if the draw is right
+        ks = max(np.max(np.arange(1, n + 1) / n - u),
+                 np.max(u - np.arange(n) / n))
+        assert ks < math.sqrt(math.log(2 / 1e-6) / (2 * n))
+
+    def test_zero_cfo_range_draws_zero(self):
+        sim = StreamSimulator(StreamTrialConfig(
+            channel=ChannelTemplate(cfo_max_hz=0.0)))
+        for i in range(50):
+            assert sim.draw_channel(np.random.default_rng((3, i)))[0] == 0.0
+
 
 class TestRunTrial:
     def test_packet_trial_fields(self, awgn_sim):
