@@ -1,5 +1,6 @@
-"""Command-line front end: dataset generation, training, evaluation of both
-detectors, FLOPS reports and MAE-vs-SNR sweeps.
+"""Command-line front end: dataset generation, training and test-split
+evaluation of the CNN, FLOPS reports and MAE-vs-SNR sweeps of both
+detectors.
 
 Subcommands: gen, train, eval, flops, sweep.  Every run writes a manifest
 next to its outputs with the command, arguments, seed and format versions,
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cnn, dataset, flops, nn, streams
-from .channel import ChannelTemplate, check_snr_range
+from .channel import ChannelTemplate
 from .cnn import BLOCK_LENGTHS, CnnDetectorConfig
 
 
@@ -193,42 +194,23 @@ def _channel(args) -> ChannelTemplate:
 
 def cmd_eval(args) -> int:
     out = Path(args.out)
-    if args.conventional:
-        trial_cfg = streams.StreamTrialConfig(snr_db=args.snr_db,
-                                              channel=_channel(args))
-        snr_range = tuple(args.snr_range) if args.snr_range else None
-        if snr_range is not None:
-            try:
-                check_snr_range(snr_range)
-            except ValueError as exc:
-                raise UsageError(f"--snr-range: {exc}") from exc
-        outcomes, = streams.evaluate_conventional(
-            trial_cfg, args.packets, seed=args.seed, snr_range_db=snr_range)
-        name, metrics = "conventional", streams.summarize(outcomes)
-    else:
-        if not args.model:
-            raise UsageError("eval needs --model or --conventional")
-        for flag, value in (("--data", args.data),
-                            ("--block-len", args.block_len)):
-            if value is None:
-                raise UsageError(f"eval --model needs {flag}")
-        (test_blocks,), manifest = _load_split(
-            Path(args.data), args.block_len, "test")
-        model = cnn.load_model(args.model)
-        if model.cfg.block_len != manifest["block_len"]:
-            raise UsageError(
-                f"model block_len {model.cfg.block_len} does not match "
-                f"dataset block_len {manifest['block_len']}")
-        name, metrics = "cnn", cnn.evaluate(model, test_blocks)
+    (test_blocks,), manifest = _load_split(
+        Path(args.data), args.block_len, "test")
+    model = cnn.load_model(args.model)
+    if model.cfg.block_len != manifest["block_len"]:
+        raise UsageError(
+            f"model block_len {model.cfg.block_len} does not match "
+            f"dataset block_len {manifest['block_len']}")
+    metrics = cnn.evaluate(model, test_blocks)
     _write_csv(out, ["snr_bin_lo", "snr_bin_hi", "mae", "n"],
                [(_fmt(lo), _fmt(hi), _fmt(mae), n)
                 for lo, hi, mae, n in metrics.per_snr])
     _write_csv(out.parent / f"{out.stem}_summary.csv",
                ["miss_rate", "false_alarm_rate"],
                [(_fmt(metrics.miss_rate), _fmt(metrics.false_alarm_rate))])
-    print(f"{name}: miss {_rate(metrics.miss_rate)}, "
+    print(f"cnn: miss {_rate(metrics.miss_rate)}, "
           f"false alarm {_rate(metrics.false_alarm_rate)}, mae {metrics.mae}")
-    _write_manifest(out.parent, "eval", vars(args), **_workers(args))
+    _write_manifest(out.parent, "eval", vars(args))
     return 0
 
 
@@ -305,13 +287,6 @@ def snr_db(text: str) -> float:
     return snr
 
 
-def finite_snr_db(text: str) -> float:
-    snr = snr_db(text)
-    if math.isinf(snr):
-        raise ValueError(f"SNR {text!r} is not finite")
-    return snr
-
-
 def positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -349,17 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a detector")
-    p.add_argument("--model", help="model checkpoint path")
-    p.add_argument("--conventional", action="store_true")
-    p.add_argument("--data", help="dataset directory (model mode)")
-    p.add_argument("--block-len", type=positive_int, help="dataset block length")
-    p.add_argument("--packets", type=positive_int, default=2000)
-    p.add_argument("--snr-db", type=snr_db, default=20.0)
-    p.add_argument("--snr-range", type=finite_snr_db, nargs=2,
-                   metavar=("LO", "HI"))
-    p.add_argument("--awgn-only", action="store_true")
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p = sub.add_parser("eval", help="evaluate a CNN on a dataset's test split")
+    p.add_argument("--model", required=True, help="model checkpoint path")
+    p.add_argument("--data", required=True, help="dataset directory")
+    p.add_argument("--block-len", type=positive_int, required=True,
+                   help="dataset block length")
     p.add_argument("--out", required=True, help="per-SNR-bin MAE CSV path")
     p.set_defaults(func=cmd_eval)
 

@@ -146,8 +146,9 @@ def default_preamble_spec() -> PreambleSpec:
 
     STF populates bins {+/-4, +/-8, +/-12} with QPSK values: every bin a
     multiple of 4 of the 32-point IDFT, so the STF is periodic with 32/4 =
-    8 samples (20 short-training-symbol repeats across 160 samples).  LTF/SIG/LTF2 carry +/-1 values on bins +/-1..13; the LTF signs
-    come from a seeded low-PAPR search.  The spec is built once per process
+    8 samples (20 short-training-symbol repeats across 160 samples).
+    LTF/SIG/LTF2 carry +/-1 values on bins +/-1..13; the LTF signs come
+    from a seeded low-PAPR search.  The spec is built once per process
     (the search's 4096 IDFT trials cost milliseconds), and each call returns
     a new spec holding its own copies of the arrays.
     """

@@ -41,7 +41,7 @@ from .preamble import (BASE_RATE_HZ, ComplexSignal, PREAMBLE_LEN,
                        build_preamble, default_preamble_spec,
                        design_interp_filter, lts_core, upsample_filter)
 from .channel import (ChannelConfig, ChannelTemplate, add_noise,
-                      apply_channel, check_snr_range, draw_model_b_taps,
+                      apply_channel, draw_model_b_taps,
                       noise_scale, rx_frontend)
 from . import forked
 from .cnn import EvalMetrics, score
@@ -234,7 +234,6 @@ def worker_count(n_trials: int) -> int:
 
 def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
                           seed: int = 0, packet_fraction: float = 0.5,
-                          snr_range_db: tuple | None = None,
                           snrs_db: tuple | None = None
                           ) -> list[list[TrialOutcome]]:
     """Run a batch of mixed packet / noise-only trials at each SNR point;
@@ -246,10 +245,7 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     positions, CFOs, channels and unit noise, and only the noise scale
     differs.  With more than one point, a trial costs one link simulation
     and one rx front end (rx_streams), plus a scale-add and detection per
-    point.  When snr_range_db is given, each trial instead draws its own
-    SNR uniformly from the range (channel.check_snr_range), and is
-    scored at that one point; a lone point keeps rx_stream's
-    add-then-filter.
+    point; a lone point keeps rx_stream's add-then-filter.
 
     The trials run CHUNK_TRIALS at a time, in two parts: the link and the
     rx front end (`_simulate_chunk`), which detection never feeds back
@@ -262,13 +258,9 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     draws from its own (seed, index) substream, so the outcomes do not
     depend on the worker count.
     """
-    if snr_range_db is not None and snrs_db is not None:
-        raise ValueError("give snr_range_db or snrs_db, not both")
     snrs = (trial_cfg.snr_db,) if snrs_db is None else tuple(snrs_db)
     for snr in snrs:
         noise_scale(1.0, snr)  # ValueError at a NaN or -inf point
-    if snr_range_db is not None:
-        check_snr_range(snr_range_db)
     sim = StreamSimulator(trial_cfg)
     points = [sim.at_snr(snr) for snr in snrs]
     outcomes = [[] for _ in points]
@@ -277,8 +269,7 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     n_workers = worker_count(n_trials)
 
     def simulate(trials):
-        return _simulate_chunk(sim, trials, seed, packet_fraction,
-                               snr_range_db, snrs)
+        return _simulate_chunk(sim, trials, seed, packet_fraction, snrs)
 
     def work(k, send):  # two frames a chunk: its head, then its streams
         for trials in chunks[1 + k::n_workers]:
@@ -287,7 +278,7 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
             send(*(y for rows in ys for y in rows))
 
     def receive_chunk(receive, k):  # each stream into its own array
-        head = np.frombuffer(receive(k)).reshape(-1, 4)
+        head = np.frombuffer(receive(k)).reshape(-1, 3)
         ys = [[np.empty(int(n_rx), dtype=np.complex128) for _ in snrs]
               for n_rx in head[:, 2]]
         receive(k, *(y for rows in ys for y in rows))
@@ -297,9 +288,8 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
         for c, trials in enumerate(chunks):
             head, ys = (simulate(trials) if c == 0 or not n_workers else
                         receive_chunk(receive, (c - 1) % n_workers))
-            for (pre, has_packet, _, snr), rows in zip(head.tolist(), ys):
-                at = points if math.isnan(snr) else [sim.at_snr(snr)]
-                for point, y, out in zip(at, rows, outcomes):
+            for (pre, has_packet, _), rows in zip(head.tolist(), ys):
+                for point, y, out in zip(points, rows, outcomes):
                     out.append(point.run_trial(ComplexSignal(y, BASE_RATE_HZ),
                                                bool(has_packet), int(pre)))
 
@@ -308,26 +298,23 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
 
 
 def _simulate_chunk(sim: StreamSimulator, trials: range, seed: int,
-                    packet_fraction: float, snr_range_db, snrs) -> tuple:
-    """evaluate_conventional's trials up to detection: a (trials, 4) head
-    of (pre, has_packet, n_rx, drawn SNR or NaN), and for each trial the
-    samples of its rx streams, one array per point (one for a drawn
-    SNR)."""
-    head, ys = np.empty((len(trials), 4)), []
+                    packet_fraction: float, snrs) -> tuple:
+    """evaluate_conventional's trials up to detection: a (trials, 3) head
+    of (pre, has_packet, n_rx), and for each trial the samples of its rx
+    streams, one array per point."""
+    head, ys = np.empty((len(trials), 3)), []
     for j, i in enumerate(trials):
         rng = np.random.default_rng((seed, i))
-        snr = (float(rng.uniform(*snr_range_db)) if snr_range_db is not None
-               else math.nan)
         has_packet = bool(rng.uniform() < packet_fraction)
         pre = int(rng.integers(*PRE_PAD_RANGE))
         link = sim.draw_link(rng, pre, POST_PAD, has_packet)
-        head[j] = pre, has_packet, link.n_rx, snr
+        head[j] = pre, has_packet, link.n_rx
         # filter once and scale-add per point only for several points: a
         # lone point's add-then-filter filters one row, not two (a measured
         # 119 against 205 us on a packet trial)
         ys.append([y.samples for y in (
             sim.rx_streams(link, snrs) if len(snrs) > 1 else
-            [sim.rx_stream(link, snrs[0] if math.isnan(snr) else snr)])])
+            [sim.rx_stream(link, snrs[0])])])
     return head, ys
 
 

@@ -273,10 +273,9 @@ def oracle_receive(sim, rng, snr_db, pre, post, has_packet=True):
 
 
 def oracle_evaluate_conventional(trial_cfg, n_trials, seed=0,
-                                 packet_fraction=0.5, snr_range_db=None):
+                                 packet_fraction=0.5):
     """The per-point trial loop that the shared one replaced, kept as the
-    oracle: every trial simulated afresh at trial_cfg.snr_db (or at its own
-    SNR drawn from snr_range_db)."""
+    oracle: every trial simulated afresh at trial_cfg.snr_db."""
     from pktdetect.corrsync import coarse_detect, fine_detect
     from pktdetect.streams import (DETECTOR, POST_PAD, PRE_PAD_RANGE,
                                    StreamSimulator, TrialOutcome)
@@ -285,17 +284,16 @@ def oracle_evaluate_conventional(trial_cfg, n_trials, seed=0,
     outcomes = []
     for i in range(n_trials):
         rng = np.random.default_rng((seed, i))
-        snr = (float(rng.uniform(*snr_range_db)) if snr_range_db is not None
-               else trial_cfg.snr_db)
         has_packet = bool(rng.uniform() < packet_fraction)
         pre = int(rng.integers(*PRE_PAD_RANGE))
-        y = oracle_receive(sim, rng, snr, pre, POST_PAD, has_packet)
+        y = oracle_receive(sim, rng, trial_cfg.snr_db, pre, POST_PAD,
+                           has_packet)
         res = coarse_detect(y, DETECTOR)
         fine = (fine_detect(y, res.start_sample, sim.lts)
                 if res.detected else -1)
         outcomes.append(TrialOutcome(has_packet, pre if has_packet else -1,
                                      res.detected, res.start_sample, fine,
-                                     snr))
+                                     trial_cfg.snr_db))
     return outcomes
 
 

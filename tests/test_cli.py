@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -308,49 +309,31 @@ class TestEval:
         summary = _read_csv(tmp_path / "eval_summary.csv")
         assert summary[0] == ["miss_rate", "false_alarm_rate"]
 
-    def test_conventional_mode(self, tmp_path):
-        out = tmp_path / "conv.csv"
-        assert main(["eval", "--conventional", "--awgn-only",
-                     "--packets", "20", "--out", str(out)]) == 0
-        assert _read_csv(out)[0] == ["snr_bin_lo", "snr_bin_hi", "mae", "n"]
+    def test_conventional_mode_is_gone(self, workspace, tmp_path, capsys):
+        # the correlator is scored by sweep --conventional alone
+        out = tmp_path / "out" / "conv.csv"
+        assert main(["eval", "--model", str(workspace / "model.ckpt"),
+                     "--data", str(workspace / "data"), "--block-len", "40",
+                     "--conventional", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --conventional" in (
+            capsys.readouterr().err)
+        assert not out.parent.exists()
 
-    def test_conventional_snr_range_scores_its_trials(self, tmp_path):
-        # the rows and summary cells are the figures of the trials eval ran:
-        # the per-bin MAE of mae_by_snr and rates recounted from outcomes
-        # (seed 10's trials hold a miss and nonzero start errors)
-        out = tmp_path / "conv.csv"
-        assert main(["eval", "--conventional", "--snr-range", "0", "25",
-                     "--packets", "200", "--seed", "10", "--out", str(out)]) == 0
-        outcomes, = streams.evaluate_conventional(
-            streams.StreamTrialConfig(channel=ChannelTemplate()), 200, seed=10,
-            snr_range_db=(0.0, 25.0))
-        tp = [o for o in outcomes if o.has_packet and o.detected]
-        bins = cnn.mae_by_snr([o.snr_db for o in tp],
-                              [abs(o.fine_start - o.true_start) for o in tp])
-        assert sum(n for *_, n in bins) == len(tp) > 0
+    def test_missing_rate_prints_as_none(self, workspace, tmp_path, capsys):
+        # a test split of START blocks alone has no false-alarm rate: None
+        # on the console and an empty summary cell, not a perfect 0.0
+        spec = replace(DatasetSpec.from_json(
+            (workspace / "spec.json").read_text()), frac_no_start=0.0)
+        (tmp_path / "spec.json").write_text(spec.to_json())
+        assert main(["gen", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "data")]) == 0
+        assert main(["eval", "--model", str(workspace / "model.ckpt"),
+                     "--data", str(tmp_path / "data"), "--block-len", "40",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert "false alarm None" in capsys.readouterr().out
+        assert _read_csv(tmp_path / "x_summary.csv")[1][1] == ""
 
-        def cells(row):
-            return [float(c) if c else None for c in row]
-        assert [cells(r) for r in _read_csv(out)[1:]] == [list(b) for b in bins]
-        packets = [o.detected for o in outcomes if o.has_packet]
-        quiet = [o.detected for o in outcomes if not o.has_packet]
-        miss = (len(packets) - sum(packets)) / len(packets)
-        assert 0 < miss < 1
-        assert cells(_read_csv(tmp_path / "conv_summary.csv")[1]) == [
-            miss, sum(quiet) / len(quiet)]
-
-    def test_one_trial_prints_missing_rate_as_none(self, tmp_path, capsys):
-        out = tmp_path / "conv.csv"
-        assert main(["eval", "--conventional", "--packets", "1",
-                     "--out", str(out)]) == 0
-        assert "None" in capsys.readouterr().out.split("mae")[0]
-        summary = _read_csv(tmp_path / "conv_summary.csv")
-        assert "" in summary[1]
-
-    def test_requires_model_or_conventional(self, tmp_path):
-        assert main(["eval", "--out", str(tmp_path / "x.csv")]) == 2
-
-    @pytest.mark.parametrize("missing", ["--data", "--block-len"])
+    @pytest.mark.parametrize("missing", ["--data", "--block-len", "--model"])
     def test_model_mode_needs_data_and_block_len(self, workspace, tmp_path,
                                                  monkeypatch, capsys,
                                                  missing):
@@ -367,39 +350,6 @@ class TestEval:
                      "--out", str(out)]) == 2
         assert missing in capsys.readouterr().err
         assert not out.parent.exists()
-
-    @pytest.mark.parametrize("packets", ["0", "-3"])
-    def test_conventional_nonpositive_packets_rejected(self, tmp_path,
-                                                       packets):
-        out = tmp_path / "out" / "conv.csv"
-        assert main(["eval", "--conventional", "--packets", packets,
-                     "--out", str(out)]) == 2
-        assert not out.parent.exists()
-
-    def test_conventional_negative_seed_rejected(self, tmp_path):
-        out = tmp_path / "out" / "conv.csv"
-        assert main(["eval", "--conventional", "--packets", "5",
-                     "--seed", "-1", "--out", str(out)]) == 2
-        assert not out.parent.exists()
-
-    @pytest.mark.parametrize("snr", [["--snr-db", "nan"],
-                                     ["--snr-range", "0", "nan"],
-                                     ["--snr-range", "0", "inf"]])
-    def test_conventional_bad_snr_rejected(self, tmp_path, snr):
-        out = tmp_path / "out" / "conv.csv"
-        assert main(["eval", "--conventional", "--packets", "5", *snr,
-                     "--out", str(out)]) == 2
-        assert not out.parent.exists()
-
-    def test_conventional_reversed_snr_range_rejected(self, tmp_path, cpus,
-                                                      forks, capsys):
-        cpus(2)
-        out = tmp_path / "out" / "conv.csv"
-        assert main(["eval", "--conventional", "--snr-range", "20", "10",
-                     "--packets", str(4 * streams.CHUNK_TRIALS),
-                     "--out", str(out)]) == 2
-        assert "--snr-range" in capsys.readouterr().err
-        assert not out.parent.exists() and not forks
 
     def test_empty_test_partition(self, workspace, tmp_path, capsys):
         spec = replace(DatasetSpec.from_json(
@@ -503,9 +453,9 @@ class TestFlops:
 
 
 class TestConventionalWorkers:
-    """sweep --conventional and eval --conventional simulate their trials'
-    links in streams.worker_count forked workers: the manifests record the
-    count, and a worker's exception keeps its type, so its exit code."""
+    """sweep --conventional simulates its trials' links in
+    streams.worker_count forked workers: the manifest records the count,
+    and a worker's exception keeps its type, so its exit code."""
 
     @staticmethod
     def _run(tmp_path, command, packets):
@@ -514,7 +464,7 @@ class TestConventionalWorkers:
                 str(packets), "--seed", "3", "--out", str(out)]
         return main(argv), out.parent / f"{command}.manifest.json"
 
-    @pytest.mark.parametrize("command", ["sweep", "eval"])
+    @pytest.mark.parametrize("command", ["sweep"])
     @pytest.mark.parametrize("n_cpus, workers", [(1, 0), (2, 1)])
     def test_manifest_records_workers(self, tmp_path, monkeypatch, command,
                                       n_cpus, workers):
@@ -524,7 +474,7 @@ class TestConventionalWorkers:
         assert code == 0
         assert json.loads(manifest.read_text())["workers"] == workers
 
-    @pytest.mark.parametrize("command", ["sweep", "eval"])
+    @pytest.mark.parametrize("command", ["sweep"])
     @pytest.mark.parametrize("error, code", [(dataset.DatasetError, 3),
                                              (ValueError, 4)])
     def test_worker_error_keeps_exit_code(self, tmp_path, monkeypatch, capsys,
@@ -628,6 +578,20 @@ class TestParsing:
 
     def test_missing_required_arg(self):
         assert main(["gen", "--out", "somewhere"]) == 2
+
+    def test_readme_commands_parse(self):
+        # every README line that starts with the command is one the parser
+        # takes, so a removed or renamed flag cannot linger in the examples
+        readme = Path(cli.__file__).parents[2] / "README.md"
+        lines = [line for line in readme.read_text().splitlines()
+                 if line.startswith("pktdetect ")]
+        assert len(lines) >= 10
+        parser = cli.build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README.md: {line}")
 
 
 def test_cli_imports_no_scipy():

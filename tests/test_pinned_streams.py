@@ -56,15 +56,15 @@ SWEEP_DIGESTS = {
     "awgn": "6d8791486eb698f97ceee549dca61cd94566e918fee0c3ad83f9a6da7e3e9f22",
     "multipath-cfo": "d765b4bf4409d17a2e08f96da28b78a363e3d7f89da906dd28f0a23b0a377912",
 }
-# evaluate_conventional's other two paths, on the multipath-cfo channel: a
-# noiseless point alone, and each trial at its own SNR drawn from a range
-# (eval --conventional --snr-range)
+# evaluate_conventional's two one-point paths, on the multipath-cfo
+# channel: a noiseless point, and a finite point, whose stream is noise
+# added before the rx filter (sweep --conventional --snrs 20, criterion 3)
 MODE_DIGESTS = {
     "inf": "4955c793fa1329a4bf272a0295385820471ee28efb6d5da9318dcb8d3dc94a25",
-    "range": "cf9f18374a901d132ff0d8b6e329e28fa71def724529528f34d0ca768b6e47a1",
+    "one-point":
+        "2d95286cd4275bb29e9d039c851485da8d68c24e65664e5474171604bf650a59",
 }
-MODES = {"inf": {"snrs_db": (math.inf,)},
-         "range": {"snr_range_db": (0.0, 25.0)}}
+MODES = {"inf": {"snrs_db": (math.inf,)}, "one-point": {"snrs_db": (20.0,)}}
 
 
 def _sha256(data: bytes) -> str:
