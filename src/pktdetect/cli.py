@@ -130,24 +130,24 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_split(data_dir: Path, block_len: int, *parts: str):
-    """The named partitions (of dataset.PARTS) of the dataset of block_len
-    in data_dir, split as its manifest's spec says, and the manifest; a
-    data error when the first of them is empty.  The other partitions are
-    never copied out of the loaded records."""
-    prefix = _find_dataset(data_dir, block_len)
+def _load_split(args, need: str):
+    """The records of the dataset of --block-len in --data, the record
+    indices of its partitions (dataset.split, as its manifest's spec says)
+    by name and the manifest; a data error when partition need is empty."""
+    prefix = _find_dataset(Path(args.data), args.block_len)
     blocks, manifest = dataset.load(prefix)
     try:
         spec = dataset.DatasetSpec.from_json(json.dumps(manifest.get("spec")))
     except (TypeError, ValueError) as exc:
         raise dataset.DatasetError(
             f"invalid spec in the manifest of {prefix}: {exc}") from exc
-    got = dataset.split(blocks, spec.split, spec.seed, parts)
-    if not len(got[0]):
+    parts = dict(zip(("training", "validation", "test"),
+                     dataset.split(blocks, spec.split, spec.seed)))
+    if not len(parts[need]):
         raise dataset.DatasetError(
-            f"the {parts[0]} partition of {prefix} is empty: split "
+            f"the {need} partition of {prefix} is empty: split "
             f"{list(spec.split)} of n_blocks {spec.n_blocks}")
-    return got, manifest
+    return blocks, parts, manifest
 
 
 def _cnn_config(block_len: int) -> CnnDetectorConfig:
@@ -160,12 +160,12 @@ def _cnn_config(block_len: int) -> CnnDetectorConfig:
 
 def cmd_train(args) -> int:
     model_cfg = _cnn_config(args.block_len)
-    (train_blocks, val_blocks), _ = _load_split(
-        Path(args.data), args.block_len, "training", "validation")
+    blocks, parts, _ = _load_split(args, "training")
     model = cnn.build_model(model_cfg, seed=args.seed)
     cfg = nn.TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                          seed=args.seed)
-    history = cnn.train_detector(model, train_blocks, val_blocks, cfg)
+    history = cnn.train_detector(model, blocks, parts["training"],
+                                 parts["validation"], cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     cnn.save_model(model, out)
@@ -194,14 +194,15 @@ def _channel(args) -> ChannelTemplate:
 
 def cmd_eval(args) -> int:
     out = Path(args.out)
-    (test_blocks,), manifest = _load_split(
-        Path(args.data), args.block_len, "test")
+    blocks, parts, manifest = _load_split(args, "test")
+    # keep only the test copy, so predict can reuse the payload's memory
+    blocks = blocks[parts["test"]]
     model = cnn.load_model(args.model)
     if model.cfg.block_len != manifest["block_len"]:
         raise UsageError(
             f"model block_len {model.cfg.block_len} does not match "
             f"dataset block_len {manifest['block_len']}")
-    metrics = cnn.evaluate(model, test_blocks)
+    metrics = cnn.evaluate(model, blocks)
     _write_csv(out, ["snr_bin_lo", "snr_bin_hi", "mae", "n"],
                [(_fmt(lo), _fmt(hi), _fmt(mae), n)
                 for lo, hi, mae, n in metrics.per_snr])

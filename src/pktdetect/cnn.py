@@ -215,25 +215,24 @@ def evaluate(model: CnnModel, blocks: np.ndarray) -> EvalMetrics:
                  np.abs(starts - labels), blocks["snr"])
 
 
-def train_detector(model: CnnModel, train_blocks: np.ndarray,
-                   val_blocks: np.ndarray | None = None,
+def train_detector(model: CnnModel, blocks: np.ndarray,
+                   train_idx: np.ndarray, val_idx: np.ndarray | None = None,
                    train_cfg: nn.TrainConfig | None = None) -> dict:
-    """Train on labeled blocks (raw sample-unit labels, -1 for no packet).
-
-    nn.train frames each batch of amplitude blocks as it draws it, and the
-    validation blocks one predict chunk at a time, so beyond the records
-    training holds no more than a batch's and a chunk's network inputs,
-    however many blocks there are.  Framing is an exact copy, and in "rms"
-    mode each block's scale is its own, so the bytes are those of training
-    on the whole split framed at once.
+    """Train on blocks[train_idx], validating on blocks[val_idx]: record
+    indices, as dataset.split returns them (labels in sample units, -1 for
+    no packet).  nn.train draws batches and validation chunks as rows of
+    the indices and the frame gathers and frames only those records, so no
+    partition is copied: beyond the records training holds the indices,
+    the targets and a batch's or a chunk's network inputs.  Gathering and
+    framing are exact copies and an "rms" scale is per block, so the bytes
+    are those of training on copied-out partitions framed at once.
     """
-    train_cfg = train_cfg or nn.TrainConfig()
-    t = train_blocks["label"].astype(np.float64)
-    val = None
-    if val_blocks is not None and len(val_blocks) > 0:
-        val = (val_blocks["amp"], val_blocks["label"].astype(np.float64))
-    return nn.train(model.net, train_blocks["amp"], t, train_cfg, val,
-                    lambda b: prepare_inputs(b, model.cfg))
+    amp, label = blocks["amp"], blocks["label"]
+    val = ((val_idx, label[val_idx].astype(np.float64))
+           if val_idx is not None and len(val_idx) else None)
+    return nn.train(model.net, train_idx, label[train_idx].astype(np.float64),
+                    train_cfg or nn.TrainConfig(), val,
+                    lambda rows: prepare_inputs(amp[rows], model.cfg))
 
 
 # -- checkpoint format ------------------------------------------------------

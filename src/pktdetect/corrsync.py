@@ -80,7 +80,10 @@ def coarse_detect(y: ComplexSignal, cfg: CorrDetectorConfig) -> DetectionResult:
 
     The trigger requires M(tau) >= TRIGGER_THRESHOLD for TRIGGER_DWELL
     consecutive samples; the peak search then covers the following
-    2 * STF_LEN samples.
+    2 * STF_LEN samples.  LTF2 (five repeats of a 40-sample symbol, a period
+    dividing the lag of 80) raises M too, so where multipath, CFO and noise
+    keep the STF's M from holding for the dwell the trigger can fire there,
+    about 400 samples late.
     """
     m = metric_trace(y, cfg.l_window)
     if len(m) < TRIGGER_DWELL:

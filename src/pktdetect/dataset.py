@@ -232,35 +232,30 @@ def _check_split(fractions) -> None:
         raise ValueError("split must be three fractions that sum to 1")
 
 
-PARTS = ("training", "validation", "test")
-
-
-def split(blocks, fractions, seed: int, parts=PARTS):
+def split(blocks, fractions, seed: int) -> tuple:
     """Seeded stratified shuffle + contiguous partition into train/val/test.
 
     Blocks with and without a start label are interleaved at proportional
     positions, so each partition's class balance tracks the global balance.
-    Returns the partitions named in parts (of PARTS), in that order; only
-    those are copied out of blocks.
+    Returns the record indices (int64 arrays into blocks) of the training,
+    validation and test partitions, in that order: no record is copied, and
+    blocks[idx] gathers a partition.
     """
     _check_split(fractions)
-    wanted = [PARTS.index(p) for p in parts]
     n = len(blocks)
     rng = np.random.default_rng(seed)
     has_start = blocks["label"] >= 0
     keys = np.empty(n)
     order_within = np.empty(n, dtype=np.int64)
     for mask in (has_start, ~has_start):
-        idx = np.nonzero(mask)[0]
-        if idx.size == 0:
-            continue
+        idx = np.nonzero(mask)[0]  # permuting none draws nothing
         shuffled = rng.permutation(idx)
         keys[shuffled] = (np.arange(idx.size) + 0.5) / idx.size
         order_within[shuffled] = np.arange(idx.size)
     order = np.lexsort((np.arange(n), order_within, keys))
     cuts = (0, int(np.floor(fractions[0] * n)),
             int(np.floor((fractions[0] + fractions[1]) * n)), n)
-    return tuple(blocks[order[cuts[i]:cuts[i + 1]]] for i in wanted)
+    return tuple(order[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
 
 
 # -- file format --------------------------------------------------------------
@@ -297,8 +292,9 @@ def save(blocks: np.ndarray, path_prefix: str | Path,
 
 
 def _check_records(blocks: np.ndarray) -> None:
+    # min and max (a NaN propagates to both) make no temporary of amp's size
     amp, label, kind = blocks["amp"], blocks["label"], blocks["kind"]
-    if not (np.isfinite(amp).all() and (amp >= 0).all()):
+    if amp.size and not (amp.min() >= 0 and np.isfinite(amp.max())):
         raise DatasetError("amplitudes must be finite and non-negative")
     if not (np.isfinite(label).all() and np.isfinite(blocks["snr"]).all()):
         raise DatasetError("labels and SNR tags must be finite")

@@ -23,7 +23,7 @@ or of the validation loss depend on the budget (in cnn's network, for a
 1500-block call from block length 80 up).  No parameter reads the
 validation pass, so checkpoint bytes and the training loss do not.
 Both predict and train take an optional frame callable, so a caller can
-hand them raw rows and have only a chunk or a batch framed at a time.
+hand them raw rows or record indices and frame one chunk or batch at a time.
 """
 from __future__ import annotations
 
@@ -270,8 +270,8 @@ class Sequential:
         layer's backward cache dropped as soon as the layer has run: no
         activation outlives the call and no temporary grows with the rows.
 
-        With frame, x holds raw rows and frame(rows) makes the network
-        input of a slice of them, so only one chunk is framed at a time.
+        With frame, x holds rows, raw or indices of records, and frame(rows)
+        makes the network input of a slice of them: one chunk at a time.
         """
         frame = frame or (lambda rows: rows)
         step = self.chunk_rows(frame(x[:0]).shape[1:])
@@ -372,12 +372,12 @@ def train(model: Sequential, inputs: np.ndarray, targets: np.ndarray,
           frame=None) -> dict:
     """Seeded mini-batch training loop; deterministic given cfg.seed.
 
-    With frame, inputs (and val's inputs) hold raw rows and frame(rows)
-    makes the network input of a selection of them: each batch is framed
-    as it is drawn, frame(inputs[idx]), and the validation loss hands frame
-    to predict(), so no framing of a whole split is ever held.  Without it
-    the rows are network inputs already.  A frame that maps each row on its
-    own gives the same bytes either way.
+    With frame, inputs (and val's inputs) hold rows, raw or indices of
+    records, and frame(rows) makes the network input of a selection of
+    them, each batch as it is drawn, frame(inputs[idx]), and the validation
+    loss hands frame to predict(): no framing of a whole split is held.
+    Without it the rows are network inputs already.  A frame that maps
+    each row on its own gives the same bytes either way.
 
     Returns {"train_loss": [...], "val_loss": [...]} with one entry per
     epoch (val_loss is empty when no validation set is given).

@@ -344,8 +344,8 @@ def oracle_generate(spec):
 
 
 def oracle_split(blocks, fractions, seed):
-    """The three-way dataset.split that gathered every partition, kept as
-    the oracle of the one that gathers only those it is asked for."""
+    """The three-way dataset.split that copied every partition out, kept as
+    the oracle of the one that returns their record indices."""
     n = len(blocks)
     rng = np.random.default_rng(seed)
     has_start = blocks["label"] >= 0

@@ -43,13 +43,13 @@ def _train_for_block_len(block_len: int):
     spec = dataset.DatasetSpec(block_len=block_len, n_blocks=N_BLOCKS,
                                seed=DATASET_SEED, split=SPLIT)
     blocks = dataset.generate(spec)
-    train_blocks, _, test_blocks = dataset.split(blocks, SPLIT, DATASET_SEED)
+    train_idx, _, test_idx = dataset.split(blocks, SPLIT, DATASET_SEED)
     cfg = CnnDetectorConfig(block_len=block_len, normalize=NORMALIZE)
     model = cnn.build_model(cfg, seed=MODEL_SEED)
-    cnn.train_detector(model, train_blocks, None,
+    cnn.train_detector(model, blocks, train_idx, None,
                        nn.TrainConfig(batch_size=BATCH_SIZE, epochs=EPOCHS,
                                       seed=SHUFFLE_SEED))
-    return model, test_blocks
+    return model, blocks[test_idx]
 
 
 @pytest.fixture(scope="module")

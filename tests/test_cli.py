@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tamper_checkpoint
-from pktdetect import cli, cnn, dataset, forked, streams
+from conftest import tamper_checkpoint, traced_peak
+from pktdetect import cli, cnn, dataset, forked, nn, streams
 from pktdetect.cli import main
 from pktdetect.channel import ChannelTemplate
 from pktdetect.dataset import DatasetSpec
@@ -273,6 +273,50 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "training partition" in err and "n_blocks 1" in err
         assert not out.exists()
+
+    def test_empty_file_is_an_empty_training_partition(self, tmp_path,
+                                                       capsys):
+        # a 0-record file passes the record check; split has nothing to
+        # train on
+        spec = DatasetSpec(block_len=40, n_blocks=1)
+        (tmp_path / "data").mkdir()
+        dataset.save(np.zeros(0, dataset.record_dtype(40)),
+                     tmp_path / "data" / spec.name, spec)
+        out = tmp_path / "out" / "m.ckpt"
+        assert main(["train", "--data", str(tmp_path / "data"),
+                     "--block-len", "40", "--epochs", "1",
+                     "--out", str(out)]) == 3
+        assert "training partition" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_holds_the_records_once(self, tmp_path):
+        # Beyond the loaded payload train holds, per record, the int64
+        # index dataset.split returns it in and, for a training or
+        # validation record, a float64 target and an int64 shuffle
+        # position: at most 24 bytes.  An epoch's network work adds at most
+        # a predict chunk's three budgets (test_cnn's MEMORY_BOUND).  The
+        # split's own temporaries (under 64 bytes a record, freed before
+        # training) fit in the same bound while 40 bytes a record are less
+        # than the three budgets.  A copy of the training and validation
+        # partitions would add 85% of the payload, more than that slack.
+        b, n = 160, 14_000
+        rng = np.random.default_rng(3)
+        records = np.zeros(n, dataset.record_dtype(b))
+        records["amp"] = rng.rayleigh(size=(n, b))
+        start = rng.random(n) < 0.5
+        records["label"] = np.where(start, rng.integers(0, b, n), -1)
+        records["kind"] = np.where(start, dataset.Kind.START,
+                                   dataset.Kind.NOISE_ONLY)
+        spec = DatasetSpec(block_len=b, n_blocks=n)
+        (tmp_path / "data").mkdir()
+        dataset.save(records, tmp_path / "data" / spec.name, spec)
+        budgets = 3 * nn.PREDICT_BUDGET_BYTES
+        assert 0.85 * records.nbytes > budgets + 24 * n > 40 * n
+        argv = ["train", "--data", str(tmp_path / "data"), "--block-len",
+                str(b), "--epochs", "1", "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv) == 0  # one-time allocations stay out
+        peak = traced_peak(lambda: main(argv))
+        assert peak < records.nbytes + budgets + 24 * n
 
     @pytest.mark.parametrize("arg", ["--epochs", "--batch-size"])
     def test_zero_epochs_or_batch_rejected(self, workspace, tmp_path, arg):

@@ -204,8 +204,8 @@ class TestEvaluate:
     def test_training_reduces_loss(self):
         blocks = _blocks(300, 40, seed=4)
         model = build_model(CnnDetectorConfig(block_len=40), seed=0)
-        hist = cnn.train_detector(model, blocks, blocks[:50],
-                                  nn.TrainConfig(epochs=5))
+        hist = cnn.train_detector(model, blocks, np.arange(300),
+                                  np.arange(50), nn.TrainConfig(epochs=5))
         assert hist["train_loss"][-1] < hist["train_loss"][0]
         assert len(hist["val_loss"]) == 5
 
@@ -308,11 +308,13 @@ class TestChunkedInference:
         val = _blocks(600, 160, seed=1)
         peaks = {}
         for n in (2000, 8000):
-            blocks = _blocks(n, 160, seed=n)
+            blocks = np.concatenate((_blocks(n, 160, seed=n), val))
+            train_idx, val_idx = np.arange(n), np.arange(n, len(blocks))
             model = build_model(cfg, seed=3)
-            cnn.train_detector(model, blocks[:80], val[:10], one_epoch)
-            peaks[n] = traced_peak(
-                lambda: cnn.train_detector(model, blocks, val, one_epoch))
+            cnn.train_detector(model, blocks, train_idx[:80], val_idx[:10],
+                               one_epoch)
+            peaks[n] = traced_peak(lambda: cnn.train_detector(
+                model, blocks, train_idx, val_idx, one_epoch))
             assert peaks[n] < self.MEMORY_BOUND + 16 * (n + len(val))
         assert peaks[8000] - peaks[2000] <= 16 * (8000 - 2000)
 

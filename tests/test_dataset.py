@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import oracle_generate, oracle_split, traced_peak
 from pktdetect import dataset, forked
 from pktdetect.channel import ChannelTemplate
-from pktdetect.dataset import (CHUNK_BLOCKS, PARTS, DatasetError, DatasetSpec,
-                               Kind, generate, load, record_dtype, save, split)
+from pktdetect.dataset import (CHUNK_BLOCKS, DatasetError, DatasetSpec, Kind,
+                               generate, load, record_dtype, save, split)
 from pktdetect.preamble import PREAMBLE_LEN
 from pktdetect.streams import StreamSimulator, StreamTrialConfig
 
@@ -87,8 +88,14 @@ class TestRecordCheck:
         with pytest.raises(DatasetError):
             load(_tampered(small_blocks, tmp_path / "ds", edit))
 
+    def test_negative_zero_amplitude_accepted(self, small_blocks, tmp_path):
+        def edit(rec):
+            rec["amp"][5, 3] = -0.0
+        loaded, _ = load(_tampered(small_blocks, tmp_path / "ds", edit))
+        assert np.signbit(loaded["amp"][5, 3])
+
     def test_non_finite_amplitude_rejected(self, small_blocks, tmp_path):
-        for value in (np.nan, np.inf):
+        for value in (np.nan, np.inf, -np.inf):
             def edit(rec):
                 rec["amp"][5, 3] = value
             with pytest.raises(DatasetError):
@@ -110,6 +117,11 @@ class TestRecordCheck:
             rec["kind"][_first(rec, Kind.MID_TAIL)] = max(Kind) + 1
         with pytest.raises(DatasetError):
             load(_tampered(small_blocks, tmp_path / "ds", edit))
+
+    def test_empty_file_loads(self, tmp_path):
+        save(np.zeros(0, record_dtype(40)), tmp_path / "ds", _SMALL)
+        loaded, manifest = load(tmp_path / "ds")
+        assert loaded.shape == (0,) and manifest["n_records"] == 0
 
 
 class TestDatasetSpec:
@@ -261,6 +273,31 @@ class TestGenerate:
             before = np.mean(blk["amp"][:tau] ** 2)
             after = np.mean(blk["amp"][tau:] ** 2)
             assert after > 10 * before
+
+    @pytest.mark.parametrize("block_len, seed", [(40, 11), (160, 12)])
+    def test_start_label_is_the_preamble_onset(self, preamble, block_len,
+                                               seed):
+        # Each block's stream is redrawn from its (seed, index) substream:
+        # b samples of noise, the NDP, then b + 16.  The block's amplitudes
+        # are found in that stream at its SNR, at one window start w0.  The
+        # preamble begins where the noiseless stream correlates best with
+        # the NDP (an AWGN channel without CFO keeps that peak at the
+        # onset), and the label must be that sample less w0.
+        b = block_len
+        spec = DatasetSpec(block_len=b, n_blocks=48, seed=seed, channel=_FAST,
+                           frac_no_start=0.0)
+        sim = StreamSimulator(StreamTrialConfig(channel=_FAST))
+        for i, blk in enumerate(generate(spec)):
+            rng = np.random.default_rng((seed, i))
+            snr = rng.uniform(*spec.snr_range_db)
+            rng.uniform()  # the kind: START, with frac_no_start 0
+            link = sim.draw_link(rng, pre=b, post=b + 16)
+            amp = np.abs(sim.rx_stream(link, snr).samples).astype(np.float32)
+            (w0,) = np.nonzero((sliding_window_view(amp, b)
+                                == blk["amp"]).all(axis=1))[0]
+            clean = sim.rx_stream(link, np.inf).samples
+            onset = np.abs(np.correlate(clean, preamble.samples, "valid"))
+            assert blk["label"] == onset.argmax() - w0
 
 
 C = CHUNK_BLOCKS
@@ -465,6 +502,9 @@ class TestThreads:
 
 
 class TestSplit:
+    """split returns the record indices of the three partitions; the
+    three-way split that copied them out is the oracle."""
+
     def test_partition_sizes(self, small_blocks):
         tr, va, te = split(small_blocks, (0.7, 0.15, 0.15), seed=0)
         assert len(tr) == 210
@@ -478,9 +518,9 @@ class TestSplit:
 
     def test_class_balance(self, small_blocks):
         overall = np.mean(small_blocks["label"] >= 0)
-        for part in split(small_blocks, (0.7, 0.15, 0.15), seed=0):
-            frac = np.mean(part["label"] >= 0)
-            assert abs(frac - overall) <= 0.02 + 1.0 / len(part)
+        for idx in split(small_blocks, (0.7, 0.15, 0.15), seed=0):
+            frac = np.mean(small_blocks["label"][idx] >= 0)
+            assert abs(frac - overall) <= 0.02 + 1.0 / len(idx)
 
     def test_bad_fractions(self, small_blocks):
         with pytest.raises(ValueError):
@@ -492,29 +532,30 @@ class TestSplit:
             split(small_blocks, fractions, seed=0)
 
     @pytest.mark.parametrize("n, frac_start, seed", [
-        (1, 0.5, 0), (7, 0.0, 1), (64, 1.0, 5), (301, 0.9, 3),
+        (0, 0.5, 0), (1, 0.5, 0), (7, 0.0, 1), (64, 1.0, 5), (301, 0.9, 3),
         (1000, 0.1, 9001), (2000, 0.5, 42)])
     def test_asked_partitions_match_the_three_way_oracle(self, n, frac_start,
                                                          seed):
+        # the records each index array gathers are the oracle's partition,
+        # and the three arrays together index every record once
         rng = np.random.default_rng(seed)
         blocks = np.zeros(n, dtype=record_dtype(4))
         blocks["amp"] = rng.random((n, 4))  # tells every record apart
         blocks["label"] = np.where(rng.random(n) < frac_start,
                                    rng.integers(0, 4, n), -1)
         for fractions in ((0.7, 0.15, 0.15), (0.5, 0.0, 0.5), (0.0, 0.0, 1.0)):
-            want = dict(zip(PARTS, oracle_split(blocks, fractions, seed)))
-            for parts in (PARTS, ("training", "validation"), ("test",),
-                          ("validation", "training"), ("test", "training")):
-                got = split(blocks, fractions, seed, parts)
-                assert ([g.tobytes() for g in got]
-                        == [want[p].tobytes() for p in parts])
+            got = split(blocks, fractions, seed)
+            assert all(idx.dtype == np.int64 for idx in got)
+            assert sorted(np.concatenate(got)) == list(range(n))
+            want = oracle_split(blocks, fractions, seed)
+            assert ([blocks[idx].tobytes() for idx in got]
+                    == [w.tobytes() for w in want])
 
     def test_generated_partitions_match_the_oracle(self, small_blocks):
         want = oracle_split(small_blocks, (0.7, 0.15, 0.15), 7)
         got = split(small_blocks, (0.7, 0.15, 0.15), 7)
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-        (test,) = split(small_blocks, (0.7, 0.15, 0.15), 7, ("test",))
-        assert test.tobytes() == want[2].tobytes()
+        assert ([small_blocks[idx].tobytes() for idx in got]
+                == [w.tobytes() for w in want])
 
 
 class TestPersistence:

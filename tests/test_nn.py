@@ -397,10 +397,11 @@ class TestTraining:
     @pytest.mark.parametrize("block_len, n_train", [(40, 241), (160, 197)])
     def test_framing_each_batch_matches_the_framed_split(
             self, block_len, n_train, normalize):
-        # float32 amplitudes read through a record field, as
-        # cnn.train_detector hands them over, each block at its own scale
-        # so that "rms" mode scales every one differently; partial last
-        # batches of 80, and a validation set of two predict chunks at 160
+        # float32 amplitudes read through a record field, each block at its
+        # own scale so that "rms" mode scales every one differently; partial
+        # last batches of 80, and a validation set of two predict chunks at
+        # 160.  The rows are the amplitudes themselves, or shuffled record
+        # indices that the frame gathers, as cnn.train_detector hands them
         cfg = cnn.CnnDetectorConfig(block_len, normalize)
         rng = np.random.default_rng(block_len + 1)
         rec = np.zeros(n_train + 300, dataset.record_dtype(block_len))
@@ -408,7 +409,8 @@ class TestTraining:
                       * rng.uniform(0.1, 10.0, (len(rec), 1)))
         rec["label"] = np.where(rng.random(len(rec)) < 0.5, -1,
                                 rng.integers(0, block_len, len(rec)))
-        amp, t = rec["amp"], rec["label"].astype(np.float64)
+        idx = rng.permutation(len(rec))
+        amp, t = rec["amp"], rec["label"][idx].astype(np.float64)
         train_cfg = nn.TrainConfig(batch_size=80, epochs=3, seed=2)
 
         def frame(rows):
@@ -420,8 +422,11 @@ class TestTraining:
                             (vx, t[n_train:]), frame)
             return b"".join(p.tobytes() for p in net.params), hist
 
-        framed = run(frame(amp[:n_train]), frame(amp[n_train:]))
-        assert run(amp[:n_train], amp[n_train:], frame) == framed
+        parts = rec[idx[:n_train]]["amp"], rec[idx[n_train:]]["amp"]
+        framed = run(frame(parts[0]), frame(parts[1]))
+        assert run(*parts, frame) == framed
+        assert run(idx[:n_train], idx[n_train:],
+                   lambda rows: frame(amp[rows])) == framed
 
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):
