@@ -9,9 +9,9 @@ mid-or-tail).  Generation is deterministic given the spec seed: every block
 draws from its own (seed, index) substream.  It runs CHUNK_BLOCKS blocks
 at a time: first each block makes its draws, then the chunk's blocks are
 computed together as rows of 2-D arrays, each for only the samples it
-keeps.  The caller and its forked workers (`forked.worker_count`) each
-make a stride of the chunks into a record array they share, and the bytes
-do not depend on the worker count (see `generate`).
+keeps.  The caller and, where `forked.worker_count` allows, one forked
+worker each make every other chunk into a record array they share, and
+the bytes do not depend on whether the worker forks (see `generate`).
 """
 from __future__ import annotations
 
@@ -103,8 +103,8 @@ class DatasetSpec:
 
 
 def worker_count(spec: DatasetSpec) -> int:
-    """The worker processes `generate` forks for spec, beside this process:
-    forked.worker_count of its chunks."""
+    """The worker processes `generate` forks for spec, beside this process
+    (0 or 1): forked.worker_count of its chunks."""
     return forked.worker_count(-(-spec.n_blocks // CHUNK_BLOCKS))
 
 
@@ -113,13 +113,13 @@ def generate(spec: DatasetSpec) -> np.ndarray:
 
     Each block is cut from one link stream: `block_len` samples of noise,
     the NDP, then `block_len + 16` more.  Blocks are made CHUNK_BLOCKS at a
-    time (see `_Chunker`), by n processes into one record array in shared
-    memory: this process makes chunks 0, n, 2n, ... while forked worker k
-    (`forked.run`, n - 1 = `worker_count` of them) makes chunks 1 + k,
-    1 + k + n, ...; with n = 1 nothing forks.  Every block draws from its
-    own (seed, index) substream and a row's arithmetic is that of its
-    stream simulated alone, so the bytes depend neither on the chunking nor
-    on the worker count.
+    time (see `_Chunker`) into one record array in shared memory: with a
+    forked worker (`forked.run`, where `worker_count` allows one) this
+    process makes chunks 0, 2, 4, ... while the worker makes chunks 1, 3,
+    5, ...; without one this process makes them all.  Every block draws
+    from its own (seed, index) substream and a row's arithmetic is that of
+    its stream simulated alone, so the bytes depend neither on the
+    chunking nor on the worker.
     """
     import mmap  # here, not at import time, which every CLI call pays for
     sim = StreamSimulator(StreamTrialConfig(channel=spec.channel))
@@ -128,15 +128,17 @@ def generate(spec: DatasetSpec) -> np.ndarray:
     blocks = np.frombuffer(mmap.mmap(-1, spec.n_blocks * dtype.itemsize),
                            dtype=dtype)
     starts = range(0, spec.n_blocks, CHUNK_BLOCKS)
-    n = worker_count(spec) + 1
+    helped = worker_count(spec)
 
     def fill(own):  # one process's chunks, with its own buffers
         chunker = _Chunker(spec, sim)
         for c0 in own:
             chunker.fill(blocks[c0:c0 + CHUNK_BLOCKS], c0)
 
-    forked.run(n - 1, lambda k, send: fill(starts[1 + k::n]),
-               lambda receive: fill(starts[::n]), "generate")
+    # with the worker, it makes the odd chunks and this process the even
+    forked.run((lambda send: fill(starts[1::2])) if helped else None,
+               lambda receive: fill(starts[::2] if helped else starts),
+               "generate")
     return blocks
 
 
@@ -216,7 +218,7 @@ class _Chunker:
                                  tpl.rms_delay_spread_ns)
                     if tpl.multipath else np.ones((m, 1)))
             clean = sim.channel(self.tx, self.cfo[:m], taps, lo, lo + width)
-            link = LinkDraw(b, True, clean, (unit[:m, 0], unit[:m, 1]), b)
+            link = LinkDraw(True, clean, (unit[:m, 0], unit[:m, 1]), b)
             rx = sim.rx_stream(link, snr[~noise_only])
             chunk["amp"][~noise_only] = np.abs(rx.samples)
         if g_noise:

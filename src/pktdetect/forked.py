@@ -1,27 +1,21 @@
-"""Work shared between this process and forked worker processes.
+"""Work shared between this process and one forked worker process.
 
-`run` forks the workers, runs this process's own part of the work while
-they run, then reads what each has left in its pipe and reaps them all.
-A worker talks to this process only through its own pipe, in frames: an
-8-byte little-endian signed length, then that many bytes.  A worker that
-raises sends its exception, pickled, as its last frame, marked by a
-negative length.  `dataset.generate` and `streams.evaluate_conventional`
-fork through it, as many workers as one rule gives (`worker_count`).
+`run` forks the worker, runs this process's own part of the work while it
+runs, then reads what it has left in its pipe and reaps it.  The worker
+talks to this process only through its pipe, in frames: an 8-byte
+little-endian signed length, then that many bytes.  A worker that raises
+sends its exception, pickled, as its last frame, marked by a negative
+length.  `dataset.generate` and `streams.evaluate_conventional` fork
+through it, when one rule says a worker helps (`worker_count`).
 """
 from __future__ import annotations
 
 import os
 import pickle
 
-# processes that share a job at most, the caller included, so one forked
-# worker.  Threads were GIL-bound: a gen block holds the GIL for about half
-# its time, and two processes made gen 1.47x (B=40) and 1.25x (B=160) as
-# fast as two threads (README, BENCH_19.json); more than two was never
-# measured
-MAX_WORKERS = 2
 _LENGTH = 8  # bytes of a frame's length: one write, so one read takes it
 _IOV_MAX = 512  # buffers one readv fills at most, within Linux's 1024
-# bytes a worker's pipe holds, where the system lets it (1 MiB is Linux's
+# bytes the worker's pipe holds, where the system lets it (1 MiB is Linux's
 # default limit for a process without privileges): a sweep chunk of up to
 # 0.75 MB fits whole, so the worker runs a chunk ahead instead of the two
 # processes taking turns over a 64 KiB pipe (the benchmark's sweep took a
@@ -38,39 +32,47 @@ def usable_cpus() -> int:
 
 
 def worker_count(n_chunks: int) -> int:
-    """The worker processes to fork for n_chunks chunks of work, beside the
-    caller: one per usable CPU but the caller's, at most MAX_WORKERS - 1
-    and at most one per chunk after the caller's first."""
-    return max(0, min(MAX_WORKERS, usable_cpus(), n_chunks) - 1)
+    """The worker processes to fork beside the caller for n_chunks chunks
+    of work: 1 with at least two usable CPUs and two chunks, else 0.
+
+    Processes, not threads: a gen block holds the GIL for about half its
+    time, and two processes made gen 1.47x (B=40) and 1.25x (B=160) as
+    fast as two threads (README, BENCH_19.json).  More than one worker was
+    never measured."""
+    return int(usable_cpus() >= 2 and n_chunks >= 2)
 
 
-def run(n_workers: int, work, lead, name: str) -> None:
-    """lead(receive) in this process while work(k, send) runs in forked
-    worker processes k = 0, ..., n_workers - 1.  With no worker it is
-    lead(receive) alone, and nothing forks.
+def run(work, lead, name: str) -> None:
+    """lead(receive) in this process while work(send) runs in one forked
+    worker process.  With work None it is lead(None) alone, and nothing
+    forks.
 
-    In a worker, send(*buffers) sends one frame: the buffers' bytes, in
-    order.  Here, receive(k) returns worker k's next frame as a bytearray,
-    and receive(k, *buffers) reads it into the buffers instead, which must
-    hold exactly its bytes, and returns them.  A worker's exception
-    arrives pickled and is raised here with its type: by receive when lead
-    asks that worker for a frame, else by run once lead has returned, the
-    first worker's first.  One that cannot be pickled arrives as a
-    RuntimeError carrying the worker's traceback; a RuntimeError also
-    reports a worker's end without the frame receive waits for, and a
-    frame lead left unread.  Every worker is reaped, and every pipe end
-    this process made closed, before run returns or raises; if lead or run
-    itself fails, the workers are killed first.  A worker leaves through
+    In the worker, send(*buffers) sends one frame: the buffers' bytes, in
+    order.  Here, receive() returns the worker's next frame as a
+    bytearray, and receive(*buffers) reads it into the buffers instead,
+    which must hold exactly its bytes, and returns them.  The worker's
+    exception arrives pickled and is raised here with its type: by receive
+    when lead asks for a frame, else by run once lead has returned.  One
+    that cannot be pickled arrives as a RuntimeError carrying the worker's
+    traceback; a RuntimeError also reports the worker's end without the
+    frame receive waits for, and a frame lead left unread.  The worker is
+    reaped, and every pipe end this process made closed, before run
+    returns or raises; when run raises anything but the worker's exit
+    status, the worker is killed first.  The worker leaves through
     os._exit, never returning into its parent's stack.  Python 3.12 and
     later warn (DeprecationWarning) when a process that runs other threads
     forks, and BLAS's threads count.
     """
+    if work is None:
+        lead(None)
+        return
     import signal  # here, not at import time, which every CLI call pays for
-    pipes, pids, reports = [], [], []  # one read end and pid per worker
-    held = set()  # this process's pipe ends still open
+    r, w = os.pipe()
+    held = {r, w}  # this process's pipe ends still open
+    pid = None
 
-    def receive(k, *buffers):
-        frame = _frame(pipes[k], buffers)
+    def receive(*buffers):
+        frame = _frame(r, buffers)
         if frame is None:
             raise RuntimeError(f"a {name} worker ended before its last frame")
         payload, is_report = frame
@@ -79,37 +81,28 @@ def run(n_workers: int, work, lead, name: str) -> None:
         return payload
 
     try:
-        for k in range(n_workers):
-            r, w = os.pipe()
-            held |= {r, w}
-            _widen(w)
-            pid = os.fork()
-            if pid == 0:
-                _serve(work, k, w, held - {w})
-            pids.append(pid)
-            pipes.append(r)
-            held.remove(w)
-            os.close(w)
+        _widen(w)
+        pid = os.fork()
+        if pid == 0:
+            _serve(work, w, r)
+        held.remove(w)
+        os.close(w)
         lead(receive)
-        for fd in pipes:  # to its end: a worker may still report
-            while frame := _frame(fd):
-                if not frame[1]:
-                    raise RuntimeError(f"a {name} worker sent an unread frame")
-                reports.append(frame[0])
+        if frame := _frame(r):  # the worker's report, else the pipe's end
+            if not frame[1]:
+                raise RuntimeError(f"a {name} worker sent an unread frame")
+            _raise(frame[0], name)
     except BaseException:
-        for pid in pids:
+        if pid is not None:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
         for fd in held:
             os.close(fd)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for report in reports:
-        _raise(report, name)
-    for status in statuses:
-        if status:
-            raise RuntimeError(f"a {name} worker ended with exit status "
-                               f"{os.waitstatus_to_exitcode(status)}")
+        status = pid and os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(f"a {name} worker ended with exit status "
+                           f"{os.waitstatus_to_exitcode(status)}")
 
 
 def _widen(fd: int) -> None:
@@ -121,15 +114,14 @@ def _widen(fd: int) -> None:
         pass
 
 
-def _serve(work, k, w, inherited):
-    """A forked worker's life: close the pipe ends it inherited, run
-    work(k, send) and on an exception send its report.  It leaves through
-    os._exit, with status 1 after an exception."""
+def _serve(work, w, r):
+    """The forked worker's life: close the read end r it inherited, run
+    work(send) and on an exception send its report through w.  It leaves
+    through os._exit, with status 1 after an exception."""
     code = 0
     try:
-        for fd in inherited:
-            os.close(fd)
-        work(k, lambda *buffers: _send(w, buffers))
+        os.close(r)
+        work(lambda *buffers: _send(w, buffers))
     except BaseException as exc:  # reported; a failed report leaves code 1
         code = 1
         import traceback

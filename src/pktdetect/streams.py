@@ -24,9 +24,9 @@ trial, plus a scale-add and detection per point.  The points are paired:
 each sees the same packets, positions, CFOs, channels and unit noise, and
 only the noise scale differs, so a curve over them reads as a paired
 comparison.  Detection never feeds back into a trial's link, so a sweep
-simulates the links of all its chunks of trials but the first in a forked
-worker process (`forked.run`) while this process detects, with the same
-outcomes at any worker count (`evaluate_conventional`).
+simulates the links of all its chunks of trials but the first in one
+forked worker process (`forked.run`) while this process detects, with the
+same outcomes whether the worker forks or not (`evaluate_conventional`).
 """
 from __future__ import annotations
 
@@ -72,7 +72,6 @@ class LinkDraw(NamedTuple):
     """What `StreamSimulator.draw_link` drew for one stream, or for rows of
     streams (a leading row axis on clean and noise): everything but the
     noise scale, which is all that depends on the SNR."""
-    pre: int
     has_packet: bool
     clean: np.ndarray   # noiseless oversampled channel output
     noise: tuple        # unit-normal (re, im) over the same samples
@@ -164,7 +163,7 @@ class StreamSimulator:
                      + int(tpl.fractional_timing_offset > 0), n_os)
             clean[lo:hi] = self.channel(tx, cfo, taps, lo, hi)
         noise = rng.standard_normal(n_os), rng.standard_normal(n_os)
-        return LinkDraw(pre, has_packet, clean, noise,
+        return LinkDraw(has_packet, clean, noise,
                         -(-n_os // tpl.os_factor))
 
     def rx_stream(self, link: LinkDraw, snr_db) -> ComplexSignal:
@@ -217,7 +216,7 @@ class StreamSimulator:
                             self.cfg.snr_db)
 
 
-# trials in one chunk of evaluate_conventional: at six points a worker
+# trials in one chunk of evaluate_conventional: at six points the worker
 # sends up to 0.75 MB a chunk, which its pipe holds whole
 # (forked.PIPE_BYTES).  The benchmark's 500-trial, six-point sweep, the
 # first in a fresh process on a 2-vCPU host, took a median 0.312 s at 8
@@ -228,7 +227,7 @@ CHUNK_TRIALS = 8
 
 def worker_count(n_trials: int) -> int:
     """The worker processes `evaluate_conventional` forks for n_trials,
-    beside this process: forked.worker_count of their chunks."""
+    beside this process (0 or 1): forked.worker_count of their chunks."""
     return forked.worker_count(-(-n_trials // CHUNK_TRIALS))
 
 
@@ -251,12 +250,12 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     rx front end (`_simulate_chunk`), which detection never feeds back
     into, then detection, one `run_trial` per trial and point in trial
     order, always in this process.  The first chunk's links are simulated
-    here, the others' by `worker_count` forked workers (`forked.run`),
-    worker k taking chunks 1 + k, 1 + k + workers, ... and sending each
-    through its pipe while this process detects.  Each stream arrives in
-    an array of its own, so keeping one keeps no chunk alive.  A trial
-    draws from its own (seed, index) substream, so the outcomes do not
-    depend on the worker count.
+    here, the others' by a forked worker (`forked.run`, where
+    `worker_count` allows one), which sends each chunk through its pipe
+    while this process detects; without one this process simulates them
+    all.  Each stream arrives in an array of its own, so keeping one keeps
+    no chunk alive.  A trial draws from its own (seed, index) substream,
+    so the outcomes do not depend on the worker.
     """
     snrs = (trial_cfg.snr_db,) if snrs_db is None else tuple(snrs_db)
     for snr in snrs:
@@ -266,34 +265,34 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     outcomes = [[] for _ in points]
     chunks = [range(i, min(i + CHUNK_TRIALS, n_trials))
               for i in range(0, n_trials, CHUNK_TRIALS)]
-    n_workers = worker_count(n_trials)
+    helped = worker_count(n_trials)
 
     def simulate(trials):
         return _simulate_chunk(sim, trials, seed, packet_fraction, snrs)
 
-    def work(k, send):  # two frames a chunk: its head, then its streams
-        for trials in chunks[1 + k::n_workers]:
+    def work(send):  # two frames a chunk: its head, then its streams
+        for trials in chunks[1:]:
             head, ys = simulate(trials)
             send(head)
             send(*(y for rows in ys for y in rows))
 
-    def receive_chunk(receive, k):  # each stream into its own array
-        head = np.frombuffer(receive(k)).reshape(-1, 3)
+    def receive_chunk(receive):  # each stream into its own array
+        head = np.frombuffer(receive()).reshape(-1, 3)
         ys = [[np.empty(int(n_rx), dtype=np.complex128) for _ in snrs]
               for n_rx in head[:, 2]]
-        receive(k, *(y for rows in ys for y in rows))
+        receive(*(y for rows in ys for y in rows))
         return head, ys
 
     def detect(receive):
         for c, trials in enumerate(chunks):
-            head, ys = (simulate(trials) if c == 0 or not n_workers else
-                        receive_chunk(receive, (c - 1) % n_workers))
+            head, ys = (receive_chunk(receive) if c and helped else
+                        simulate(trials))
             for (pre, has_packet, _), rows in zip(head.tolist(), ys):
                 for point, y, out in zip(points, rows, outcomes):
                     out.append(point.run_trial(ComplexSignal(y, BASE_RATE_HZ),
                                                bool(has_packet), int(pre)))
 
-    forked.run(n_workers, work, detect, "sweep")
+    forked.run(work if helped else None, detect, "sweep")
     return outcomes
 
 

@@ -36,7 +36,7 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def no_hang():
     """Fail the test, rather than hang the run, if it waits 60 s: for tests
-    of generate's worker processes.  A forked worker inherits no alarm."""
+    of a forked worker process.  A forked worker inherits no alarm."""
     def expire(signum, frame):
         raise TimeoutError("the test waited 60 s")
 
@@ -49,12 +49,10 @@ def no_hang():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """force(n): make forked.usable_cpus report n CPUs and lift the
-    MAX_WORKERS cap, which only bounds the speed, so that gen and the sweep
-    fork as many workers as n CPUs allow."""
+    """force(n): make forked.usable_cpus report n CPUs, so that gen and the
+    sweep fork their worker (n >= 2) or none (n = 1)."""
     def force(n):
         monkeypatch.setattr(forked, "usable_cpus", lambda: n)
-        monkeypatch.setattr(forked, "MAX_WORKERS", 64)
     return force
 
 

@@ -122,9 +122,9 @@ class TestGen:
 
     def test_reversed_snr_range_rejected_before_forking(self, tmp_path, cpus,
                                                         forks):
-        # a config error (2), not numpy's failure in the workers (4)
+        # a config error (2), not numpy's failure in the worker (4)
         cpus(2)
-        n_blocks = 4 * dataset.CHUNK_BLOCKS  # chunks for two workers
+        n_blocks = 4 * dataset.CHUNK_BLOCKS  # chunks for the worker
         doc = json.loads(DatasetSpec(block_len=40, n_blocks=n_blocks).to_json())
         doc["snr_range_db"] = [25.0, 0.0]
         spec_path = tmp_path / "spec.json"
@@ -497,9 +497,10 @@ class TestFlops:
 
 
 class TestConventionalWorkers:
-    """sweep --conventional simulates its trials' links in
-    streams.worker_count forked workers: the manifest records the count,
-    and a worker's exception keeps its type, so its exit code."""
+    """sweep --conventional simulates its trials' links in a forked worker
+    where streams.worker_count allows one: the manifest records the count
+    (0 or 1), and the worker's exception keeps its type, so its exit
+    code."""
 
     @staticmethod
     def _run(tmp_path, command, packets):
@@ -639,7 +640,7 @@ class TestParsing:
 
 
 def test_cli_imports_no_scipy():
-    # the package is numpy-only (pyproject.toml), and gen forks its workers
+    # the package is numpy-only (pyproject.toml), and gen forks its worker
     # itself: importing the CLI in a fresh interpreter must load no scipy,
     # multiprocessing or concurrent.futures module, installed or not, since
     # every CLI call pays for its imports.  Nor may it load mmap, signal,

@@ -337,6 +337,27 @@ class TestChunks:
                            channel=channel)
         assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
 
+    @pytest.mark.parametrize("offset", [0.0, 0.5],
+                             ids=["multipath-cfo", "offset-0.5"])
+    @pytest.mark.parametrize("block_len", [40, 160])
+    def test_chunk_rows_equal_single_row_calls(self, block_len, offset):
+        # a property of any correct chunked design, whatever its draw
+        # order: no row's bytes depend on the other rows of its chunk, so
+        # whole chunks and one-block calls of _Chunker.fill agree
+        spec = DatasetSpec(block_len=block_len, n_blocks=2 * C + 5, seed=21,
+                           channel=ChannelTemplate(
+                               fractional_timing_offset=offset))
+        chunker = dataset._Chunker(
+            spec, StreamSimulator(StreamTrialConfig(channel=spec.channel)))
+        whole, rows = (np.zeros(spec.n_blocks, record_dtype(block_len))
+                       for _ in range(2))
+        for c0 in range(0, spec.n_blocks, C):
+            chunker.fill(whole[c0:c0 + C], c0)
+        for i in range(spec.n_blocks):
+            chunker.fill(rows[i:i + 1], i)
+        assert set(whole["kind"]) == set(Kind)  # every kind in the chunks
+        assert whole.tobytes() == rows.tobytes()
+
     def test_one_snr_point(self):
         # the spec that sweep --model builds for each point
         spec = DatasetSpec(block_len=40, n_blocks=C + 2, seed=5,
@@ -370,18 +391,19 @@ class TestChunks:
 
 @pytest.mark.usefixtures("no_hang", "clean_exit")
 class TestThreads:
-    """generate makes its chunks in this process and worker_count forked
-    processes beside it (this class and its byte test keep their names
-    from the threads the processes replaced); these tests force the count
-    through forked's CPU count (the cpus fixture), and the bytes must not
-    depend on it.  A worker's own records stay in the worker, so the tests
-    record only what this process does: its forks and kills.  Every path
-    must leave no child process and no pipe end open (clean_exit)."""
+    """generate makes its chunks in this process and, where worker_count
+    allows, one forked worker beside it (this class and its byte test keep
+    their names from the threads the process replaced); these tests fork
+    the worker or not through forked's CPU count (the cpus fixture), and
+    the bytes must not depend on it.  The worker's own records stay in the
+    worker, so the tests record only what this process does: its forks and
+    kills.  Every path must leave no child process and no pipe end open
+    (clean_exit)."""
 
     @staticmethod
     def plant(monkeypatch, error, in_parent):
         """Make _Chunker.fill raise error (or call it, if callable) in this
-        process alone, or in the workers alone."""
+        process alone, or in the worker alone."""
         parent, fill = os.getpid(), dataset._Chunker.fill
 
         def planted(self, chunk, c0):
@@ -393,7 +415,7 @@ class TestThreads:
 
         monkeypatch.setattr(dataset._Chunker, "fill", planted)
 
-    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("channel", [_FAST, ChannelTemplate()],
                              ids=["awgn", "multipath-cfo"])
     @pytest.mark.parametrize("block_len", [40, 160])
@@ -406,13 +428,14 @@ class TestThreads:
         assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
 
     def test_one_fork_per_worker(self, cpus, forks):
-        cpus(3)
+        # however many CPUs there are, one worker forks
+        cpus(64)
         spec = DatasetSpec(block_len=40, n_blocks=3 * C, seed=1,
                            channel=_FAST)
         assert generate(spec).tobytes() == oracle_generate(spec).tobytes()
-        assert len(forks) == 2
+        assert len(forks) == 1
 
-    @pytest.mark.parametrize("n_cpus, n_blocks", [(1, 3 * C + 5), (3, C)],
+    @pytest.mark.parametrize("n_cpus, n_blocks", [(1, 3 * C + 5), (2, C)],
                              ids=["one-cpu", "one-chunk"])
     def test_one_worker_forks_none(self, cpus, forks, n_cpus, n_blocks):
         cpus(n_cpus)
@@ -429,20 +452,20 @@ class TestThreads:
     def test_worker_count(self, monkeypatch, n_cpus, block_len, n_blocks,
                           processes):
         # processes counts this process too: it makes chunks beside the
-        # workers, so worker_count forks one fewer; block_len plays no part
+        # worker, so worker_count forks one fewer; block_len plays no part
         monkeypatch.setattr(forked, "usable_cpus", lambda: n_cpus)
         spec = DatasetSpec(block_len=block_len, n_blocks=n_blocks)
         assert dataset.worker_count(spec) == processes - 1
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_chunk_error_raised_after_workers_reaped(self, cpus, monkeypatch,
-                                                     workers):
-        # chunk 2 is this process's with one CPU, the second worker's with 3
-        cpus(workers)
+                                                     n_cpus):
+        # chunk 3 is this process's with one CPU, the worker's with two
+        cpus(n_cpus)
         fill = dataset._Chunker.fill
 
         def failing(self, chunk, c0):
-            if c0 == 2 * C:
+            if c0 == 3 * C:
                 raise RuntimeError("planted chunk failure")
             fill(self, chunk, c0)
 
@@ -475,13 +498,13 @@ class TestThreads:
     @pytest.mark.parametrize("error", [DatasetError, KeyError])
     def test_caller_chunk_failure_kills_and_reaps_workers(
             self, cpus, monkeypatch, forks, kills, error):
-        cpus(3)
+        cpus(2)
         self.plant(monkeypatch, error("planted in the caller"),
                    in_parent=True)
         with pytest.raises(error, match="planted in the caller"):
             generate(DatasetSpec(block_len=40, n_blocks=8 * C, seed=1,
                                  channel=_FAST))
-        assert len(forks) == 2 and kills == forks
+        assert len(forks) == 1 and kills == forks
 
     def test_interrupt_while_waiting_kills_and_reaps_workers(
             self, cpus, monkeypatch, forks, kills):
