@@ -121,8 +121,9 @@ def prepare_inputs(blocks: np.ndarray, cfg: CnnDetectorConfig) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != cfg.block_len:
         raise ValueError(f"blocks must have length {cfg.block_len}")
-    out = np.empty((len(x), IN_CHANNELS, cfg.block_len // IN_CHANNELS))
-    out[...] = block_to_channels(x, IN_CHANNELS)
+    # block_to_channels' framing, in one copy
+    shape = (len(x), cfg.block_len // IN_CHANNELS, IN_CHANNELS)
+    out = np.array(x.reshape(shape).transpose(0, 2, 1), np.float64, order="C")
     if cfg.normalize == "rms":
         x = x.astype(np.float64, copy=False)
         rms = np.sqrt(np.mean(x ** 2, axis=1))[:, None, None]
@@ -237,9 +238,10 @@ def train_detector(model: CnnModel, blocks: np.ndarray,
 
 # -- checkpoint format ------------------------------------------------------
 # binary: magic (8 bytes), then u32 version, block_len, the six _ARCH fields
-# and the NORMALIZE_MODES index, then the parameters as little-endian float64
-# in network order (conv1.w, conv1.b, conv2.w, conv2.b, fc.w, fc.b, out.w,
-# out.b).  A JSON manifest of shapes is written alongside (<path>.json).
+# and the NORMALIZE_MODES index, then the network's parameter vector as
+# little-endian float64: its arrays in network order (conv1.w, conv1.b,
+# conv2.w, conv2.b, fc.w, fc.b, out.w, out.b).  A JSON manifest of shapes
+# is written alongside (<path>.json).
 
 
 class CheckpointError(Exception):
@@ -252,8 +254,7 @@ def save_model(model: CnnModel, path: str | Path) -> None:
     header = _MAGIC + struct.pack(
         "<9I", _CKPT_VERSION, cfg.block_len, *_ARCH.values(),
         NORMALIZE_MODES.index(cfg.normalize))
-    blobs = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes()
-                     for p in model.net.params)
+    blobs = model.net.param_vector.astype("<f8", copy=False).tobytes()
     path.write_bytes(header + blobs)
     manifest = {
         "format_version": _CKPT_VERSION,
@@ -290,8 +291,6 @@ def load_model(path: str | Path) -> CnnModel:
     if len(data) > size:
         raise CheckpointError("checkpoint has trailing bytes")
     model = build_model(cfg)
-    for p in model.net.params:
-        p[...] = np.frombuffer(data, dtype="<f8", count=p.size,
-                               offset=offset).reshape(p.shape)
-        offset += p.size * 8
+    model.net.param_vector[...] = np.frombuffer(data, dtype="<f8",
+                                                offset=offset)
     return model

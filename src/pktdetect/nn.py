@@ -11,8 +11,9 @@ builds those C-contiguous operands by slice copies, so they are the same
 for any input layout; cnn.prepare_inputs hands it a C-contiguous framing.
 Relu works in place, which keeps the gradient each Conv1d receives in the
 memory layout its bias-gradient sum reads (checked against a copying ReLU
-in tests/test_nn.py).  Parameters and gradients are one array each per
-layer; Adam flattens the gradients into one vector per step.
+in tests/test_nn.py).  Sequential owns the parameters as one float64 vector
+and the gradients as another; each layer's arrays are views of them, and
+Adam steps the parameter vector in place.
 
 Inference (Sequential.predict, and with it train's per-epoch validation
 loss) runs in chunks whose row count a fixed byte budget for the largest
@@ -31,7 +32,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 # bytes of the largest im2col operand one Sequential.predict chunk builds:
@@ -46,6 +46,9 @@ class Layer:
     backward() fills ``grads`` and returns the gradient w.r.t. the layer's
     input.  A layer whose ``needs_input_grad`` is False may return None
     instead: Sequential clears it on its first layer, whose input is data.
+    backward() writes into its ``grads`` arrays and training updates the
+    ``params`` arrays in place, so neither may be rebound once a Sequential
+    has bound them to views of its vectors.
     """
 
     params: list
@@ -64,6 +67,32 @@ class Layer:
 
     def drop_cache(self) -> None:
         """Forget what forward() kept for backward()."""
+
+    def bind(self, params: list, grads: list) -> None:
+        """Make params and grads, arrays of the same shapes, the layer's
+        parameter and gradient arrays, the parameters' values copied in."""
+        for new, old in zip(params, self.params):
+            new[...] = old
+        self.params, self.grads = params, grads
+
+
+class _Affine(Layer):
+    """A layer with a weight array w and a bias vector b, its params in
+    that order."""
+
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        super().__init__()
+        self.w, self.b = w, b
+        self.params = [w, b]
+        self.grads = [np.zeros_like(w), np.zeros_like(b)]
+        self._x = None
+
+    def bind(self, params, grads):
+        super().bind(params, grads)
+        self.w, self.b = params
+
+    def drop_cache(self):
+        self._x = None
 
 
 def _unfold(x: np.ndarray, filter_len: int, axes: tuple) -> np.ndarray:
@@ -84,13 +113,16 @@ def _unfold(x: np.ndarray, filter_len: int, axes: tuple) -> np.ndarray:
         for f in range(filter_len):
             out[(slice(None),) * tap + (f,)] = x[:, :, f:f + k].transpose(rest)
     else:
+        # the window view over x's buffer, made directly: as_strided's
+        # Python-level construction took about 4 us a call against 0.6
+        x = np.ascontiguousarray(x)
         strides = x.strides + x.strides[2:]
-        out[...] = as_strided(x, out.shape, [strides[a] for a in axes],
-                              writeable=False)
+        out[...] = np.ndarray(out.shape, x.dtype, x, 0,
+                              [strides[a] for a in axes])
     return out
 
 
-class Conv1d(Layer):
+class Conv1d(_Affine):
     """Valid (no padding), stride-1 cross-correlation: [B,C,T] -> [B,O,T-F+1].
 
     Each pass is one im2col matrix and one GEMM (Chellapilla, Puri & Simard,
@@ -103,17 +135,14 @@ class Conv1d(Layer):
 
     def __init__(self, ch_in: int, ch_out: int, filter_len: int,
                  rng: np.random.Generator | None = None):
-        super().__init__()
         if filter_len < 1:
             raise ValueError("filter_len must be >= 1")
         rng = rng or np.random.default_rng(0)
         fan_in = ch_in * filter_len
         limit = np.sqrt(6.0 / fan_in)  # He-uniform, ReLU follows
-        self.w = rng.uniform(-limit, limit, size=(ch_out, ch_in, filter_len))
-        self.b = np.zeros(ch_out)
-        self.params = [self.w, self.b]
-        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
-        self._x = None
+        super().__init__(
+            rng.uniform(-limit, limit, size=(ch_out, ch_in, filter_len)),
+            np.zeros(ch_out))
 
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.w.shape[1]:
@@ -154,16 +183,12 @@ class Conv1d(Layer):
         w_rev = self.w[:, :, ::-1].transpose(0, 2, 1).reshape(O * F, C)
         return (gcols.reshape(n * T, O * F) @ w_rev).reshape(n, T, C).transpose(0, 2, 1)
 
-    def drop_cache(self):
-        self._x = None
 
-
-class Dense(Layer):
+class Dense(_Affine):
     """Affine layer: [B, N_i] -> [B, N_o]."""
 
     def __init__(self, n_in: int, n_out: int, init: str = "he",
                  rng: np.random.Generator | None = None):
-        super().__init__()
         rng = rng or np.random.default_rng(0)
         if init == "he":
             limit = np.sqrt(6.0 / n_in)
@@ -171,11 +196,8 @@ class Dense(Layer):
             limit = np.sqrt(6.0 / (n_in + n_out))
         else:
             raise ValueError(f"unknown init {init!r}")
-        self.w = rng.uniform(-limit, limit, size=(n_out, n_in))
-        self.b = np.zeros(n_out)
-        self.params = [self.w, self.b]
-        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
-        self._x = None
+        super().__init__(rng.uniform(-limit, limit, size=(n_out, n_in)),
+                         np.zeros(n_out))
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.w.shape[1]:
@@ -187,9 +209,6 @@ class Dense(Layer):
         self.grads[0][...] = grad_out.T @ self._x
         self.grads[1][...] = grad_out.sum(axis=0)
         return grad_out @ self.w
-
-    def drop_cache(self):
-        self._x = None
 
 
 class Relu(Layer):
@@ -237,10 +256,29 @@ class Flatten(Layer):
 
 
 class Sequential:
+    """Layers run in order.  The network owns its parameters as one float64
+    vector, param_vector, and their gradients as another, grad_vector: every
+    layer's params and grads are views of them, laid end to end in layer
+    order (for a Conv1d or Dense layer, w then b), so an optimizer steps
+    one vector and a checkpoint reads or writes it in one piece.
+    """
+
     def __init__(self, layers: list[Layer]):
         self.layers = layers
         if layers:
             layers[0].needs_input_grad = False
+        size = sum(p.size for layer in layers for p in layer.params)
+        self.param_vector = np.empty(size)
+        self.grad_vector = np.zeros(size)
+        lo = 0
+        for layer in layers:
+            params, grads = [], []
+            for p in layer.params:
+                span = slice(lo, lo + p.size)
+                params.append(self.param_vector[span].reshape(p.shape))
+                grads.append(self.grad_vector[span].reshape(p.shape))
+                lo += p.size
+            layer.bind(params, grads)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
@@ -301,9 +339,7 @@ class Sequential:
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient w.r.t. pred."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    """Mean squared error and its gradient w.r.t. pred, float64 arrays."""
     if pred.shape != target.shape:
         raise ValueError("pred and target must have equal shapes")
     n = pred.size
@@ -317,27 +353,25 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with bias correction; parameters updated in place.
-
-    The moments of all parameters are kept as one flat vector each, so a
-    step is a handful of vector operations whatever the number of arrays.
+    """Adam with bias correction, stepping one parameter vector in place
+    (a Sequential's param_vector): a step is a handful of vector operations
+    whatever the number of layers.
     """
 
-    def __init__(self, params: list[np.ndarray], alpha: float = 0.001):
+    def __init__(self, params: np.ndarray, alpha: float = 0.001):
+        if params.ndim != 1:
+            raise ValueError("Adam steps one parameter vector")
         self.params = params
         self.alpha = alpha
         self.t = 0
-        size = sum(p.size for p in params)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(params.size)
+        self.v = np.zeros(params.size)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list does not match parameter list")
-        g = np.concatenate([np.ravel(x) for x in grads])
-        if g.size != self.m.size:
-            raise ValueError("gradient sizes do not match parameter sizes")
-        if not np.all(np.isfinite(g)):
+    def step(self, g: np.ndarray) -> None:
+        """One update from the gradient vector g, of the parameters' shape."""
+        if g.shape != self.params.shape:
+            raise ValueError("gradient shape does not match the parameters'")
+        if not np.isfinite(g).all():
             raise ValueError("non-finite gradient: step rejected")
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
@@ -347,11 +381,7 @@ class Adam:
         m += (1 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1 - ADAM_BETA2) * g ** 2
-        update = self.alpha * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        lo = 0
-        for p in self.params:
-            p -= update[lo:lo + p.size].reshape(p.shape)
-            lo += p.size
+        self.params -= self.alpha * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -387,7 +417,7 @@ def train(model: Sequential, inputs: np.ndarray, targets: np.ndarray,
         raise ValueError("dataset must be non-empty")
     frame = frame or (lambda rows: rows)
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(model.params, cfg.alpha)
+    opt = Adam(model.param_vector, cfg.alpha)
     history = {"train_loss": [], "val_loss": []}
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -397,7 +427,7 @@ def train(model: Sequential, inputs: np.ndarray, targets: np.ndarray,
             pred = model.forward(frame(inputs[idx]))[:, 0]
             loss, grad = mse_loss(pred, targets[idx])
             model.backward(grad[:, None])
-            opt.step(model.grads)
+            opt.step(model.grad_vector)
             total += loss * len(idx)
         history["train_loss"].append(total / n)
         if val is not None:

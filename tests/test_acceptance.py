@@ -157,8 +157,8 @@ def test_criterion_4_gradients_and_adam():
         checked += 1
 
     p = np.zeros(4)
-    opt = nn.Adam([p], alpha=0.001)
-    opt.step([np.full(4, 2.5)])
+    opt = nn.Adam(p, alpha=0.001)
+    opt.step(np.full(4, 2.5))
     adam_err = float(np.max(np.abs(np.abs(p) - 0.001)))
     ok = worst < 1e-4 and adam_err < 1e-6
     _report(4, ok, f"50 shapes, worst grad rel err={worst:.2e} (<1e-4), "

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import oracle_apply_channel
 from pktdetect.channel import (ChannelConfig, ChannelTemplate, add_noise,
-                               apply_channel, draw_model_b_taps, noise_scale,
-                               rx_frontend)
+                               apply_channel, draw_model_b_taps,
+                               model_b_taps, noise_scale, rx_frontend)
 from pktdetect.preamble import (BASE_RATE_HZ, ComplexSignal, build_preamble,
                                 design_interp_filter, upsample_filter)
 
@@ -312,6 +312,20 @@ class TestModelBTaps:
 
     def test_deterministic_per_seed(self):
         np.testing.assert_array_equal(_taps(5, 4e6), _taps(5, 4e6))
+
+    @pytest.mark.parametrize("rate", [4e6, 40e6])
+    def test_rows_normalized_each_on_its_own(self, rate):
+        # rows of normals at scales four decades apart: normalizing over
+        # all rows at once would leave each at a different power
+        n_taps = len(_taps(0, rate))
+        scales = np.array([0.01, 0.5, 1.0, 2.0, 10.0, 100.0])
+        rng = np.random.default_rng(31)
+        normals = rng.standard_normal((6, 2, n_taps)) * scales[:, None, None]
+        rows = model_b_taps(normals, rate)
+        np.testing.assert_allclose(np.sum(np.abs(rows) ** 2, axis=1), 1.0,
+                                   rtol=1e-12)
+        for normal, row in zip(normals, rows):
+            assert np.array_equal(model_b_taps(normal, rate), row)
 
     @pytest.mark.parametrize("rate, spread", [(4e6, 80.0), (40e6, 80.0),
                                               (4e6, 250.0)])

@@ -419,3 +419,76 @@ class TestCheckpoint:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha256
         sidecar = tmp_path / "model.ckpt.json"
         assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == sidecar_sha256
+
+
+class TestTrainingBytesPinned:
+    """Checkpoint and loss bytes of a short training run with a validation
+    split: a moved training byte fails here rather than showing only as
+    noise in criteria 5 and 6.  The loss digest is over the float64 values
+    the train command's loss CSV prints (each as its exact repr): train
+    losses, then validation losses.  At B=160 the validation pass runs in
+    two predict chunks and the last training batch is partial at both."""
+
+    @pytest.mark.parametrize("cfg, ckpt_sha256, loss_sha256", [
+        (CnnDetectorConfig(40),
+         "8c1245d7d5112536200bdb0007b864649c0668cfd8e2673cae1999c0098cbde0",
+         "d76dfdb8692a5078db6621a54518ee7b7d1d88b2b144923e83f3a193f469d60c"),
+        (CnnDetectorConfig(160, normalize="rms"),
+         "07b5d86724ef944a1237b2d1b751c3e67a051d03ebfcd2cd94d4641b93eb372b",
+         "82a2b3790613bf806ac95233ad36a00d60e159e6bdcd9b8cbcc069105775a673")],
+        ids=["b40-raw", "b160-rms"])
+    def test_training_bytes_pinned(self, tmp_path, cfg, ckpt_sha256,
+                                   loss_sha256):
+        spec = dataset.DatasetSpec(block_len=cfg.block_len, n_blocks=2000,
+                                   seed=11)
+        blocks = dataset.generate(spec)
+        train_idx, val_idx, _ = dataset.split(blocks, spec.split, spec.seed)
+        model = build_model(cfg, seed=3)
+        hist = cnn.train_detector(model, blocks, train_idx, val_idx,
+                                  nn.TrainConfig(epochs=3, seed=3))
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha256
+        losses = np.array(hist["train_loss"] + hist["val_loss"], "<f8")
+        assert hashlib.sha256(losses.tobytes()).hexdigest() == loss_sha256
+
+
+class TestParameterVector:
+    """Every layer's parameter and gradient arrays are views of the
+    network's param_vector and grad_vector, end to end in checkpoint order.
+    A layer that rebinds its w or b would go on computing with an array
+    that training no longer updates."""
+
+    @staticmethod
+    def assert_views(net):
+        lo = 0
+        for layer in net.layers:
+            named = ([layer.w, layer.b]
+                     if isinstance(layer, (nn.Conv1d, nn.Dense)) else [])
+            assert len(layer.params) == len(layer.grads) == len(named)
+            for w, p, g in zip(named, layer.params, layer.grads):
+                for a, vector in ((w, net.param_vector),
+                                  (p, net.param_vector),
+                                  (g, net.grad_vector)):
+                    assert a.base is vector
+                    assert a.ctypes.data == vector.ctypes.data + 8 * lo
+                    assert a.shape == p.shape
+                lo += p.size
+        assert lo == net.param_vector.size == net.grad_vector.size
+
+    @pytest.mark.parametrize("block_len", [40, 160])
+    def test_views_after_build_load_and_train(self, tmp_path, block_len):
+        cfg = CnnDetectorConfig(block_len)
+        model = build_model(cfg, seed=4)
+        self.assert_views(model.net)
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        loaded = load_model(path)
+        self.assert_views(loaded.net)
+        assert np.array_equal(loaded.net.param_vector, model.net.param_vector)
+        before = loaded.net.param_vector.copy()
+        cnn.train_detector(loaded, _blocks(200, block_len, seed=5),
+                           np.arange(160), np.arange(160, 200),
+                           nn.TrainConfig(epochs=2))
+        self.assert_views(loaded.net)
+        assert not np.array_equal(loaded.net.param_vector, before)

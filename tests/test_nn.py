@@ -28,16 +28,19 @@ class EinsumConv1d(nn.Conv1d):
 
 
 class LoopAdam:
-    """The per-array Adam loop that the flat-vector Adam replaced: the oracle."""
+    """The per-array Adam loop that the flat-vector Adam replaced: the oracle.
+    A lone array, as nn.train hands over the network's parameter and
+    gradient vectors, counts as a list of one."""
 
     def __init__(self, params, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
+        self.params = [params] if isinstance(params, np.ndarray) else params
         self.alpha, self.beta1, self.beta2, self.eps = alpha, beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
 
     def step(self, grads):
+        grads = [grads] if isinstance(grads, np.ndarray) else grads
         for g in grads:
             if not np.all(np.isfinite(g)):
                 raise ValueError("non-finite gradient: step rejected")
@@ -255,59 +258,64 @@ class TestMseLoss:
 class TestAdam:
     def test_first_step_magnitude_is_alpha(self):
         p = np.zeros(5)
-        opt = nn.Adam([p], alpha=0.001)
+        opt = nn.Adam(p, alpha=0.001)
         g = np.full(5, 3.7)
-        opt.step([g])
+        opt.step(g)
         # with constant gradients the bias-corrected first step is exactly
         # alpha * sign(g), up to eps
         np.testing.assert_allclose(np.abs(p), 0.001, atol=1e-6)
         assert np.all(p < 0)
 
     def test_rejects_non_finite(self):
-        p, q = np.zeros(3), np.zeros((2, 2))
-        opt = nn.Adam([p, q])
-        opt.step([np.ones(3), np.ones((2, 2))])
-        before = [a.copy() for a in (p, q, opt.m, opt.v)]
+        p = np.zeros(7)
+        opt = nn.Adam(p)
+        opt.step(np.ones(7))
+        before = [a.copy() for a in (p, opt.m, opt.v)]
         with pytest.raises(ValueError):
-            opt.step([np.ones(3), np.array([[1.0, np.nan], [0.0, 0.0]])])
+            opt.step(np.array([1.0, 1.0, 1.0, 1.0, np.nan, 0.0, 0.0]))
         # parameters, both moments and the step count untouched
-        for a, b in zip((p, q, opt.m, opt.v), before):
+        for a, b in zip((p, opt.m, opt.v), before):
             np.testing.assert_array_equal(a, b)
         assert opt.t == 1
 
     def test_matches_per_array_loop_bit_for_bit(self):
+        # the network's arrays at B=160, as views of one vector
         rng = np.random.default_rng(8)
         shapes = [(9, 4, 8), (9,), (5, 9, 3), (5,), (3, 155), (3,), (1, 3), (1,)]
         params = [rng.standard_normal(s) for s in shapes]
         ref_params = [p.copy() for p in params]
-        opt, ref = nn.Adam(params, alpha=0.01), LoopAdam(ref_params, alpha=0.01)
+        vector = np.concatenate([p.ravel() for p in params])
+        opt, ref = nn.Adam(vector, alpha=0.01), LoopAdam(ref_params, alpha=0.01)
         for _ in range(200):
             grads = [rng.standard_normal(s) for s in shapes]
-            opt.step(grads)
+            opt.step(np.concatenate([g.ravel() for g in grads]))
             ref.step(grads)
-        for p, r in zip(params, ref_params):
-            assert np.array_equal(p, r)
+        assert np.array_equal(vector,
+                              np.concatenate([r.ravel() for r in ref_params]))
         assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
         assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
 
     def test_rejects_wrong_sizes(self):
         p = np.zeros(3)
-        opt = nn.Adam([p])
+        opt = nn.Adam(p)
         with pytest.raises(ValueError):
-            opt.step([np.zeros(2)])
+            opt.step(np.zeros(2))
         np.testing.assert_array_equal(opt.m, 0.0)
         assert opt.t == 0
 
     def test_rejects_wrong_arity(self):
-        opt = nn.Adam([np.zeros(2)])
+        # Adam steps one vector: no array of another rank on either side
         with pytest.raises(ValueError):
-            opt.step([np.zeros(2), np.zeros(2)])
+            nn.Adam(np.zeros((2, 2)))
+        opt = nn.Adam(np.zeros(4))
+        with pytest.raises(ValueError):
+            opt.step(np.zeros((2, 2)))
 
     def test_converges_on_quadratic(self):
         p = np.array([4.0, -3.0])
-        opt = nn.Adam([p], alpha=0.05)
+        opt = nn.Adam(p, alpha=0.05)
         for _ in range(2_000):
-            opt.step([2 * p])
+            opt.step(2 * p)
         assert np.max(np.abs(p)) < 1e-3
 
 
