@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cnn, dataset, flops, nn, streams
+from . import __version__, cnn, dataset, flops, forked, nn, streams
 from .channel import ChannelTemplate
 from .cnn import BLOCK_LENGTHS, CnnDetectorConfig
 
@@ -67,8 +67,8 @@ def _write_manifest(out_dir: Path, command: str, args: dict,
 
 def _workers(args) -> dict:
     """A conventional run's manifest field: the worker processes its trials'
-    links were simulated in, beside this process (streams.worker_count)."""
-    return ({"workers": streams.worker_count(args.packets)}
+    links were simulated in, beside this process (forked.worker_count)."""
+    return ({"workers": forked.worker_count(args.packets)}
             if args.conventional else {})
 
 

@@ -77,16 +77,6 @@ class CnnModel:
     net: nn.Sequential
 
 
-def block_to_channels(block: np.ndarray, in_channels: int) -> np.ndarray:
-    """Frame-of-N reshape: channel c at step t holds block[N*t + c]."""
-    block = np.asarray(block)
-    if block.shape[-1] % in_channels != 0:
-        raise ValueError("block length must be divisible by in_channels")
-    # works on [B] or batched [n, B] inputs
-    shape = block.shape[:-1] + (block.shape[-1] // in_channels, in_channels)
-    return np.swapaxes(block.reshape(shape), -1, -2)
-
-
 def build_model(cfg: CnnDetectorConfig, seed: int = 0) -> CnnModel:
     """The fixed detection network with seeded initialization.
 
@@ -111,7 +101,8 @@ def build_model(cfg: CnnDetectorConfig, seed: int = 0) -> CnnModel:
 
 def prepare_inputs(blocks: np.ndarray, cfg: CnnDetectorConfig) -> np.ndarray:
     """Amplitude blocks [n, B] -> network inputs [n, C, T], a new
-    C-contiguous float64 array framed as block_to_channels frames.
+    C-contiguous float64 array framed frame-of-C: channel c at step t
+    holds sample C*t + c of its block.
 
     In "rms" mode each block is scaled to unit RMS first; "raw" mode keeps
     the amplitudes (and hence the received-power cue) intact.
@@ -121,7 +112,7 @@ def prepare_inputs(blocks: np.ndarray, cfg: CnnDetectorConfig) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != cfg.block_len:
         raise ValueError(f"blocks must have length {cfg.block_len}")
-    # block_to_channels' framing, in one copy
+    # the framing, in one copy
     shape = (len(x), cfg.block_len // IN_CHANNELS, IN_CHANNELS)
     out = np.array(x.reshape(shape).transpose(0, 2, 1), np.float64, order="C")
     if cfg.normalize == "rms":

@@ -3,10 +3,12 @@
 `run` forks the worker, runs this process's own part of the work while it
 runs, then reads what it has left in its pipe and reaps it.  The worker
 talks to this process only through its pipe, in frames: an 8-byte
-little-endian signed length, then that many bytes.  A worker that raises
-sends its exception, pickled, as its last frame, marked by a negative
-length.  `dataset.generate` and `streams.evaluate_conventional` fork
-through it, when one rule says a worker helps (`worker_count`).
+little-endian signed length, then that many bytes, which this process
+reads whole into a new bytearray.  A worker that raises sends its
+exception, pickled, as its last frame, marked by a negative length.
+`dataset.generate` (whose worker writes shared memory, not frames) and
+`streams.evaluate_conventional` (a frame a trial) fork through it, when
+one rule says a worker helps (`worker_count`).
 """
 from __future__ import annotations
 
@@ -14,12 +16,12 @@ import os
 import pickle
 
 _LENGTH = 8  # bytes of a frame's length: one write, so one read takes it
-_IOV_MAX = 512  # buffers one readv fills at most, within Linux's 1024
 # bytes the worker's pipe holds, where the system lets it (1 MiB is Linux's
-# default limit for a process without privileges): a sweep chunk of up to
-# 0.75 MB fits whole, so the worker runs a chunk ahead instead of the two
-# processes taking turns over a 64 KiB pipe (the benchmark's sweep took a
-# median 0.269 s against 0.334 s on a 2-vCPU host, BENCH_22.json)
+# default limit for a process without privileges): about twelve six-point
+# sweep trials of about 87 kB each, so the worker runs trials ahead instead
+# of the two processes taking turns over a 64 KiB pipe (with 8-trial
+# frames the benchmark's sweep took a median 0.269 s against 0.334 s on a
+# 2-vCPU host, BENCH_22.json)
 PIPE_BYTES = 1 << 20
 
 
@@ -33,7 +35,8 @@ def usable_cpus() -> int:
 
 def worker_count(n_chunks: int) -> int:
     """The worker processes to fork beside the caller for n_chunks chunks
-    of work: 1 with at least two usable CPUs and two chunks, else 0.
+    of work (`gen`'s chunks of blocks, the sweep's trials): 1 with at
+    least two usable CPUs and two chunks, else 0.
 
     Processes, not threads: a gen block holds the GIL for about half its
     time, and two processes made gen 1.47x (B=40) and 1.25x (B=160) as
@@ -48,20 +51,19 @@ def run(work, lead, name: str) -> None:
     forks.
 
     In the worker, send(*buffers) sends one frame: the buffers' bytes, in
-    order.  Here, receive() returns the worker's next frame as a
-    bytearray, and receive(*buffers) reads it into the buffers instead,
-    which must hold exactly its bytes, and returns them.  The worker's
-    exception arrives pickled and is raised here with its type: by receive
-    when lead asks for a frame, else by run once lead has returned.  One
-    that cannot be pickled arrives as a RuntimeError carrying the worker's
-    traceback; a RuntimeError also reports the worker's end without the
-    frame receive waits for, and a frame lead left unread.  The worker is
-    reaped, and every pipe end this process made closed, before run
-    returns or raises; when run raises anything but the worker's exit
-    status, the worker is killed first.  The worker leaves through
-    os._exit, never returning into its parent's stack.  Python 3.12 and
-    later warn (DeprecationWarning) when a process that runs other threads
-    forks, and BLAS's threads count.
+    order.  Here, receive() returns the worker's next frame, whole, as a
+    new bytearray.  The worker's exception arrives pickled and is raised
+    here with its type: by receive when lead asks for a frame, else by run
+    once lead has returned.  One that cannot be pickled arrives as a
+    RuntimeError carrying the worker's traceback; a RuntimeError also
+    reports the worker's end before or within the frame receive waits
+    for, and a frame lead left unread.  The worker is reaped, and every
+    pipe end this process made closed, before run returns or raises; when
+    run raises anything but the worker's exit status, the worker is
+    killed first.  The worker leaves through os._exit, never returning
+    into its parent's stack.  Python 3.12 and later warn
+    (DeprecationWarning) when a process that runs other threads forks,
+    and BLAS's threads count.
     """
     if work is None:
         lead(None)
@@ -71,8 +73,8 @@ def run(work, lead, name: str) -> None:
     held = {r, w}  # this process's pipe ends still open
     pid = None
 
-    def receive(*buffers):
-        frame = _frame(r, buffers)
+    def receive():
+        frame = _frame(r)
         if frame is None:
             raise RuntimeError(f"a {name} worker ended before its last frame")
         payload, is_report = frame
@@ -145,31 +147,21 @@ def _send(fd: int, buffers, report: bool = False) -> None:
             view = view[os.write(fd, view):]
 
 
-def _frame(fd: int, buffers=()):
+def _frame(fd: int):
     """The next frame in the pipe fd as (payload, whether it is a report),
-    or None at the pipe's end.  A report's payload is a new bytearray, and
-    so is any other frame's unless it is read into buffers."""
+    or None at the pipe's end.  The payload is a new bytearray."""
     head = os.read(fd, _LENGTH)
     if not head:
         return None
     n = int.from_bytes(head, "little", signed=True)
-    own = n < 0 or not buffers
-    if own:
-        buffers = (bytearray(abs(n)),)
-    views = [v for v in (memoryview(b).cast("B") for b in buffers) if v]
-    if sum(map(len, views)) != abs(n):
-        raise RuntimeError(f"a frame of {abs(n)} bytes does not fill its "
-                           "buffers")
-    while views:
-        got = os.readv(fd, views[:_IOV_MAX])
+    payload = bytearray(abs(n))
+    view = memoryview(payload)
+    while view:
+        got = os.readv(fd, [view])
         if not got:
             raise RuntimeError("a worker's frame ends early")
-        while got:  # drop what this read filled
-            filled = min(got, len(views[0]))
-            views[0], got = views[0][filled:], got - filled
-            if not views[0]:
-                views.pop(0)
-    return (buffers[0] if own else buffers), n < 0
+        view = view[got:]
+    return payload, n < 0
 
 
 def _raise(report: bytes, name: str):

@@ -24,9 +24,10 @@ trial, plus a scale-add and detection per point.  The points are paired:
 each sees the same packets, positions, CFOs, channels and unit noise, and
 only the noise scale differs, so a curve over them reads as a paired
 comparison.  Detection never feeds back into a trial's link, so a sweep
-simulates the links of all its chunks of trials but the first in one
-forked worker process (`forked.run`) while this process detects, with the
-same outcomes whether the worker forks or not (`evaluate_conventional`).
+simulates the links of all its trials but the first in one forked worker
+process (`forked.run`), which sends each trial's streams as one frame
+while this process detects, with the same outcomes whether the worker
+forks or not (`evaluate_conventional`).
 """
 from __future__ import annotations
 
@@ -216,21 +217,6 @@ class StreamSimulator:
                             self.cfg.snr_db)
 
 
-# trials in one chunk of evaluate_conventional: at six points the worker
-# sends up to 0.75 MB a chunk, which its pipe holds whole
-# (forked.PIPE_BYTES).  The benchmark's 500-trial, six-point sweep, the
-# first in a fresh process on a 2-vCPU host, took a median 0.312 s at 8
-# trials a chunk, 0.356 s at 16 (larger than the pipe) and 0.335 s at 4
-# (8 alternating processes each)
-CHUNK_TRIALS = 8
-
-
-def worker_count(n_trials: int) -> int:
-    """The worker processes `evaluate_conventional` forks for n_trials,
-    beside this process (0 or 1): forked.worker_count of their chunks."""
-    return forked.worker_count(-(-n_trials // CHUNK_TRIALS))
-
-
 def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
                           seed: int = 0, packet_fraction: float = 0.5,
                           snrs_db: tuple | None = None
@@ -246,16 +232,16 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     and one rx front end (rx_streams), plus a scale-add and detection per
     point; a lone point keeps rx_stream's add-then-filter.
 
-    The trials run CHUNK_TRIALS at a time, in two parts: the link and the
-    rx front end (`_simulate_chunk`), which detection never feeds back
-    into, then detection, one `run_trial` per trial and point in trial
-    order, always in this process.  The first chunk's links are simulated
-    here, the others' by a forked worker (`forked.run`, where
-    `worker_count` allows one), which sends each chunk through its pipe
-    while this process detects; without one this process simulates them
-    all.  Each stream arrives in an array of its own, so keeping one keeps
-    no chunk alive.  A trial draws from its own (seed, index) substream,
-    so the outcomes do not depend on the worker.
+    A trial runs in two parts: the link and the rx front end
+    (`_simulate_trial`), which detection never feeds back into, then
+    detection, one `run_trial` per point, always in this process, trials
+    in order.  The first trial's link is simulated here, the others' by a
+    forked worker (`forked.run`, where `forked.worker_count` allows one),
+    which sends each trial through its pipe as one frame while this
+    process detects; without one this process simulates them all.  Each
+    stream arrives in an array of its own, so keeping one keeps no other
+    alive.  A trial draws from its own (seed, index) substream, so the
+    outcomes do not depend on the worker.
     """
     snrs = (trial_cfg.snr_db,) if snrs_db is None else tuple(snrs_db)
     for snr in snrs:
@@ -263,58 +249,49 @@ def evaluate_conventional(trial_cfg: StreamTrialConfig, n_trials: int,
     sim = StreamSimulator(trial_cfg)
     points = [sim.at_snr(snr) for snr in snrs]
     outcomes = [[] for _ in points]
-    chunks = [range(i, min(i + CHUNK_TRIALS, n_trials))
-              for i in range(0, n_trials, CHUNK_TRIALS)]
-    helped = worker_count(n_trials)
+    helped = forked.worker_count(n_trials)
 
-    def simulate(trials):
-        return _simulate_chunk(sim, trials, seed, packet_fraction, snrs)
+    def simulate(i):
+        return _simulate_trial(sim, i, seed, packet_fraction, snrs)
 
-    def work(send):  # two frames a chunk: its head, then its streams
-        for trials in chunks[1:]:
-            head, ys = simulate(trials)
-            send(head)
-            send(*(y for rows in ys for y in rows))
+    def work(send):  # a frame a trial: (pre, has_packet), then its streams
+        for i in range(1, n_trials):
+            pre, has_packet, ys = simulate(i)
+            send(np.array([pre, has_packet], np.int64), *ys)
 
-    def receive_chunk(receive):  # each stream into its own array
-        head = np.frombuffer(receive()).reshape(-1, 3)
-        ys = [[np.empty(int(n_rx), dtype=np.complex128) for _ in snrs]
-              for n_rx in head[:, 2]]
-        receive(*(y for rows in ys for y in rows))
-        return head, ys
+    def received(receive):  # each stream copied into an array of its own
+        frame = receive()
+        pre, has_packet = np.frombuffer(frame, np.int64, 2).tolist()
+        rows = np.frombuffer(frame, np.complex128, offset=16)
+        return pre, has_packet, [y.copy() for y in
+                                 rows.reshape(len(snrs), -1)]
 
     def detect(receive):
-        for c, trials in enumerate(chunks):
-            head, ys = (receive_chunk(receive) if c and helped else
-                        simulate(trials))
-            for (pre, has_packet, _), rows in zip(head.tolist(), ys):
-                for point, y, out in zip(points, rows, outcomes):
-                    out.append(point.run_trial(ComplexSignal(y, BASE_RATE_HZ),
-                                               bool(has_packet), int(pre)))
+        for i in range(n_trials):
+            pre, has_packet, ys = (received(receive) if i and helped else
+                                   simulate(i))
+            for point, y, out in zip(points, ys, outcomes):
+                out.append(point.run_trial(ComplexSignal(y, BASE_RATE_HZ),
+                                           bool(has_packet), pre))
 
     forked.run(work if helped else None, detect, "sweep")
     return outcomes
 
 
-def _simulate_chunk(sim: StreamSimulator, trials: range, seed: int,
+def _simulate_trial(sim: StreamSimulator, i: int, seed: int,
                     packet_fraction: float, snrs) -> tuple:
-    """evaluate_conventional's trials up to detection: a (trials, 3) head
-    of (pre, has_packet, n_rx), and for each trial the samples of its rx
-    streams, one array per point."""
-    head, ys = np.empty((len(trials), 3)), []
-    for j, i in enumerate(trials):
-        rng = np.random.default_rng((seed, i))
-        has_packet = bool(rng.uniform() < packet_fraction)
-        pre = int(rng.integers(*PRE_PAD_RANGE))
-        link = sim.draw_link(rng, pre, POST_PAD, has_packet)
-        head[j] = pre, has_packet, link.n_rx
-        # filter once and scale-add per point only for several points: a
-        # lone point's add-then-filter filters one row, not two (a measured
-        # 119 against 205 us on a packet trial)
-        ys.append([y.samples for y in (
-            sim.rx_streams(link, snrs) if len(snrs) > 1 else
-            [sim.rx_stream(link, snrs[0])])])
-    return head, ys
+    """evaluate_conventional's trial i up to detection: (pre, has_packet,
+    the samples of its rx streams, one array per point)."""
+    rng = np.random.default_rng((seed, i))
+    has_packet = bool(rng.uniform() < packet_fraction)
+    pre = int(rng.integers(*PRE_PAD_RANGE))
+    link = sim.draw_link(rng, pre, POST_PAD, has_packet)
+    # filter once and scale-add per point only for several points: a lone
+    # point's add-then-filter filters one row, not two (a measured 119
+    # against 205 us on a packet trial)
+    ys = (sim.rx_streams(link, snrs) if len(snrs) > 1 else
+          [sim.rx_stream(link, snrs[0])])
+    return pre, has_packet, [y.samples for y in ys]
 
 
 def summarize(outcomes: list[TrialOutcome]) -> EvalMetrics:

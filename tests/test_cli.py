@@ -498,7 +498,7 @@ class TestFlops:
 
 class TestConventionalWorkers:
     """sweep --conventional simulates its trials' links in a forked worker
-    where streams.worker_count allows one: the manifest records the count
+    where forked.worker_count allows one: the manifest records the count
     (0 or 1), and the worker's exception keeps its type, so its exit
     code."""
 
@@ -514,8 +514,7 @@ class TestConventionalWorkers:
     def test_manifest_records_workers(self, tmp_path, monkeypatch, command,
                                       n_cpus, workers):
         monkeypatch.setattr(forked, "usable_cpus", lambda: n_cpus)
-        code, manifest = self._run(tmp_path, command,
-                                   2 * streams.CHUNK_TRIALS)
+        code, manifest = self._run(tmp_path, command, 16)
         assert code == 0
         assert json.loads(manifest.read_text())["workers"] == workers
 
@@ -534,8 +533,7 @@ class TestConventionalWorkers:
             return draw_link(self, *args, **kwargs)
 
         monkeypatch.setattr(streams.StreamSimulator, "draw_link", failing)
-        assert self._run(tmp_path, command,
-                         4 * streams.CHUNK_TRIALS)[0] == code
+        assert self._run(tmp_path, command, 32)[0] == code
         assert "planted in a worker" in capsys.readouterr().err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -8,41 +8,47 @@ from hypothesis import strategies as st
 from conftest import tamper_checkpoint, traced_peak
 from pktdetect import cnn, dataset, nn
 from pktdetect.cnn import (BLOCK_LENGTHS, CheckpointError, CnnDetectorConfig,
-                           block_to_channels, build_model, evaluate,
-                           load_model, mae_by_snr, predict, save_model)
+                           build_model, evaluate, load_model, mae_by_snr,
+                           predict, prepare_inputs, save_model)
 
 
 def channels_to_block(channels: np.ndarray) -> np.ndarray:
-    """Inverse of block_to_channels."""
+    """Inverse of prepare_inputs' framing."""
     swapped = np.swapaxes(channels, -1, -2)
     return swapped.reshape(swapped.shape[:-2] + (-1,))
 
 
 class TestBlockFraming:
+    """prepare_inputs frames each block frame-of-4 ("raw" keeps the
+    amplitudes as they are)."""
+
+    RAW40 = CnnDetectorConfig(block_len=40, normalize="raw")
+
     def test_frame_of_four_layout(self):
-        block = np.arange(12.0)
-        ch = block_to_channels(block, 4)
-        assert ch.shape == (4, 3)
+        ch = prepare_inputs(np.arange(40.0), self.RAW40)
+        assert ch.shape == (1, 4, 10)
         # channel c, step t holds sample 4*t + c
-        np.testing.assert_array_equal(ch[1], [1.0, 5.0, 9.0])
+        np.testing.assert_array_equal(ch[0, 1], np.arange(1.0, 40.0, 4))
 
     def test_batched(self):
-        blocks = np.arange(24.0).reshape(2, 12)
-        ch = block_to_channels(blocks, 4)
-        assert ch.shape == (2, 4, 3)
+        blocks = np.arange(80.0).reshape(2, 40)
+        ch = prepare_inputs(blocks, self.RAW40)
+        assert ch.shape == (2, 4, 10) and ch.flags.c_contiguous
+        np.testing.assert_array_equal(ch[1, 2], np.arange(42.0, 80.0, 4))
 
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4, 8]),
-           st.integers(1, 12))
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(BLOCK_LENGTHS),
+           st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
-    def test_bijection(self, seed, c, t):
+    def test_bijection(self, seed, block_len, n):
         rng = np.random.default_rng(seed)
-        block = rng.standard_normal(c * t)
+        blocks = rng.rayleigh(size=(n, block_len))
+        cfg = CnnDetectorConfig(block_len=block_len, normalize="raw")
         np.testing.assert_array_equal(
-            channels_to_block(block_to_channels(block, c)), block)
+            channels_to_block(prepare_inputs(blocks, cfg)), blocks)
 
     def test_indivisible_rejected(self):
-        with pytest.raises(ValueError):
-            block_to_channels(np.zeros(10), 4)
+        with pytest.raises(ValueError):  # 10 samples: no frame-of-4 block
+            prepare_inputs(np.zeros(10), self.RAW40)
 
 
 class TestConfig:

@@ -123,16 +123,16 @@ class TestConv1d:
     @pytest.mark.parametrize("block_len", cnn.BLOCK_LENGTHS)
     def test_gemm_matches_einsum_bit_for_bit(self, block_len, conv, layout, n):
         # the model's own layers and input layouts: conv1 reads the
-        # C-contiguous framing prepare_inputs makes, or the strided
-        # frame-of-4 view of the amplitudes (block_to_channels), and conv2
-        # the ReLU of conv1's output
+        # C-contiguous framing prepare_inputs makes, or the same framing
+        # as a strided view of the amplitudes, and conv2 the ReLU of
+        # conv1's output
         cfg = cnn.CnnDetectorConfig(block_len=block_len)
         net = cnn.build_model(cfg, seed=5).net
         rng = np.random.default_rng(block_len + conv + n)
         amp = rng.rayleigh(size=(n, block_len))
         x = cnn.prepare_inputs(amp, cfg)
         if layout == "strided":
-            x = cnn.block_to_channels(amp, cnn.IN_CHANNELS)
+            x = np.swapaxes(amp.reshape(n, -1, cnn.IN_CHANNELS), 1, 2)
             assert not x.flags.c_contiguous
         if conv == 2:
             x = net.layers[1].forward(net.layers[0].forward(x))

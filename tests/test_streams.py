@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (oracle_apply_channel, oracle_evaluate_conventional,
                       oracle_receive, receive)
-from pktdetect import corrsync, forked, streams
+from pktdetect import corrsync, streams
 from pktdetect.channel import ChannelTemplate, rx_frontend
 from pktdetect.preamble import PREAMBLE_LEN, ComplexSignal
 from pktdetect.streams import (StreamSimulator, StreamTrialConfig,
@@ -358,7 +358,8 @@ class TestSharedSweep:
         assert kinds == {True, False}
 
     def test_run_trial_once_per_trial_and_point(self, channel, seed,
-                                               monkeypatch):
+                                               monkeypatch, cpus):
+        cpus(1)  # no worker: every call is made in this process
         calls, inits, links, front_ends = [], [], [], []
         run_trial = StreamSimulator.run_trial
         init = StreamSimulator.__init__
@@ -405,10 +406,9 @@ def test_snr_without_a_noise_level_rejected(snr_db, kwargs):
                               **kwargs)
 
 
-C = streams.CHUNK_TRIALS
 # evaluate_conventional's three modes: several points, one point and a
-# noiseless point alone.  At 65 points the worker's chunk is more than 512
-# (forked._IOV_MAX) streams, so one frame takes more than one readv
+# noiseless point alone.  At 65 points a trial's frame is about 0.95 MB,
+# near the worker's pipe's size (forked.PIPE_BYTES)
 MODES = {"points": {"snrs_db": POINTS}, "one-point": {},
          "inf": {"snrs_db": (np.inf,)},
          "65-points": {"snrs_db": tuple(k / 2 - 4 for k in range(65))}}
@@ -416,15 +416,15 @@ MODES = {"points": {"snrs_db": POINTS}, "one-point": {},
 
 @pytest.mark.usefixtures("no_hang")
 class TestWorkers:
-    """evaluate_conventional simulates the links of all chunks but its first
-    in one forked worker, where worker_count allows one.  These tests fork
-    the worker or not through forked's CPU count (the cpus fixture), as
-    generate's tests do; the outcomes must not depend on it.  Every path
-    must leave no child process and no pipe end open."""
+    """evaluate_conventional simulates the links of all trials but its first
+    in one forked worker, where forked.worker_count allows one.  These
+    tests fork the worker or not through forked's CPU count (the cpus
+    fixture), as generate's tests do; the outcomes must not depend on it.
+    Every path must leave no child process and no pipe end open."""
 
     @pytest.mark.parametrize("mode", sorted(MODES))
-    @pytest.mark.parametrize("n_trials", [C - 3, 3 * C + 5],
-                             ids=["below-a-chunk", "four-chunks"])
+    @pytest.mark.parametrize("n_trials", [1, 29],
+                             ids=["one-trial", "29-trials"])
     def test_outcomes_independent_of_worker_count(self, cpus, forks,
                                                   clean_exit, mode,
                                                   n_trials):
@@ -432,8 +432,7 @@ class TestWorkers:
         runs = []
         for n_cpus in (1, 2, 64):  # one worker at most, however many CPUs
             cpus(n_cpus)
-            workers = int(n_cpus > 1 and n_trials > C)
-            assert streams.worker_count(n_trials) == workers
+            workers = int(n_cpus > 1 and n_trials > 1)
             forks.clear()
             runs.append(evaluate_conventional(cfg, n_trials, seed=7,
                                               **MODES[mode]))
@@ -444,13 +443,6 @@ class TestWorkers:
         for snr, outcomes in zip(snrs, runs[0]):
             assert outcomes == oracle_evaluate_conventional(
                 replace(cfg, snr_db=snr), n_trials, seed=7)
-
-    @pytest.mark.parametrize("n_cpus, n_trials, workers", [
-        (1, 10 * C, 0), (2, 10 * C, 1), (64, 10 * C, 1), (2, C, 0),
-        (2, C + 1, 1), (64, 1, 0), (2, 0, 0)])
-    def test_worker_count(self, monkeypatch, n_cpus, n_trials, workers):
-        monkeypatch.setattr(forked, "usable_cpus", lambda: n_cpus)
-        assert streams.worker_count(n_trials) == workers
 
     @pytest.mark.parametrize("error", [ValueError, KeyError])
     def test_worker_error_keeps_its_type(self, cpus, monkeypatch, clean_exit,
@@ -465,7 +457,7 @@ class TestWorkers:
 
         monkeypatch.setattr(StreamSimulator, "draw_link", failing)
         with pytest.raises(error, match="planted in a worker"):
-            evaluate_conventional(StreamTrialConfig(), 4 * C, seed=1,
+            evaluate_conventional(StreamTrialConfig(), 32, seed=1,
                                   snrs_db=POINTS)
 
     def test_unpicklable_error_arrives_with_traceback(self, cpus, monkeypatch,
@@ -483,7 +475,7 @@ class TestWorkers:
 
         monkeypatch.setattr(StreamSimulator, "draw_link", failing)
         with pytest.raises(RuntimeError) as info:
-            evaluate_conventional(StreamTrialConfig(), 4 * C, seed=1)
+            evaluate_conventional(StreamTrialConfig(), 32, seed=1)
         assert "planted unpicklable failure" in str(info.value)
         assert "Traceback" in str(info.value)
 
@@ -498,12 +490,14 @@ class TestWorkers:
 
         monkeypatch.setattr(StreamSimulator, "draw_link", dying)
         with pytest.raises(RuntimeError, match="ended before its last frame"):
-            evaluate_conventional(StreamTrialConfig(), 4 * C, seed=1)
+            evaluate_conventional(StreamTrialConfig(), 32, seed=1)
 
-    @pytest.mark.parametrize("at_call", [1, C * len(POINTS) + 1],
+    @pytest.mark.parametrize("at_call", [1, len(POINTS) + 1],
                              ids=["first-chunk", "received-chunk"])
     def test_interrupt_while_detecting_kills_and_reaps_the_worker(
             self, cpus, monkeypatch, forks, kills, clean_exit, at_call):
+        # interrupted at the first detection on the trial simulated here,
+        # or on the first trial the worker sent
         cpus(2)
         run_trial, calls = StreamSimulator.run_trial, []
 
@@ -515,7 +509,7 @@ class TestWorkers:
 
         monkeypatch.setattr(StreamSimulator, "run_trial", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            evaluate_conventional(StreamTrialConfig(), 40 * C, seed=1,
+            evaluate_conventional(StreamTrialConfig(), 320, seed=1,
                                   snrs_db=POINTS)
         assert len(forks) == 1 and kills == forks
 
@@ -524,7 +518,7 @@ class TestWorkers:
                                                     clean_exit, mode):
         # a caller that keeps a trial's stream, as the benchmark keeps some
         # metric_trace inputs, keeps that stream's samples alive, not its
-        # chunk's: at most the two filtered rows it was made from
+        # trial's: at most the two filtered rows it was made from
         cpus(2)
         run_trial, kept = StreamSimulator.run_trial, []
 
@@ -533,7 +527,7 @@ class TestWorkers:
             return run_trial(self, y, *args)
 
         monkeypatch.setattr(StreamSimulator, "run_trial", keeping)
-        evaluate_conventional(StreamTrialConfig(), 3 * C, seed=2,
+        evaluate_conventional(StreamTrialConfig(), 24, seed=2,
                               **MODES[mode])
         for y in kept:
             base = y if y.base is None else y.base
